@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -66,7 +67,11 @@ DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to reproduce one CLI invocation's outputs."""
+    """Everything needed to reproduce one CLI invocation's outputs.
+
+    diagnostics holds counts of special cases the run met, such as
+    disconnected sets and degenerate p-values.
+    """
 
     subcommand: str
     config: dict
@@ -75,6 +80,7 @@ class RunManifest:
     input_digests: dict = field(default_factory=dict)
     timestamp: str = ""
     rng: str = RNG_ID
+    diagnostics: dict = field(default_factory=dict)
 
     def identity(self) -> dict:
         """The reproducibility-relevant part (timestamp excluded)."""
@@ -91,7 +97,8 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _build_manifest(args, config: dict, inputs: list) -> RunManifest:
+def _build_manifest(args, config: dict, inputs: list,
+                    diagnostics: dict | None = None) -> RunManifest:
     digests = {str(p): _sha256(p) for p in inputs}
     return RunManifest(
         subcommand=args.command,
@@ -100,6 +107,7 @@ def _build_manifest(args, config: dict, inputs: list) -> RunManifest:
         version=__version__,
         input_digests=digests,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        diagnostics=diagnostics or {},
     )
 
 
@@ -229,7 +237,6 @@ def _ci_single(args, model, y1, y2, bounds):
             lo, hi = ci_diff_naive(y1, y2, model, args.alpha)
         disconnected = False
     if args.scale == "ratio":
-        import math
         lo, hi = math.exp(lo), math.exp(hi)
     return lo, hi, disconnected
 
@@ -248,7 +255,7 @@ def _cmd_ci(args) -> int:
         record = {"method": args.method, "level": 1 - args.alpha,
                   "lo": lo, "hi": hi, "disconnected": disc,
                   "scale": args.scale}
-        _emit(args, _record_text([record], args.format),
+        _emit(args, _record_text([record], args.format or "jsonl"),
               _build_manifest(args, config, []))
         return 0
 
@@ -264,7 +271,7 @@ def _cmd_ci(args) -> int:
                 "method": args.method}
 
     rows = _parallel_map(one, data.pairs, args.threads)
-    _emit(args, _record_text(rows, "csv"),
+    _emit(args, _record_text(rows, args.format or "csv"),
           _build_manifest(args, config, [args.input]))
     return 0
 
@@ -294,7 +301,7 @@ def _cmd_pvalue(args) -> int:
         r = _pvalue_one(args, model, bounds, args.y1, args.y2)
         record = {"method": args.method, "statistic": r.statistic,
                   "p_value": r.p_value, "mu_sup": r.mu_sup}
-        _emit(args, _record_text([record], args.format),
+        _emit(args, _record_text([record], args.format or "jsonl"),
               _build_manifest(args, config, []))
         return 0
 
@@ -308,9 +315,8 @@ def _cmd_pvalue(args) -> int:
     rows = []
     for pair, r in zip(data.pairs, results):
         row = {"id": pair.id, "y1": pair.y1, "y2": pair.y2,
-               "statistic": "" if r.statistic is None else r.statistic,
-               "p_value": r.p_value,
-               "mu_sup": "" if r.mu_sup is None else r.mu_sup}
+               "statistic": r.statistic, "p_value": r.p_value,
+               "mu_sup": r.mu_sup}
         if args.bonferroni:
             row["significant_bonferroni"] = r.p_value <= cutoff
         rows.append(row)
@@ -318,7 +324,7 @@ def _cmd_pvalue(args) -> int:
         count = sum(1 for r in results if r.p_value <= cutoff)
         print(f"{count} of {data.n} p-values below 0.05/N = {cutoff:.3g}",
               file=sys.stderr)
-    _emit(args, _record_text(rows, "csv"),
+    _emit(args, _record_text(rows, args.format or "csv"),
           _build_manifest(args, config, [args.input]))
     return 0
 
@@ -476,7 +482,8 @@ def _cmd_pipeline(args) -> int:
         region = ci_diff_region(pair.y1, pair.y2, model, args.alpha, bounds,
                                 args.grid_res)
         naive = ci_diff_naive(pair.y1, pair.y2, model, args.alpha)
-        import math
+        berger_boos = pvalue_berger_boos(pair.y1, pair.y2, model, bounds,
+                                         args.beta)
         return {
             "id": pair.id, "y1": pair.y1, "y2": pair.y2,
             "ratio_lo": math.exp(region.hull[0]),
@@ -487,11 +494,11 @@ def _cmd_pipeline(args) -> int:
             "p_naive": pvalue_naive(pair.y1, pair.y2, model).p_value,
             "p_conservative": pvalue_conservative(pair.y1, pair.y2, model,
                                                   bounds).p_value,
-            "p_berger_boos": pvalue_berger_boos(pair.y1, pair.y2, model,
-                                                bounds, args.beta).p_value,
-        }
+            "p_berger_boos": berger_boos.p_value,
+        }, berger_boos.degenerate
 
-    rows = _parallel_map(one, experiment.pairs, args.threads)
+    results = _parallel_map(one, experiment.pairs, args.threads)
+    rows = [row for row, _ in results]
     cutoff = 0.05 / experiment.n
     counts = {m: sum(1 for r in rows if r[m] <= cutoff)
               for m in ("p_naive", "p_berger_boos", "p_conservative")}
@@ -502,8 +509,12 @@ def _cmd_pipeline(args) -> int:
               "theta_hat": list(est.theta_hat), "J": grid.J,
               "bonferroni_cutoff": cutoff,
               "significant_counts": counts}
+    diagnostics = {
+        "region_disconnected": sum(r["ci_disconnected"] for r in rows),
+        "berger_boos_degenerate": sum(deg for _, deg in results)}
     _emit(args, _record_text(rows, "csv"),
-          _build_manifest(args, config, [args.control, args.experiment]))
+          _build_manifest(args, config, [args.control, args.experiment],
+                          diagnostics))
     if not args.quiet:
         print(f"fitted theta_hat = {tuple(round(t, 4) for t in est.theta_hat)} "
               f"on {control.n} control pairs", file=sys.stderr)
@@ -517,24 +528,34 @@ def _cmd_pipeline(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pairvar",
-        description="Variance-function estimation and inference for "
-                    "paired-replicate log intensities.")
-    parser.add_argument("--version", action="version", version=__version__)
+def _common_options(record_format: str | None) -> argparse.ArgumentParser:
+    """Options every subcommand takes; record_format is --format's default."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="root seed for any randomized work")
     common.add_argument("--out", default=None,
                         help="output path (stdout if omitted); a manifest "
                              "JSON is written alongside")
-    common.add_argument("--format", choices=["jsonl", "csv"], default="jsonl",
+    common.add_argument("--format", choices=["jsonl", "csv"],
+                        default=record_format,
                         help="record output format where applicable")
     common.add_argument("--threads", type=int, default=1,
                         help="worker threads for batch operations")
     common.add_argument("--quiet", action="store_true",
                         help="suppress informational messages")
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pairvar",
+        description="Variance-function estimation and inference for "
+                    "paired-replicate log intensities.")
+    parser.add_argument("--version", action="version", version=__version__)
+    common = _common_options("jsonl")
+    # ci and pvalue write a jsonl record for one pair and csv rows for
+    # --input unless --format is given
+    per_pair = _common_options(None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -568,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true")
     p.set_defaults(func=_cmd_fit_mixture)
 
-    p = sub.add_parser("ci", parents=[common],
+    p = sub.add_parser("ci", parents=[per_pair],
                        help="confidence sets for a mean or a difference")
     p.add_argument("--theta", type=_parse_theta, required=True)
     p.add_argument("--form", default="exp-linear",
@@ -590,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true")
     p.set_defaults(func=_cmd_ci)
 
-    p = sub.add_parser("pvalue", parents=[common],
+    p = sub.add_parser("pvalue", parents=[per_pair],
                        help="equal-means p-values for measurement pairs")
     p.add_argument("--theta", type=_parse_theta, required=True)
     p.add_argument("--form", default="exp-linear",

@@ -295,19 +295,71 @@ def _quad_form(y1, y2, model, nu1, nu2):
     return gd, gs, rho, quad
 
 
-def _min_quad_over_nu2(y1, y2, model, nu1, a, b, grid_res):
-    """Smallest quadratic-form value over the nuisance sum at a fixed nu1."""
+def _region_radius(y1, y2, model, q, a, b, grid_res) -> float:
+    """Half-width of a square around (y1 - y2, y1 + y2) holding every accepted point.
+
+    Minimising the form over one standardized residual leaves the square of
+    the other, so quad >= max(g_diff^2, g_sum^2). An accepted (nu1, nu2)
+    therefore lies within sqrt(q*s) of (y1 - y2, y1 + y2) in each coordinate,
+    with s = h(mu1) + h(mu2), and then |mu_i - y_i| <= sqrt(q*s) too. Every
+    form is monotone on [a, b], so if |mu_i - y_i| <= r, then s is at most
+    the sum over i of the larger value of h at the ends of
+    [y_i - r, y_i + r] clipped to [a, b]. Starting from
+    r = sqrt(2q max(h(a), h(b))), this gives a shrinking sequence of radii,
+    each a valid bound. The result is padded by a relative 1e-9 against
+    rounding and by two grid steps. It is infinite, so nothing is excluded,
+    where h is not finite and monotone on [a, b].
+    """
+    if model.form is VarianceForm.POWER and a <= 0:
+        return math.inf
+    with np.errstate(all="ignore"):
+        ends = model(np.array([a, b]))
+    if not np.all(np.isfinite(ends)):
+        return math.inf
+    r = math.sqrt(2.0 * q * float(ends.max()))
+    ys = np.array([y1, y2])
+    for _ in range(100):
+        h = model(np.clip(np.stack([ys - r, ys + r]), a, b))
+        r_next = math.sqrt(q * float(h.max(axis=0).sum()))
+        if not r_next < r:
+            break
+        r = r_next
+    return r * (1.0 + 1e-9) + 2.0 * grid_res
+
+
+def _within(grid: np.ndarray, lo: float, hi: float) -> slice:
+    """Slice of a sorted grid holding its points in [lo, hi]."""
+    return slice(int(np.searchsorted(grid, lo, "left")),
+                 int(np.searchsorted(grid, hi, "right")))
+
+
+_GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _nu1_accepted(y1, y2, model, nu1, q, a, b, grid_res, nu2_lo, nu2_hi):
+    """Whether some nuisance sum puts the quadratic form at or under q at nu1.
+
+    The decision is that of minimising the form over the grid
+    linspace(2a + |nu1|, 2b - |nu1|) and golden-section polishing the cell
+    around the grid minimum, but only the grid points in [nu2_lo, nu2_hi],
+    which holds every accepted point, are evaluated. A grid value at or under
+    q there settles the answer without the polish, which can only lower it.
+    """
     lo = 2.0 * a + abs(nu1)
     hi = 2.0 * b - abs(nu1)
     if hi < lo:
-        return math.inf
+        return False
     n = max(int(math.ceil((hi - lo) / grid_res)) + 1, 2)
     nu2 = np.linspace(lo, hi, n)
+    window = _within(nu2, nu2_lo, nu2_hi)
+    if window.start == window.stop:
+        return False
     with np.errstate(invalid="ignore"):
-        _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
-    k = int(np.argmin(quad))
-    best = float(quad[k])
-    # Golden-section polish of the bracketing cell.
+        _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2[window])
+    k = window.start + int(np.argmin(quad))
+    best = float(quad[k - window.start])
+    if best <= q:
+        return True
     left = nu2[max(k - 1, 0)]
     right = nu2[min(k + 1, n - 1)]
     c = right - _GOLDEN_RATIO * (right - left)
@@ -322,17 +374,22 @@ def _min_quad_over_nu2(y1, y2, model, nu1, a, b, grid_res):
             left, c = c, d
             d = left + _GOLDEN_RATIO * (right - left)
     mid = 0.5 * (left + right)
-    return min(best, float(_quad_form(y1, y2, model, nu1, mid)[3]))
+    if not min(best, float(_quad_form(y1, y2, model, nu1, mid)[3])) <= q:
+        return False
+    # The polish counts only around the minimum of the whole grid. Outside
+    # the window the form is over q, but it can still undercut the window's
+    # grid values, so check that the whole grid has its minimum at k.
+    with np.errstate(invalid="ignore"):
+        _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
+    return int(np.argmin(quad)) == k
 
 
-_GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _refine_boundary(y1, y2, model, inside, outside, q, a, b, grid_res):
+def _refine_boundary(y1, y2, model, inside, outside, q, a, b, grid_res,
+                     nu2_lo, nu2_hi):
     """Bisect the nu1 membership boundary between an accepted and a rejected point."""
     for _ in range(60):
         mid = 0.5 * (inside + outside)
-        if _min_quad_over_nu2(y1, y2, model, mid, a, b, grid_res) <= q:
+        if _nu1_accepted(y1, y2, model, mid, q, a, b, grid_res, nu2_lo, nu2_hi):
             inside = mid
         else:
             outside = mid
@@ -360,6 +417,14 @@ def ci_diff_region(
     boundary; with refine_boundaries=False the accepted grid extremes are
     reported instead (slightly inside the boundary, by at most one step).
     Conservative for nu1 by the projection property.
+
+    The form is at least the square of each standardized residual, so every
+    accepted point lies in a square around (y1 - y2, y1 + y2) whose
+    half-width follows from the largest variance the means can have there
+    (see _region_radius). The scan and each bisection step evaluate the form
+    only inside that square; points outside it are rejected without being
+    evaluated, and the result is the same as scanning the whole
+    parallelogram.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
@@ -373,19 +438,23 @@ def ci_diff_region(
     n1 = int(round(2.0 * span / grid_res)) + 1
     nu1_grid = np.linspace(-span, span, n1)
     nu2_master = np.arange(2.0 * a, 2.0 * b + grid_res / 2.0, grid_res)
+    radius = _region_radius(y1, y2, model, q, a, b, grid_res)
+    nu2_lo, nu2_hi = y1 + y2 - radius, y1 + y2 + radius
+    rows = _within(nu1_grid, y1 - y2 - radius, y1 - y2 + radius)
+    nu2 = nu2_master[None, _within(nu2_master, nu2_lo, nu2_hi)]
 
     accepted = np.zeros(n1, dtype=bool)
     chunk = 256
     with np.errstate(invalid="ignore"):
-        for start in range(0, n1, chunk):
-            nu1 = nu1_grid[start:start + chunk, None]
-            nu2 = nu2_master[None, :]
+        for start in range(rows.start, rows.stop, chunk):
+            stop = min(start + chunk, rows.stop)
+            nu1 = nu1_grid[start:stop, None]
             lo = 2.0 * a + np.abs(nu1)
             hi = 2.0 * b - np.abs(nu1)
             _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
             quad = np.where((nu2 >= lo - 1e-12) & (nu2 <= hi + 1e-12),
                             quad, np.inf)
-            accepted[start:start + chunk] = (quad <= q).any(axis=1)
+            accepted[start:stop] = (quad <= q).any(axis=1)
     runs = _runs(accepted)
     if not runs:
         raise NumericalError(
@@ -398,10 +467,10 @@ def ci_diff_region(
         if refine_boundaries:
             if i > 0:
                 lo = _refine_boundary(y1, y2, model, lo, nu1_grid[i - 1],
-                                      q, a, b, grid_res)
+                                      q, a, b, grid_res, nu2_lo, nu2_hi)
             if j < n1 - 1:
                 hi = _refine_boundary(y1, y2, model, hi, nu1_grid[j + 1],
-                                      q, a, b, grid_res)
+                                      q, a, b, grid_res, nu2_lo, nu2_hi)
         comps.append((lo, hi))
     return ConfidenceSet.from_components(comps, 1.0 - alpha)
 

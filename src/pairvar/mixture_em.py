@@ -179,15 +179,6 @@ def mixture_log_lik(data: PairedDataset, theta: VarianceModel,
     return float(row_lse.sum())
 
 
-def _collapsed_stats(data: PairedDataset, points: np.ndarray, w: np.ndarray,
-                     sq_dev: np.ndarray | None = None):
-    """Per-support-point weight totals and weighted mean squared deviations."""
-    t = _sq_deviations(data, points) if sq_dev is None else sq_dev
-    w_tot = w.sum(axis=0)
-    v_tot = (w * t).sum(axis=0) / 2.0
-    return w_tot, v_tot
-
-
 def _q_value(form: VarianceForm, theta, points, w_tot, v_tot) -> float:
     """Expected complete-data log-likelihood (theta part only)."""
     h = VarianceModel(form, tuple(theta))(points)

@@ -91,6 +91,24 @@ class TestCiCommand:
         assert {"lo", "hi", "disconnected", "method"} <= set(rows[0])
         assert float(rows[1]["lo"]) == pytest.approx(0.1316, abs=0.001)
 
+    def test_batch_honours_format(self, tmp_path, capsys):
+        inp = tmp_path / "pairs.csv"
+        write_pairs_csv(inp, [("a", 10.21, 10.78), ("b", 11.45, 13.36)])
+        base = ["ci", "--theta", "4.84,-0.927", "--input", str(inp),
+                "--method", "naive"]
+        assert main(base) == 0
+        default = capsys.readouterr().out
+        assert main(base + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out == default
+        assert default.splitlines()[0] == "id,y1,y2,lo,hi,disconnected,method"
+        assert main(base + ["--format", "jsonl"]) == 0
+        recs = [json.loads(line)
+                for line in capsys.readouterr().out.splitlines()]
+        rows = list(csv.DictReader(io.StringIO(default)))
+        assert [r["id"] for r in recs] == ["a", "b"]
+        assert recs[1]["lo"] == float(rows[1]["lo"])
+        assert recs[0]["disconnected"] is False
+
     def test_threads_do_not_change_output(self, tmp_path, capsys):
         inp = tmp_path / "pairs.csv"
         write_pairs_csv(inp, [(f"p{i}", 9.0 + 0.1 * i, 9.5 + 0.05 * i)
@@ -123,6 +141,26 @@ class TestPvalueCommand:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert rows[0]["significant_bonferroni"] == "True"
         assert rows[1]["significant_bonferroni"] == "False"
+
+    def test_batch_honours_format(self, tmp_path, capsys):
+        inp = tmp_path / "pairs.csv"
+        write_pairs_csv(inp, [("a", 10.21, 10.78), ("b", 10.0, 10.01)])
+        base = ["pvalue", "--theta", "4.84,-0.927", "--input", str(inp),
+                "--method", "berger-boos", "--bonferroni", "--quiet"]
+        assert main(base) == 0
+        default = capsys.readouterr().out
+        assert main(base + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out == default
+        rows = list(csv.DictReader(io.StringIO(default)))
+        assert rows[0]["statistic"] == ""
+        assert main(base + ["--format", "jsonl"]) == 0
+        recs = [json.loads(line)
+                for line in capsys.readouterr().out.splitlines()]
+        assert [r["id"] for r in recs] == ["a", "b"]
+        assert recs[0]["statistic"] is None
+        assert recs[0]["significant_bonferroni"] is True
+        assert [r["p_value"] for r in recs] == [float(r["p_value"])
+                                               for r in rows]
 
     def test_single_pair_mode(self, capsys):
         assert main(["pvalue", "--theta", "4.84,-0.927", "--y1", "10.21",
@@ -210,6 +248,32 @@ class TestPipeline:
         manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
         assert manifest["subcommand"] == "pipeline"
         assert len(manifest["input_digests"]) == 2
+        assert manifest["diagnostics"] == {
+            "region_disconnected": sum(r["ci_disconnected"] == "True"
+                                       for r in rows),
+            "berger_boos_degenerate": 0}
+
+    def test_manifest_counts_degenerate_berger_boos(self, tmp_path):
+        control = tmp_path / "control.csv"
+        experiment = tmp_path / "exp.csv"
+        simulated_csv(control, 150, seed=24)
+        # at beta = 0.5 the Berger-Boos set for the mean of the pair 0.3
+        # below a is too narrow to reach [a, b]; its region is not empty
+        write_pairs_csv(experiment, [("edge", 7.0, 7.0),
+                                     ("null", 10.0, 10.05)])
+        out = tmp_path / "report.csv"
+        assert main(["pipeline", "--control", str(control),
+                     "--experiment", str(experiment), "--out", str(out),
+                     "--grid-res", "0.02", "--beta", "0.5", "--quiet"]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert float(rows[0]["p_berger_boos"]) == 0.5
+        manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
+        diagnostics = manifest["diagnostics"]
+        assert diagnostics["berger_boos_degenerate"] == 1
+        assert diagnostics["region_disconnected"] == sum(
+            r["ci_disconnected"] == "True" for r in rows)
+        assert manifest["config"]["J"] >= 2
+        assert len(manifest["config"]["theta_hat"]) == 2
 
     def test_empty_experiment_is_data_error(self, tmp_path):
         control = tmp_path / "control.csv"

@@ -6,6 +6,9 @@ import pytest
 from pairvar.errors import DomainError, NumericalError
 from pairvar.intervals import (
     ConfidenceSet,
+    _quad_form,
+    _region_radius,
+    _runs,
     chi2_1_quantile,
     chi2_1_sf,
     chi2_2_quantile,
@@ -215,6 +218,169 @@ class TestDifferenceRegion:
             ci_diff_region(10.0, 10.5, POOLED, 0.05, BOUNDS, grid_res=0.0)
         with pytest.raises(DomainError):
             ci_diff_region(10.0, 10.5, POOLED, 0.05, (7.3, math.inf))
+
+
+def _dense_min_quad(y1, y2, model, nu1, a, b, grid_res):
+    """Smallest form over the whole nu2 grid at nu1, golden-section polished."""
+    lo = 2.0 * a + abs(nu1)
+    hi = 2.0 * b - abs(nu1)
+    if hi < lo:
+        return math.inf
+    n = max(int(math.ceil((hi - lo) / grid_res)) + 1, 2)
+    nu2 = np.linspace(lo, hi, n)
+    with np.errstate(invalid="ignore"):
+        _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
+    k = int(np.argmin(quad))
+    best = float(quad[k])
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    left = nu2[max(k - 1, 0)]
+    right = nu2[min(k + 1, n - 1)]
+    c = right - golden * (right - left)
+    d = left + golden * (right - left)
+    for _ in range(60):
+        qc = float(_quad_form(y1, y2, model, nu1, c)[3])
+        qd = float(_quad_form(y1, y2, model, nu1, d)[3])
+        if qc <= qd:
+            right, d = d, c
+            c = right - golden * (right - left)
+        else:
+            left, c = c, d
+            d = left + golden * (right - left)
+    mid = 0.5 * (left + right)
+    return min(best, float(_quad_form(y1, y2, model, nu1, mid)[3]))
+
+
+def _dense_region(y1, y2, model, alpha, bounds, grid_res=0.005,
+                  refine_boundaries=True):
+    """Reference region projection: the whole parallelogram, every nu2."""
+    a, b = bounds
+    q = chi2_2_quantile(1.0 - alpha)
+    span = b - a
+    n1 = int(round(2.0 * span / grid_res)) + 1
+    nu1_grid = np.linspace(-span, span, n1)
+    nu2 = np.arange(2.0 * a, 2.0 * b + grid_res / 2.0, grid_res)[None, :]
+    accepted = np.zeros(n1, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        for start in range(0, n1, 256):
+            nu1 = nu1_grid[start:start + 256, None]
+            lo = 2.0 * a + np.abs(nu1)
+            hi = 2.0 * b - np.abs(nu1)
+            _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
+            quad = np.where((nu2 >= lo - 1e-12) & (nu2 <= hi + 1e-12),
+                            quad, np.inf)
+            accepted[start:start + 256] = (quad <= q).any(axis=1)
+    runs = _runs(accepted)
+    if not runs:
+        raise NumericalError("projected confidence set is empty")
+
+    def refine(inside, outside):
+        for _ in range(60):
+            mid = 0.5 * (inside + outside)
+            if _dense_min_quad(y1, y2, model, mid, a, b, grid_res) <= q:
+                inside = mid
+            else:
+                outside = mid
+            if abs(inside - outside) < 1e-10:
+                break
+        return inside
+
+    comps = []
+    for i, j in runs:
+        lo, hi = nu1_grid[i], nu1_grid[j]
+        if refine_boundaries:
+            if i > 0:
+                lo = refine(lo, nu1_grid[i - 1])
+            if j < n1 - 1:
+                hi = refine(hi, nu1_grid[j + 1])
+        comps.append((lo, hi))
+    return ConfidenceSet.from_components(comps, 1.0 - alpha)
+
+
+WINDOW_MODELS = {
+    "pooled": POOLED,
+    "large-variance": VarianceModel(VarianceForm.EXP_LINEAR, (5.0, -0.5)),
+    "positive-slope": VarianceModel(VarianceForm.EXP_LINEAR, (-8.0, 0.4)),
+    "power": VarianceModel(VarianceForm.POWER, (3.9, -3.0)),
+    "exp-linear-const": VarianceModel(VarianceForm.EXP_LINEAR_CONST,
+                                      (4.84, -0.927, -6.0)),
+}
+
+
+def _window_pairs(seed, count):
+    """Seeded pairs: free draws, tied pairs, and pairs within 0.05 of a or b."""
+    rng = np.random.default_rng(seed)
+    a, b = BOUNDS
+    pairs = [tuple(rng.uniform(a, b, 2)) for _ in range(count)]
+    tie = float(rng.uniform(a, b))
+    pairs.append((tie, tie))
+    pairs.append((a + float(rng.uniform(0.0, 0.05)), float(rng.uniform(a, b))))
+    pairs.append((float(rng.uniform(a, b)), b - float(rng.uniform(0.0, 0.05))))
+    pairs.append((a + 0.02, b - 0.03))
+    return pairs
+
+
+class TestRegionWindow:
+    """The windowed region projection against the dense scan it replaces."""
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_MODELS))
+    def test_components_equal_dense_oracle(self, name):
+        model = WINDOW_MODELS[name]
+        for k, (y1, y2) in enumerate(_window_pairs(sum(map(ord, name)), 3)):
+            refine = k % 3 != 2
+            fast = ci_diff_region(y1, y2, model, 0.05, BOUNDS, 0.01, refine)
+            slow = _dense_region(y1, y2, model, 0.05, BOUNDS, 0.01, refine)
+            assert fast.components == slow.components, (y1, y2, refine)
+
+    @pytest.mark.parametrize("name", ["pooled", "large-variance"])
+    def test_default_grid_equals_dense_oracle(self, name):
+        model = WINDOW_MODELS[name]
+        for y1, y2 in [(10.21, 10.78), (11.19, 9.92), (9.0, 9.0)]:
+            fast = ci_diff_region(y1, y2, model, 0.05, BOUNDS)
+            slow = _dense_region(y1, y2, model, 0.05, BOUNDS)
+            assert fast.components == slow.components, (y1, y2)
+
+    def test_unbounded_variance_scans_everything(self):
+        # the power form is infinite at mu = 0, so no window applies
+        model = VarianceModel(VarianceForm.POWER, (0.0, -1.0))
+        assert _region_radius(1.0, 1.3, model, 6.0, 0.0, 3.0, 0.01) == math.inf
+        with np.errstate(divide="ignore"):
+            fast = ci_diff_region(1.0, 1.3, model, 0.05, (0.0, 3.0), 0.01)
+            slow = _dense_region(1.0, 1.3, model, 0.05, (0.0, 3.0), 0.01)
+        assert fast.components == slow.components
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_MODELS))
+    def test_window_holds_every_accepted_grid_point(self, name):
+        model = WINDOW_MODELS[name]
+        a, b = BOUNDS
+        q = chi2_2_quantile(0.95)
+        nu1 = np.arange(-(b - a), b - a, 0.02)[:, None]
+        nu2 = np.arange(2.0 * a, 2.0 * b, 0.02)[None, :]
+        inside = (np.abs(nu1) <= np.minimum(nu2 - 2.0 * a, 2.0 * b - nu2))
+        for y1, y2 in _window_pairs(sum(map(ord, name)) + 1, 6):
+            radius = _region_radius(y1, y2, model, q, a, b, 0.0)
+            assert math.isfinite(radius)
+            _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
+            hit = inside & (quad <= q)
+            d1 = np.abs(np.broadcast_to(nu1, hit.shape)[hit] - (y1 - y2))
+            d2 = np.abs(np.broadcast_to(nu2, hit.shape)[hit] - (y1 + y2))
+            assert np.all(d1 <= radius) and np.all(d2 <= radius), (y1, y2)
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_MODELS))
+    def test_form_at_least_each_residual_square(self, name):
+        model = WINDOW_MODELS[name]
+        rng = np.random.default_rng(7)
+        y1, y2 = rng.uniform(7.3, 13.9, (2, 5000))
+        mu1, mu2 = rng.uniform(7.3, 13.9, (2, 5000))
+        gd, gs, _, quad = _quad_form(y1, y2, model, mu1 - mu2, mu1 + mu2)
+        floor = np.maximum(gd * gd, gs * gs)
+        assert np.all(quad >= floor * (1.0 - 1e-12))
+
+    def test_pair_outside_the_bounds_still_raises(self):
+        for y1, y2 in [(20.0, 20.5), (2.0, 1.5)]:
+            with pytest.raises(NumericalError):
+                ci_diff_region(y1, y2, POOLED, 0.05, BOUNDS, 0.01)
+            with pytest.raises(NumericalError):
+                _dense_region(y1, y2, POOLED, 0.05, BOUNDS, 0.01)
 
 
 class TestDifferenceBonferroni:
