@@ -132,8 +132,15 @@ def _parse_theta(text: str) -> tuple[float, ...]:
             f"theta must be comma-separated reals, got {text!r}") from None
 
 
+def _check_bounds(form: VarianceForm, a: float) -> None:
+    """Reject mean bounds reaching mu <= 0, where the power form is not finite."""
+    if form is VarianceForm.POWER and a <= 0:
+        raise DataError(f"the power form needs bounds with a > 0, got a = {a}")
+
+
 def _model_from_args(args) -> VarianceModel:
     form = VarianceForm.from_name(args.form)
+    _check_bounds(form, args.a)
     return VarianceModel(form, args.theta)
 
 
@@ -395,6 +402,7 @@ def _cmd_simulate(args) -> int:
     alpha = float(cfg.get("alpha", DEFAULTS["alpha"]))
     bounds = (float(cfg.get("a", DEFAULTS["a"])),
               float(cfg.get("b", DEFAULTS["b"])))
+    _check_bounds(form, bounds[0])
 
     if args.study == "estimator":
         n = int(cfg.get("n", 2000))
@@ -469,6 +477,7 @@ def _cmd_bias_oracle(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     form = VarianceForm.from_name(args.form)
+    _check_bounds(form, args.a)
     bounds = (args.a, args.b)
     control = load_csv(args.control, bounds=bounds, raw=args.raw)
     experiment = load_csv(args.experiment, bounds=bounds, raw=args.raw,

@@ -17,15 +17,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, ndtri
+from scipy.special import erfc, lambertw, ndtri, wrightomega
 
 from .errors import DomainError, NumericalError
 from .model import VarianceForm, VarianceModel
 
 DEFAULT_GRID_RES = 0.005
 
-_BISECT_STEPS = 100
-_BRACKET_DOUBLINGS = 200
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def normal_quantile(p: float) -> float:
@@ -123,31 +122,17 @@ class PivotCrossings:
     two_sided: np.ndarray
 
 
-def _pivot_value(mu, y, t1, t2):
-    with np.errstate(over="ignore"):
-        return (y - mu) ** 2 * np.exp(-t1 - t2 * mu)
-
-
-def _bisect(lo, hi, y, t1, t2, increasing: bool, q):
-    """Lockstep vector bisection for g(mu) = q on a monotone branch."""
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        high_side = _pivot_value(mid, y, t1, t2) >= q
-        if increasing:
-            hi = np.where(high_side, mid, hi)
-            lo = np.where(high_side, lo, mid)
-        else:
-            lo = np.where(high_side, mid, lo)
-            hi = np.where(high_side, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def exact_pivot_crossings(y, theta1: float, theta2: float, q) -> PivotCrossings:
     """Solve (y-mu)^2 / h(mu) = q for the exp-linear form with theta2 < 0.
 
-    Uses the search structure of the pivot: zero local minimum at y, local
-    maximum at mu_star = y + 2/theta2, monotone tails. Vectorized over y;
-    q may be scalar or per-element.
+    With x = -(theta2/2)(mu - y) the equation is x e^x = +-e^L, where
+    L = log(-theta2/2) + (log q + theta1 + theta2*y)/2, so the crossings
+    are real branches of the Lambert W function (Corless et al., Adv.
+    Comput. Math. 5, 1996): W_0(e^L) gives the upper one and, when the
+    local maximum at mu_star = y + 2/theta2 exceeds q, W_0(-e^L) and
+    W_{-1}(-e^L) give the middle and left ones. L is formed in log space,
+    so extreme intensities do not overflow. Vectorized over y; q may be
+    scalar or per-element. Raises NumericalError on a non-finite crossing.
     """
     if theta2 >= 0:
         raise DomainError("closed-form pivot inversion requires theta2 < 0")
@@ -155,45 +140,28 @@ def exact_pivot_crossings(y, theta1: float, theta2: float, q) -> PivotCrossings:
     q = np.broadcast_to(np.asarray(q, dtype=float), y.shape)
     t1, t2 = float(theta1), float(theta2)
 
-    mu_star = y + 2.0 / t2
-    g_star = 4.0 / t2**2 * np.exp(-(2.0 + t1 + t2 * y))
-    two = g_star > q
-
-    # Upper crossing, right of y on the increasing branch.
-    step = np.sqrt(q * np.exp(t1 + t2 * y)) + 1.0 / abs(t2)
-    hi = y + step
-    for _ in range(_BRACKET_DOUBLINGS):
-        need = _pivot_value(hi, y, t1, t2) < q
-        if not np.any(need):
-            break
-        step = np.where(need, 2.0 * step, step)
-        hi = np.where(need, y + step, hi)
-    else:
-        raise NumericalError("failed to bracket the upper pivot crossing")
-    upper = _bisect(y.copy(), hi, y, t1, t2, True, q)
-
-    r1 = upper.copy()
-    l2 = np.full_like(y, np.nan)
-    r2 = np.full_like(y, np.nan)
-    if np.any(two):
-        idx = np.flatnonzero(two)
-        ys, qs = y[idx], q[idx]
-        ms = mu_star[idx]
-        # Middle crossing on the decreasing branch (mu_star, y).
-        l2[idx] = _bisect(ms.copy(), ys.copy(), ys, t1, t2, False, qs)
-        # Left crossing on the increasing branch (-inf, mu_star).
-        step = np.full(idx.size, 2.0 / abs(t2))
-        lo = ms - step
-        for _ in range(_BRACKET_DOUBLINGS):
-            need = _pivot_value(lo, ys, t1, t2) > qs
-            if not np.any(need):
-                break
-            step = np.where(need, 2.0 * step, step)
-            lo = np.where(need, ms - step, lo)
-        else:
-            raise NumericalError("failed to bracket the lower pivot crossing")
-        r1[idx] = _bisect(lo, ms.copy(), ys, t1, t2, True, qs)
-        r2[idx] = upper[idx]
+    with np.errstate(all="ignore"):
+        g_star = 4.0 / t2**2 * np.exp(-(2.0 + t1 + t2 * y))
+        two = g_star > q
+        log_z = math.log(-t2 / 2.0) + 0.5 * (np.log(q) + t1 + t2 * y)
+        scale = -2.0 / t2
+        r1 = y + scale * wrightomega(log_z)  # wrightomega(L) = W_0(e^L)
+        r2 = np.where(two, r1, np.nan)
+        l2 = np.full_like(y, np.nan)
+        lz = log_z[two]
+        z = -np.exp(lz)
+        l2[two] = y[two] + scale * lambertw(z, 0).real
+        left = lambertw(z, -1).real
+        # Where e^L is below the normal range, W_{-1} comes from Newton steps
+        # on x + log(-x) = L, started at the two-term expansion L - log(-L).
+        tiny = lz < _LOG_TINY
+        x = lz[tiny] - np.log(-lz[tiny])
+        for _ in range(3):
+            x -= (x + np.log(-x) - lz[tiny]) / (1.0 + 1.0 / x)
+        left[tiny] = x
+        r1[two] = y[two] + scale * left
+    if not (np.isfinite(r1).all() and np.isfinite(l2[two] + r2[two]).all()):
+        raise NumericalError("pivot crossings are not finite for some y")
     return PivotCrossings(r1=r1, l2=l2, r2=r2, two_sided=two)
 
 
@@ -295,36 +263,47 @@ def _quad_form(y1, y2, model, nu1, nu2):
     return gd, gs, rho, quad
 
 
-def _region_radius(y1, y2, model, q, a, b, grid_res) -> float:
-    """Half-width of a square around (y1 - y2, y1 + y2) holding every accepted point.
+def _region_radii(y1, y2, model, q, a, b, grid_res) -> np.ndarray:
+    """Half-widths of squares around (y1 - y2, y1 + y2) holding every accepted point.
 
-    Minimising the form over one standardized residual leaves the square of
-    the other, so quad >= max(g_diff^2, g_sum^2). An accepted (nu1, nu2)
-    therefore lies within sqrt(q*s) of (y1 - y2, y1 + y2) in each coordinate,
-    with s = h(mu1) + h(mu2), and then |mu_i - y_i| <= sqrt(q*s) too. Every
-    form is monotone on [a, b], so if |mu_i - y_i| <= r, then s is at most
-    the sum over i of the larger value of h at the ends of
-    [y_i - r, y_i + r] clipped to [a, b]. Starting from
-    r = sqrt(2q max(h(a), h(b))), this gives a shrinking sequence of radii,
-    each a valid bound. The result is padded by a relative 1e-9 against
-    rounding and by two grid steps. It is infinite, so nothing is excluded,
-    where h is not finite and monotone on [a, b].
+    Vectorized over pairs. Minimising the form over one standardized
+    residual leaves the square of the other, so quad >= max(g_diff^2,
+    g_sum^2). An accepted (nu1, nu2) therefore lies within sqrt(q*s) of
+    (y1 - y2, y1 + y2) in each coordinate, with s = h(mu1) + h(mu2), and
+    then |mu_i - y_i| <= sqrt(q*s) too. Every form is monotone on [a, b],
+    so if |mu_i - y_i| <= r, then s is at most the sum over i of the larger
+    value of h at the ends of [y_i - r, y_i + r] clipped to [a, b].
+    Starting from r = sqrt(2q max(h(a), h(b))), this gives a shrinking
+    sequence of radii per pair, each a valid bound, followed until it stops
+    shrinking. The result is padded by a relative 1e-9 against rounding
+    and by two grid steps. It is infinite, so nothing is excluded, where h
+    is not finite and monotone on [a, b].
     """
+    ys = np.stack(np.broadcast_arrays(np.atleast_1d(y1).astype(float),
+                                      np.atleast_1d(y2).astype(float)))
     if model.form is VarianceForm.POWER and a <= 0:
-        return math.inf
+        return np.full(ys.shape[1], math.inf)
     with np.errstate(all="ignore"):
         ends = model(np.array([a, b]))
     if not np.all(np.isfinite(ends)):
-        return math.inf
-    r = math.sqrt(2.0 * q * float(ends.max()))
-    ys = np.array([y1, y2])
+        return np.full(ys.shape[1], math.inf)
+    r = np.full(ys.shape[1], math.sqrt(2.0 * q * float(ends.max())))
+    live = np.arange(ys.shape[1])
     for _ in range(100):
-        h = model(np.clip(np.stack([ys - r, ys + r]), a, b))
-        r_next = math.sqrt(q * float(h.max(axis=0).sum()))
-        if not r_next < r:
+        y, r_live = ys[:, live], r[live]
+        h = model(np.clip(np.stack([y - r_live, y + r_live]), a, b))
+        r_next = np.sqrt(q * h.max(axis=0).sum(axis=0))
+        shrinks = r_next < r_live
+        live = live[shrinks]
+        if live.size == 0:
             break
-        r = r_next
+        r[live] = r_next[shrinks]
     return r * (1.0 + 1e-9) + 2.0 * grid_res
+
+
+def _region_radius(y1, y2, model, q, a, b, grid_res) -> float:
+    """_region_radii for one pair."""
+    return float(_region_radii(y1, y2, model, q, a, b, grid_res)[0])
 
 
 def _within(grid: np.ndarray, lo: float, hi: float) -> slice:
@@ -421,7 +400,7 @@ def ci_diff_region(
     The form is at least the square of each standardized residual, so every
     accepted point lies in a square around (y1 - y2, y1 + y2) whose
     half-width follows from the largest variance the means can have there
-    (see _region_radius). The scan and each bisection step evaluate the form
+    (see _region_radii). The scan and each bisection step evaluate the form
     only inside that square; points outside it are rejected without being
     evaluated, and the result is the same as scanning the whole
     parallelogram.
@@ -512,10 +491,10 @@ def bounded_hulls(y, model: VarianceModel, alpha, a: float, b: float):
     set intersected with [a, b], and a mask of elements whose bounded set is
     empty. Exp-linear with negative slope only.
     """
-    t1, t2 = model.theta
-    if model.form is not VarianceForm.EXP_LINEAR or t2 >= 0:
+    if model.form is not VarianceForm.EXP_LINEAR or model.theta[1] >= 0:
         raise DomainError("vectorized hulls need the exp-linear form with "
                           "a negative slope")
+    t1, t2 = model.theta
     q = chi2_1_quantile(1.0 - alpha) if np.isscalar(alpha) else np.asarray(
         [chi2_1_quantile(1.0 - al) for al in alpha])
     c = exact_pivot_crossings(y, t1, t2, q)

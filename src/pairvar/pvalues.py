@@ -62,7 +62,7 @@ class TestResult:
             raise ValueError(f"p-value {self.p_value} outside [0,1]")
 
 
-def _tail_at(y1: float, y2: float, model: VarianceModel, mu) -> np.ndarray:
+def _tail_at(y1, y2, model: VarianceModel, mu) -> np.ndarray:
     return chi2_1_sf((y1 - y2) ** 2 / (2.0 * model(mu)))
 
 
@@ -193,7 +193,7 @@ def batch_pvalues(
             (y1 - y2) ** 2 / (2.0 * model((y1 + y2) / 2.0))))
     if method is TestMethod.CONSERVATIVE:
         if fast:
-            return np.asarray(_tail_at_many(y1, y2, model, bounds[0]))
+            return np.asarray(_tail_at(y1, y2, model, bounds[0]))
         return np.array([
             pvalue_conservative(a, b, model, bounds).p_value
             for a, b in zip(y1, y2)])
@@ -202,14 +202,10 @@ def batch_pvalues(
             ybar = (y1 + y2) / 2.0
             lo, _, empty = bounded_hulls(ybar, model.scaled(0.5), beta,
                                          bounds[0], bounds[1])
-            p = _tail_at_many(y1, y2, model, lo) + beta
+            p = _tail_at(y1, y2, model, lo) + beta
             p = np.where(empty, beta, np.minimum(p, 1.0))
             return p
         return np.array([
             pvalue_berger_boos(a, b, model, bounds, beta).p_value
             for a, b in zip(y1, y2)])
     raise ValueError(f"unknown method {method}")
-
-
-def _tail_at_many(y1, y2, model, mu):
-    return chi2_1_sf((y1 - y2) ** 2 / (2.0 * model(mu)))

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import PairvarError, StudyError
+from .errors import DomainError, PairvarError, StudyError
 from .intervals import (
     bounded_hulls,
     chi2_1_quantile,
@@ -24,10 +24,12 @@ from .intervals import (
     exact_pivot_crossings,
     normal_quantile,
     _quad_form,
+    _region_radii,
 )
 from .macl import macl_fit, mle_homoscedastic
 from .mixture_em import fit_mixture
-from .model import DEFAULT_BOUNDS, PairedDataset, PairedObservation, VarianceModel
+from .model import (DEFAULT_BOUNDS, PairedDataset, PairedObservation,
+                    VarianceForm, VarianceModel)
 from .pvalues import TestMethod, batch_pvalues
 
 RNG_ID = "numpy-pcg64/seedseq-spawn"
@@ -195,18 +197,25 @@ def _region_covers_zero(y1, y2, model, alpha, bounds, grid_res=0.01):
     """Membership of 0 in the projected difference set, vectorized over pairs.
 
     Zero belongs to the projection exactly when some nuisance sum keeps the
-    quadratic form under the quantile at nu1 = 0.
+    quadratic form under the quantile at nu1 = 0. Only grid points within
+    the pair's region radius of y1 + y2 can, so pairs go in chunks sorted
+    by where that window starts and each chunk scores its windows' union.
     """
     a, b = bounds
     q = chi2_2_quantile(1.0 - alpha)
     nu2 = np.arange(2.0 * a, 2.0 * b + grid_res / 2.0, grid_res)
+    radius = _region_radii(y1, y2, model, q, a, b, grid_res)
+    start = np.searchsorted(nu2, y1 + y2 - radius, "left")
+    stop = np.searchsorted(nu2, y1 + y2 + radius, "right")
+    order = np.argsort(start, kind="stable")
     covered = np.zeros(y1.shape, dtype=bool)
-    chunk = 2000
-    for start in range(0, y1.size, chunk):
-        s = slice(start, start + chunk)
-        _, _, _, quad = _quad_form(y1[s, None], y2[s, None], model,
-                                   0.0, nu2[None, :])
-        covered[s] = (quad <= q).any(axis=1)
+    chunk = 500
+    for first in range(0, order.size, chunk):
+        rows = order[first:first + chunk]
+        cols = slice(start[rows[0]], stop[rows].max())
+        _, _, _, quad = _quad_form(y1[rows, None], y2[rows, None], model,
+                                   0.0, nu2[None, cols])
+        covered[rows] = (quad <= q).any(axis=1)
     return covered
 
 
@@ -228,7 +237,8 @@ def coverage_study(
     difference mode draws a null pair (both means equal) and covers the
     zero difference. Data are generated under theta_true while intervals
     are built from theta_fit, mirroring the use of estimates from one
-    experiment on another.
+    experiment on another. The exact method needs theta_fit exp-linear with
+    a negative slope and raises DomainError otherwise.
     """
     methods = list(methods)
     valid = {"single": {"exact", "naive"},
@@ -239,11 +249,15 @@ def coverage_study(
     if unknown:
         raise ValueError(f"methods {sorted(unknown)} not available in "
                          f"{mode} mode")
+    t1f, t2f = theta_fit.theta[:2]
+    if "exact" in methods and (theta_fit.form is not VarianceForm.EXP_LINEAR
+                               or t2f >= 0):
+        raise DomainError("exact coverage needs a fitted exp-linear form "
+                          "with a negative slope")
     t0 = time.perf_counter()
     root = np.random.SeedSequence(seed)
     streams = root.spawn(len(mu_values))
     z = normal_quantile(1.0 - alpha / 2.0)
-    t1f, t2f = (theta_fit.theta[0], theta_fit.theta[1])
 
     rows = []
     for mu, ss in zip(mu_values, streams):

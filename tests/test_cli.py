@@ -301,6 +301,36 @@ class TestExitCodes:
         assert main(["ci", "--theta", "4.84,-0.927", "--y1", "20.0",
                      "--y2", "20.5", "--method", "region"]) == 4
 
+    def test_exact_coverage_with_power_fit_is_4(self, tmp_path):
+        cfg = tmp_path / "cov.cfg"
+        cfg.write_text("theta=3.9,-3.0\nform=power\nmu_grid=9\nreps=200\n"
+                       "methods=exact\nmode=single\n")
+        assert main(["simulate", "--study", "coverage", "--config", str(cfg),
+                     "--quiet"]) == 4
+
+    @pytest.mark.parametrize("command", ["ci", "pvalue", "pipeline",
+                                         "simulate"])
+    @pytest.mark.parametrize("a", ["0", "-1"])
+    def test_power_form_bounds_reaching_zero_are_3(self, tmp_path, capsys,
+                                                   command, a):
+        # the power variance is not finite at mu = 0
+        pairs = tmp_path / "pairs.csv"
+        write_pairs_csv(pairs, [("p1", 1.0, 1.3), ("p2", 2.0, 2.1)])
+        cfg = tmp_path / "power.cfg"
+        cfg.write_text(f"theta=0,-1\nform=power\na={a}\nb=3\nmu_grid=1\n"
+                       "k_grid=0\nreps=50\n")
+        power = ["--form", "power", f"--a={a}", "--b", "3"]
+        pair = ["--theta", "0,-1", "--y1", "1.0", "--y2", "1.3"]
+        argv = {
+            "ci": ["ci", *power, *pair, "--method", "region"],
+            "pvalue": ["pvalue", *power, *pair, "--method", "conservative"],
+            "pipeline": ["pipeline", "--control", str(pairs),
+                         "--experiment", str(pairs), *power],
+            "simulate": ["simulate", "--study", "power", "--config", str(cfg)],
+        }[command]
+        assert main(argv + ["--quiet"]) == 3
+        assert "a > 0" in capsys.readouterr().err
+
     def test_missing_file_is_3(self):
         assert main(["fit-macl", "--input", "/nonexistent.csv"]) == 3
 

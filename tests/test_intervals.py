@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from pairvar.errors import DomainError, NumericalError
 from pairvar.intervals import (
@@ -24,6 +25,8 @@ from pairvar.intervals import (
     bounded_hulls,
 )
 from pairvar.model import VarianceForm, VarianceModel
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 POOLED = VarianceModel(VarianceForm.EXP_LINEAR, (4.84, -0.927))
 BOUNDS = (7.3, 13.9)
@@ -134,6 +137,127 @@ class TestExactSet:
             else:
                 assert not cs.disconnected
                 assert cs.components[0][1] == pytest.approx(c.r1[i], abs=1e-9)
+
+
+def _pivot_value(mu, y, t1, t2):
+    with np.errstate(over="ignore"):
+        return (y - mu) ** 2 * np.exp(-t1 - t2 * mu)
+
+
+def _bisect(lo, hi, y, t1, t2, increasing, q):
+    """Lockstep vector bisection for g(mu) = q on a monotone branch."""
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        high_side = _pivot_value(mid, y, t1, t2) >= q
+        if increasing:
+            hi = np.where(high_side, mid, hi)
+            lo = np.where(high_side, lo, mid)
+        else:
+            lo = np.where(high_side, mid, lo)
+            hi = np.where(high_side, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _bisected_crossings(y, t1, t2, q):
+    """Reference inversion: bracket each monotone branch, then bisect.
+
+    Returns (r1, l2, r2, two_sided) as exact_pivot_crossings does.
+    """
+    q = np.broadcast_to(q, y.shape)
+    mu_star = y + 2.0 / t2
+    two = 4.0 / t2**2 * np.exp(-(2.0 + t1 + t2 * y)) > q
+    # Upper crossing, right of y on the increasing branch.
+    step = np.sqrt(q * np.exp(t1 + t2 * y)) + 1.0 / abs(t2)
+    hi = y + step
+    for _ in range(200):
+        need = _pivot_value(hi, y, t1, t2) < q
+        if not np.any(need):
+            break
+        step = np.where(need, 2.0 * step, step)
+        hi = np.where(need, y + step, hi)
+    upper = _bisect(y.copy(), hi, y, t1, t2, True, q)
+    r1 = upper.copy()
+    l2 = np.full_like(y, np.nan)
+    r2 = np.full_like(y, np.nan)
+    idx = np.flatnonzero(two)
+    ys, qs, ms = y[idx], q[idx], mu_star[idx]
+    # Middle crossing on the decreasing branch (mu_star, y).
+    l2[idx] = _bisect(ms.copy(), ys.copy(), ys, t1, t2, False, qs)
+    # Left crossing on the increasing branch (-inf, mu_star).
+    step = np.full(idx.size, 2.0 / abs(t2))
+    lo = ms - step
+    for _ in range(200):
+        need = _pivot_value(lo, ys, t1, t2) > qs
+        if not np.any(need):
+            break
+        step = np.where(need, 2.0 * step, step)
+        lo = np.where(need, ms - step, lo)
+    r1[idx] = _bisect(lo, ms.copy(), ys, t1, t2, True, qs)
+    r2[idx] = upper[idx]
+    return r1, l2, r2, two
+
+
+# Negative slopes from mild to steep; each keeps the variance at y in
+# [7.3, 13.9] large enough that the middle crossing is not within a few
+# float spacings of y, where no float mu can put the pivot within 1e-12 of q.
+ORACLE_THETAS = [(4.84, -0.927), (5.0, -1.0), (5.0, -0.5), (6.0, -0.5),
+                 (4.0, -0.2), (3.0, -0.7)]
+
+
+def _oracle_draws(seed, count=20000):
+    """Observations over the default bounds and per-element quantiles."""
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(7.3, 13.9, count)
+    alpha = rng.uniform(0.001, 0.5, count)
+    return y, (ndtri(1.0 - alpha / 2.0)) ** 2
+
+
+class TestPivotCrossingsOracle:
+    """The Lambert-W crossings against the bisection they replace."""
+
+    @pytest.mark.parametrize("theta", ORACLE_THETAS)
+    def test_match_bisection(self, theta):
+        y, q = _oracle_draws(11)
+        c = exact_pivot_crossings(y, *theta, q)
+        r1, l2, r2, two = _bisected_crossings(y, *theta, q)
+        assert np.array_equal(c.two_sided, two)
+        assert two.any() and not two.all()
+        # A crossing near zero is the difference of two terms of size |y|,
+        # so precision is relative to the larger of |mu| and |y|.
+        for new, old, yy in ((c.r1, r1, y), (c.l2[two], l2[two], y[two]),
+                             (c.r2[two], r2[two], y[two])):
+            scale = np.maximum(np.abs(old), np.abs(yy))
+            assert np.all(np.abs(new - old) <= 1e-12 * scale)
+        assert np.all(np.isnan(c.l2[~two])) and np.all(np.isnan(c.r2[~two]))
+
+    @pytest.mark.parametrize("theta", ORACLE_THETAS)
+    def test_pivot_equals_q_at_every_endpoint(self, theta):
+        t1, t2 = theta
+        y, q = _oracle_draws(12)
+        c = exact_pivot_crossings(y, t1, t2, q)
+        two = c.two_sided
+        for mu, yy, qq in ((c.r1, y, q), (c.l2[two], y[two], q[two]),
+                           (c.r2[two], y[two], q[two])):
+            g = (yy - mu) ** 2 * np.exp(-t1 - t2 * mu)
+            assert np.all(np.abs(g - qq) <= 1e-12 * qq)
+
+    def test_extreme_intensities_give_finite_crossings(self):
+        # exp(t1 + t2*y) overflows at y = -1000 and underflows at y = 1e4;
+        # references from 50-digit Lambert W arithmetic
+        q = chi2_1_quantile(0.95)
+        c = exact_pivot_crossings(np.array([-1000.0, 1e4]), 4.84, -0.927, q)
+        assert list(c.two_sided) == [False, True]
+        assert c.r1[0] == pytest.approx(-8.212691649520464, rel=1e-12)
+        assert c.r1[1] == pytest.approx(-13.201151065065604, rel=1e-12)
+        assert c.l2[1] == c.r2[1] == pytest.approx(1e4, rel=1e-15)
+        with np.errstate(all="ignore"):  # the bisection overflows here
+            r1, _, _, _ = _bisected_crossings(np.array([1e4]), 4.84, -0.927, q)
+        assert c.r1[1] == pytest.approx(r1[0], rel=1e-12)
+
+    def test_non_finite_crossing_raises(self):
+        for y in (np.nan, np.inf):
+            with pytest.raises(NumericalError):
+                exact_pivot_crossings(np.array([10.0, y]), 4.84, -0.927, 3.84)
 
 
 class TestNaiveSingle:
@@ -429,6 +553,12 @@ class TestBoundedHulls:
     def test_empty_detection(self):
         _, _, empty = bounded_hulls(np.array([25.0]), POOLED, 1e-6, 7.3, 8.0)
         assert empty[0]
+
+    @pytest.mark.parametrize("name", ["positive-slope", "power",
+                                      "exp-linear-const"])
+    def test_other_forms_are_domain_errors(self, name):
+        with pytest.raises(DomainError):
+            bounded_hulls(np.array([10.0]), WINDOW_MODELS[name], 0.05, *BOUNDS)
 
 
 class TestConfidenceSetType:

@@ -15,6 +15,8 @@ from pairvar.pvalues import (
 POOLED = VarianceModel(VarianceForm.EXP_LINEAR, (4.84, -0.927))
 BOUNDS = (7.3, 13.9)
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestNaive:
     def test_equal_pair(self):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from pairvar.errors import NumericalError, StudyError
+from pairvar.errors import DomainError, NumericalError, StudyError
+from pairvar.intervals import _quad_form, chi2_2_quantile
 from pairvar.model import VarianceForm, VarianceModel
 from pairvar.simulate import (
+    _region_covers_zero,
     EstimatorMethod,
     Scenario,
     ScenarioKind,
@@ -17,6 +19,8 @@ from pairvar.simulate import (
 
 EXP51 = VarianceModel(VarianceForm.EXP_LINEAR, (5.0, -1.0))
 EXP505 = VarianceModel(VarianceForm.EXP_LINEAR, (5.0, -0.5))
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def uniform_scenario(n, seed=0, lo=8.0, hi=12.0):
@@ -178,6 +182,14 @@ class TestCoverageStudy:
         assert rows["bonferroni"]["non_coverage"] <= rows["region"]["non_coverage"] + 2 * se
         assert abs(rows["naive"]["non_coverage"] - 0.05) < 5 * se + 0.02
 
+    @pytest.mark.parametrize("fit", [
+        VarianceModel(VarianceForm.POWER, (3.9, -3.0)),
+        VarianceModel(VarianceForm.EXP_LINEAR_CONST, (4.84, -0.927, -6.0)),
+        VarianceModel(VarianceForm.EXP_LINEAR, (-8.0, 0.4))])
+    def test_exact_needs_exp_linear_negative_slope(self, fit):
+        with pytest.raises(DomainError):
+            coverage_study(EXP51, fit, [9.0], 0.05, 100, ["exact", "naive"])
+
     def test_mode_and_method_validation(self):
         with pytest.raises(ValueError):
             coverage_study(EXP51, EXP51, [10.0], 0.05, 10, ["region"],
@@ -185,6 +197,75 @@ class TestCoverageStudy:
         with pytest.raises(ValueError):
             coverage_study(EXP51, EXP51, [10.0], 0.05, 10, ["exact"],
                            mode="bogus")
+
+
+def _full_grid_covers_zero(y1, y2, model, alpha, bounds, grid_res=0.01):
+    """Reference: score the form at nu1 = 0 on the whole nu2 grid."""
+    a, b = bounds
+    q = chi2_2_quantile(1.0 - alpha)
+    nu2 = np.arange(2.0 * a, 2.0 * b + grid_res / 2.0, grid_res)
+    covered = np.zeros(y1.shape, dtype=bool)
+    for start in range(0, y1.size, 2000):
+        s = slice(start, start + 2000)
+        _, _, _, quad = _quad_form(y1[s, None], y2[s, None], model,
+                                   0.0, nu2[None, :])
+        covered[s] = (quad <= q).any(axis=1)
+    return covered
+
+
+REGION_AT_ZERO_MODELS = {
+    "negative-slope": (EXP51, (7.3, 13.9)),
+    "large-variance": (EXP505, (7.3, 13.9)),
+    "positive-slope": (VarianceModel(VarianceForm.EXP_LINEAR, (-8.0, 0.4)),
+                       (7.3, 13.9)),
+    "power": (VarianceModel(VarianceForm.POWER, (3.9, -3.0)), (7.3, 13.9)),
+    "exp-linear-const": (VarianceModel(VarianceForm.EXP_LINEAR_CONST,
+                                       (4.84, -0.927, -6.0)), (7.3, 13.9)),
+    "power-a-zero": (VarianceModel(VarianceForm.POWER, (0.0, -1.0)),
+                     (0.0, 3.0)),
+}
+
+
+class TestRegionCoversZero:
+    """The windowed test at zero against the full-grid scan it replaces."""
+
+    @pytest.mark.parametrize("name", sorted(REGION_AT_ZERO_MODELS))
+    def test_equals_full_grid_scan(self, name):
+        model, (a, b) = REGION_AT_ZERO_MODELS[name]
+        rng = np.random.default_rng(sum(map(ord, name)))
+        # null pairs as the coverage study draws them, pairs shifted by up
+        # to 4 sd, pairs drawn anywhere in and just outside the bounds, and
+        # tied pairs outside the bounds, whose nearest grid points lie near
+        # the edge of their window
+        mu = rng.uniform(a + 0.1, b, 3000)
+        sd = np.sqrt(model(mu))
+        out = rng.uniform(0.0, 1.0, 1000)
+        ties = np.concatenate([a - out[:500], b + out[500:]])
+        y1 = np.concatenate([rng.normal(mu, sd), rng.normal(mu, sd),
+                             rng.uniform(a - 0.5, b + 0.5, 1000), ties])
+        y2 = np.concatenate([rng.normal(mu, sd),
+                             rng.normal(mu + rng.uniform(-4, 4, mu.size) * sd,
+                                        sd),
+                             rng.uniform(a - 0.5, b + 0.5, 1000), ties])
+        # the power form with a = 0 divides by zero at the grid's first point
+        level = "ignore" if a <= 0 else "warn"
+        for alpha, grid_res in ((0.05, 0.01), (0.2, 0.02), (0.01, 0.005)):
+            with np.errstate(divide=level, invalid=level):
+                fast = _region_covers_zero(y1, y2, model, alpha, (a, b),
+                                           grid_res)
+                slow = _full_grid_covers_zero(y1, y2, model, alpha, (a, b),
+                                              grid_res)
+            assert np.array_equal(fast, slow), (alpha, grid_res)
+            # with h infinite at mu = 0 every pair covers zero
+            assert fast.any() and (name == "power-a-zero" or not fast.all())
+        # one pair per call scores exactly its own window
+        with np.errstate(divide=level, invalid=level):
+            alone = [_region_covers_zero(ties[i:i + 1], ties[i:i + 1], model,
+                                         0.05, (a, b))[0]
+                     for i in range(0, ties.size, 4)]
+            slow = _full_grid_covers_zero(ties[::4], ties[::4], model, 0.05,
+                                          (a, b))
+        assert np.array_equal(alone, slow)
 
 
 class TestPowerStudy:
