@@ -70,7 +70,8 @@ class RunManifest:
     """Everything needed to reproduce one CLI invocation's outputs.
 
     diagnostics holds counts of special cases the run met, such as
-    disconnected sets and degenerate p-values.
+    disconnected sets and degenerate p-values, and the path the mixture
+    fit took.
     """
 
     subcommand: str
@@ -520,7 +521,12 @@ def _cmd_pipeline(args) -> int:
               "significant_counts": counts}
     diagnostics = {
         "region_disconnected": sum(r["ci_disconnected"] for r in rows),
-        "berger_boos_degenerate": sum(deg for _, deg in results)}
+        "berger_boos_degenerate": sum(deg for _, deg in results),
+        "mixture": {"iterations": est.iterations, "converged": est.converged,
+                    "jumps_accepted": est.jumps_accepted,
+                    "jumps_rejected": est.jumps_rejected,
+                    "mstep_fallbacks": est.mstep_fallbacks,
+                    "active_points": est.active_points}}
     _emit(args, _record_text(rows, "csv"),
           _build_manifest(args, config, [args.control, args.experiment],
                           diagnostics))

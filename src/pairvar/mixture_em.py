@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .errors import NumericalError
 from .macl import macl_fit, solve_weighted_equations
@@ -28,6 +27,13 @@ _MAX_GRID_POINTS = 10**6
 _ASCENT_SLACK = 1e-8
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# float64 exp(x) is exactly 0 below -745.1332191019412 and subnormal from
+# -708.3964185322641 down. numpy's SIMD exp (numpy 2.4, AVX-512 x86-64)
+# leaves its fast path for any element near or past that edge: ~23 ns for
+# a 0 and ~170 ns for a subnormal result, against ~1.5 ns at -700 and up.
+_EXP_FAST = -700.0
+_EXP_ZERO = -746.0
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,9 @@ class MixtureEstimate:
 
     log_lik_path records the likelihood at every accepted iterate, which is
     non-decreasing by the EM ascent property; iterations counts applications
-    of the EM update map.
+    of the EM update map. jumps_accepted and jumps_rejected count the
+    squared-extrapolation candidates kept and dropped, and mstep_fallbacks
+    the M-steps that ran the Nelder-Mead fallback.
     """
 
     theta_hat: tuple[float, ...]
@@ -71,6 +79,9 @@ class MixtureEstimate:
     iterations: int
     converged: bool
     log_lik_path: tuple[float, ...] = ()
+    jumps_accepted: int = 0
+    jumps_rejected: int = 0
+    mstep_fallbacks: int = 0
 
     def __post_init__(self):
         pi = np.asarray(self.pi_hat)
@@ -78,6 +89,11 @@ class MixtureEstimate:
             raise ValueError("mixing weights must be nonnegative")
         if abs(float(pi.sum()) - 1.0) > 1e-12:
             raise ValueError(f"mixing weights sum to {pi.sum()!r}, not 1")
+
+    @property
+    def active_points(self) -> int:
+        """Number of support points with positive weight."""
+        return sum(p > 0.0 for p in self.pi_hat)
 
     def model(self, form: VarianceForm) -> VarianceModel:
         return VarianceModel(form, self.theta_hat)
@@ -133,50 +149,22 @@ def _sq_deviations(data: PairedDataset, points: np.ndarray) -> np.ndarray:
                 + (data.y2[:, None] - points[None, :]) ** 2)
 
 
-def _log_component_densities(data: PairedDataset, theta: VarianceModel,
-                             points: np.ndarray,
-                             sq_dev: np.ndarray | None = None) -> np.ndarray:
-    """N x J matrix of log f(y_i | mu_j) under the bivariate normal model."""
-    h = np.asarray(theta(points), dtype=float)
-    if np.any(~np.isfinite(h)) or np.any(h <= 0):
-        raise NumericalError("variance function not positive on the grid")
-    t = _sq_deviations(data, points) if sq_dev is None else sq_dev
-    with np.errstate(over="ignore"):
-        return (-LOG_2PI - np.log(h))[None, :] - t * (0.5 / h)[None, :]
-
-
-def _posterior(data, theta, grid, pi, sq_dev=None):
-    """Log joint, per-row log marginals, and responsibilities."""
-    points = grid.array
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (grid.J,):
-        raise ValueError(f"pi must have length {grid.J}")
-    with np.errstate(divide="ignore"):
-        log_joint = (_log_component_densities(data, theta, points, sq_dev)
-                     + np.log(pi)[None, :])
-    row_lse = logsumexp(log_joint, axis=1)
-    bad = ~np.isfinite(row_lse)
-    if np.any(bad):
-        pid = data.pairs[int(np.argmax(bad))].id
-        raise NumericalError(
-            f"mixture density underflowed for pair {pid!r}; "
-            "data point too far from every support point")
-    w = np.exp(log_joint - row_lse[:, None])
-    return log_joint, row_lse, w
-
-
 def responsibilities(data: PairedDataset, theta: VarianceModel,
                      grid: SupportGrid, pi: Sequence[float]) -> ResponsibilityMatrix:
-    """E-step posterior weights, computed in log space."""
-    _, _, w = _posterior(data, theta, grid, pi)
-    return ResponsibilityMatrix(w=w)
+    """E-step posterior weights, computed in log space.
+
+    Columns of support points with pi = 0 are zero.
+    """
+    active, _, _, w = _EmEngine(data, grid, theta.form).e_step(theta.theta, pi)
+    full = np.zeros((data.n, grid.J))
+    full[:, active] = w
+    return ResponsibilityMatrix(w=full)
 
 
 def mixture_log_lik(data: PairedDataset, theta: VarianceModel,
                     grid: SupportGrid, pi: Sequence[float]) -> float:
     """Log-likelihood of the discrete mixture, via log-sum-exp per pair."""
-    _, row_lse, _ = _posterior(data, theta, grid, pi)
-    return float(row_lse.sum())
+    return _EmEngine(data, grid, theta.form).e_step(theta.theta, pi)[2]
 
 
 def _q_value(form: VarianceForm, theta, points, w_tot, v_tot) -> float:
@@ -189,7 +177,10 @@ def _q_value(form: VarianceForm, theta, points, w_tot, v_tot) -> float:
 
 
 def _m_step_theta(form, theta_old, points, w_tot, v_tot, inner_tol):
-    """Maximize the weighted likelihood in theta; guarantee no Q decrease."""
+    """Maximize the weighted likelihood in theta; guarantee no Q decrease.
+
+    Returns the new theta and whether the Nelder-Mead fallback ran.
+    """
     keep = w_tot > 1e-300
     m = points[keep]
     w = w_tot[keep]
@@ -199,7 +190,7 @@ def _m_step_theta(form, theta_old, points, w_tot, v_tot, inner_tol):
     q_old = _q_value(form, theta_old, points, w_tot, v_tot)
     q_new = _q_value(form, res.theta_hat, points, w_tot, v_tot)
     if q_new >= q_old:
-        return np.asarray(res.theta_hat)
+        return np.asarray(res.theta_hat), False
 
     # Score root moved downhill (rare): maximize Q directly instead.
     def neg_q(vec):
@@ -208,68 +199,86 @@ def _m_step_theta(form, theta_old, points, w_tot, v_tot, inner_tol):
     alt = minimize(neg_q, np.asarray(theta_old, dtype=float), method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 2000})
     if -alt.fun >= q_old:
-        return np.asarray(alt.x)
-    return np.asarray(theta_old, dtype=float)
+        return np.asarray(alt.x), True
+    return np.asarray(theta_old, dtype=float), True
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """Overwrite x with np.exp(x), bit for bit, and return it.
+
+    Only entries >= -700 go through one np.exp call, which stays on numpy's
+    fast path there; entries below -746 become 0, as float64 exp gives;
+    the few in between take np.exp on their own. NaN stays NaN.
+    """
+    keep = x >= _EXP_FAST
+    band = np.unravel_index(np.flatnonzero(keep ^ (x >= _EXP_ZERO)), x.shape)
+    tail = np.exp(x[band])
+    np.maximum(x, _EXP_FAST, out=x)
+    np.exp(x, out=x)
+    np.multiply(x, keep, out=x)
+    x[band] = tail
+    return x
 
 
 class _EmEngine:
-    """One EM update of (theta, pi) with the constant parts precomputed.
+    """E-step and EM update of (theta, pi), with the constant parts precomputed.
 
     Support points whose mixing weight has underflowed to exactly zero can
     never regain mass (their posterior weight is identically zero), so the
-    engine silently skips those columns; results are identical to the full
-    computation.
+    engine skips those columns; results are identical to the full
+    computation. The active set only shrinks during EM, so the gathered
+    block of their squared deviations is kept until it changes.
     """
 
-    def __init__(self, data, grid, form, inner_tol):
+    def __init__(self, data, grid, form):
         self.form = form
         self.points = grid.array
         self.sq_dev = _sq_deviations(data, self.points)
-        self.inner_tol = inner_tol
         self.ids = data.ids()
+        self.mstep_fallbacks = 0
+        self._active = self._block = None
 
-    def _log_joint(self, theta, pi, active):
-        pts = self.points[active]
-        h = VarianceModel(self.form, tuple(theta))(pts)
+    def e_step(self, theta, pi):
+        """Active columns, their squared deviations, the log-likelihood and
+        the responsibilities at (theta, pi)."""
+        pi = np.asarray(pi, dtype=float)
+        if pi.shape != self.points.shape:
+            raise ValueError(f"pi must have length {self.points.size}")
+        active = np.flatnonzero(pi > 0.0)
+        if not np.array_equal(active, self._active):
+            # The gather is Fortran-ordered; the sums below depend on that
+            # order for their last bits.
+            self._active, self._block = active, self.sq_dev[:, active]
+        h = VarianceModel(self.form, tuple(theta))(self.points[active])
         if np.any(~np.isfinite(h)) or np.any(h <= 0):
             raise NumericalError("variance function not positive on the grid")
         head = np.log(pi[active]) - LOG_2PI - np.log(h)
-        out = self.sq_dev[:, active] * (-0.5 / h)[None, :]
-        out += head[None, :]
-        return out, h
-
-    def _normalize(self, log_joint):
-        top = log_joint.max(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            w = self._block * (-0.5 / h)[None, :]
+        w += head[None, :]
+        top = w.max(axis=1, keepdims=True)
         bad = ~np.isfinite(top).ravel()
         if np.any(bad):
             raise NumericalError(
                 f"mixture density underflowed for pair "
-                f"{self.ids[int(np.argmax(bad))]!r}")
-        np.subtract(log_joint, top, out=log_joint)
-        np.exp(log_joint, out=log_joint)
-        totals = log_joint.sum(axis=1)
+                f"{self.ids[int(np.argmax(bad))]!r}; "
+                "data point too far from every support point")
+        w -= top
+        totals = _exp(w).sum(axis=1)
         ll = float((top.ravel() + np.log(totals)).sum())
-        log_joint /= totals[:, None]
-        return ll, log_joint
+        w /= totals[:, None]
+        return active, self._block, ll, w
 
-    def log_lik(self, theta, pi):
-        active = np.flatnonzero(pi > 0.0)
-        log_joint, _ = self._log_joint(theta, pi, active)
-        ll, _ = self._normalize(log_joint)
-        return ll
-
-    def step(self, theta, pi):
+    def step(self, theta, pi, inner_tol):
         """Apply one EM update; returns (theta', pi', ll at the input point)."""
-        active = np.flatnonzero(pi > 0.0)
-        log_joint, _ = self._log_joint(theta, pi, active)
-        ll, w = self._normalize(log_joint)
-        pi_act = w.sum(axis=0)
-        w_tot = pi_act.copy()
-        v_tot = np.einsum("ij,ij->j", w, self.sq_dev[:, active]) / 2.0
+        active, block, ll, w = self.e_step(theta, pi)
+        w_tot = w.sum(axis=0)
+        v_tot = np.einsum("ij,ij->j", w, block) / 2.0
         pi_new = np.zeros_like(pi)
-        pi_new[active] = pi_act / pi_act.sum()
-        theta_new = _m_step_theta(self.form, theta, self.points[active],
-                                  w_tot, v_tot, self.inner_tol)
+        pi_new[active] = w_tot / w_tot.sum()
+        theta_new, fell_back = _m_step_theta(self.form, theta, self.points[active],
+                                             w_tot, v_tot, inner_tol)
+        self.mstep_fallbacks += fell_back
         return theta_new, pi_new, ll
 
 
@@ -307,7 +316,7 @@ def em_fit(
     """
     if data.n < 3:
         raise ValueError("need at least 3 pairs")
-    engine = _EmEngine(data, grid, init.form, inner_tol)
+    engine = _EmEngine(data, grid, init.form)
     n_par = init.form.n_params
     theta = np.asarray(init.theta, dtype=float)
     pi = np.full(grid.J, 1.0 / grid.J)
@@ -320,7 +329,7 @@ def em_fit(
 
     def mapped(x):
         t, p = unpack(x)
-        t2, p2, ll = engine.step(t, p)
+        t2, p2, ll = engine.step(t, p, inner_tol)
         return pack(t2, p2), ll
 
     x = pack(theta, pi)
@@ -328,6 +337,7 @@ def em_fit(
     path: list[float] = []
     converged = False
     step_bound = 4.0
+    accepted = rejected = 0
 
     def record(ll):
         if path and ll < path[-1] - _ASCENT_SLACK:
@@ -350,7 +360,7 @@ def em_fit(
             x = x1
             converged = True
             break
-        if not accelerate:
+        if not accelerate or used >= max_iter:
             x = x2
             continue
         cand, step_len = _extrapolate(x, x1, x2, step_bound)
@@ -365,16 +375,18 @@ def em_fit(
         x3, ll_c = mapped(cand)
         used += 1
         if ll_c >= ll1:
+            accepted += 1
             record(ll_c)
             x = x3
             if step_len >= step_bound:
                 step_bound *= 4.0
         else:
+            rejected += 1
             x = x2
             step_bound = max(1.0, step_bound / 4.0)
 
     theta, pi = unpack(x)
-    ll_final = engine.log_lik(theta, pi)
+    ll_final = engine.e_step(theta, pi)[2]
     record(ll_final)
     return MixtureEstimate(
         theta_hat=tuple(float(t) for t in theta),
@@ -383,6 +395,9 @@ def em_fit(
         iterations=used,
         converged=converged,
         log_lik_path=tuple(path),
+        jumps_accepted=accepted,
+        jumps_rejected=rejected,
+        mstep_fallbacks=engine.mstep_fallbacks,
     )
 
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from pairvar.cli import main
+from pairvar.mixture_em import fit_mixture
+from pairvar.model import load_csv
 from pairvar.model import VarianceForm, VarianceModel
 from pairvar.simulate import Scenario, ScenarioKind, generate_dataset
 
@@ -248,10 +250,18 @@ class TestPipeline:
         manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
         assert manifest["subcommand"] == "pipeline"
         assert len(manifest["input_digests"]) == 2
+        est, _ = fit_mixture(load_csv(control))
         assert manifest["diagnostics"] == {
             "region_disconnected": sum(r["ci_disconnected"] == "True"
                                        for r in rows),
-            "berger_boos_degenerate": 0}
+            "berger_boos_degenerate": 0,
+            "mixture": {"iterations": est.iterations,
+                        "converged": True,
+                        "jumps_accepted": est.jumps_accepted,
+                        "jumps_rejected": est.jumps_rejected,
+                        "mstep_fallbacks": est.mstep_fallbacks,
+                        "active_points": est.active_points}}
+        assert est.active_points == np.count_nonzero(est.pi_hat)
 
     def test_manifest_counts_degenerate_berger_boos(self, tmp_path):
         control = tmp_path / "control.csv"

@@ -5,6 +5,8 @@ from pairvar.errors import ConvergenceError, NumericalError
 from pairvar.macl import default_init, macl_fit, mle_homoscedastic, solve_weighted_equations
 from pairvar.model import PairedDataset, PairedObservation, VarianceForm, VarianceModel
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def dataset_from_arrays(y1, y2, bounds=(7.3, 13.9)):
     pairs = tuple(PairedObservation(str(i), float(a), float(b))
