@@ -174,6 +174,7 @@ def _cmd_fit_macl(args) -> int:
         "iterations": result.iterations,
         "residual_norm": result.residual_norm,
         "converged": result.converged,
+        "fallback": result.fallback,
         "n": data.n,
     }
     config = {"input": str(args.input), "form": args.form, "init": args.init,
@@ -188,6 +189,15 @@ def _cmd_fit_macl(args) -> int:
 # ------------------------------------------------------------- fit-mixture
 
 
+def _mixture_diagnostics(est) -> dict:
+    """Iteration counts, KKT certificate and fallbacks of a mixture fit."""
+    return {"iterations": est.iterations, "converged": est.converged,
+            "inner_iterations": est.inner_iterations,
+            "kkt_gap": est.kkt_gap,
+            "mstep_fallbacks": est.mstep_fallbacks,
+            "active_points": est.active_points}
+
+
 def _cmd_fit_mixture(args) -> int:
     data = load_csv(args.input, bounds=(args.a, args.b), raw=args.raw)
     est, grid = fit_mixture(data, VarianceForm.from_name(args.form),
@@ -197,8 +207,7 @@ def _cmd_fit_mixture(args) -> int:
         "theta_hat": list(est.theta_hat),
         "J": grid.J,
         "log_lik": est.log_lik,
-        "iterations": est.iterations,
-        "converged": est.converged,
+        **_mixture_diagnostics(est),
         "n": data.n,
     }
     if not args.no_weights:
@@ -433,7 +442,10 @@ def _cmd_simulate(args) -> int:
         raise DataError(f"unknown study {args.study!r}")
 
     config = dict(cfg, study=args.study, seed=seed)
-    _emit(args, report.to_csv(), _build_manifest(args, config, [args.config]))
+    diagnostics = {"failures": report.failures,
+                   "failure_types": report.failure_types}
+    _emit(args, report.to_csv(),
+          _build_manifest(args, config, [args.config], diagnostics))
     if not args.quiet:
         print(f"{args.study} study: {report.replicates} replicates, "
               f"{report.failures} failures, {report.wall_clock:.1f}s",
@@ -522,11 +534,7 @@ def _cmd_pipeline(args) -> int:
     diagnostics = {
         "region_disconnected": sum(r["ci_disconnected"] for r in rows),
         "berger_boos_degenerate": sum(deg for _, deg in results),
-        "mixture": {"iterations": est.iterations, "converged": est.converged,
-                    "jumps_accepted": est.jumps_accepted,
-                    "jumps_rejected": est.jumps_rejected,
-                    "mstep_fallbacks": est.mstep_fallbacks,
-                    "active_points": est.active_points}}
+        "mixture": _mixture_diagnostics(est)}
     _emit(args, _record_text(rows, "csv"),
           _build_manifest(args, config, [args.control, args.experiment],
                           diagnostics))
@@ -588,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit_macl)
 
     p = sub.add_parser("fit-mixture", parents=[common],
-                       help="fit the latent-mean mixture model by EM")
+                       help="fit the latent-mean mixture model")
     p.add_argument("--input", required=True)
     p.add_argument("--form", default="exp-linear",
                    choices=[f.value for f in VarianceForm])
@@ -596,8 +604,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="support spacing in estimated standard deviations")
     p.add_argument("--a", type=float, default=DEFAULTS["a"])
     p.add_argument("--b", type=float, default=DEFAULTS["b"])
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="bound on the final KKT gap of the weights and on "
+                        "the last theta step")
+    p.add_argument("--max-iter", type=int, default=2000,
+                   help="cap on outer iterations (weight solve + theta step)")
     p.add_argument("--init", type=_parse_theta, default=None)
     p.add_argument("--no-weights", action="store_true",
                    help="omit the fitted mixing weights from the output")

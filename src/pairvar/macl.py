@@ -33,12 +33,15 @@ class FitResult:
 
     residual_norm is the max absolute estimating-equation value at theta_hat,
     normalized by the total weight; converged implies residual_norm <= tol.
+    fallback records whether the Newton iteration stalled or fell short
+    and the Nelder-Mead polish ran.
     """
 
     theta_hat: tuple[float, ...]
     converged: bool
     iterations: int
     residual_norm: float
+    fallback: bool = False
 
     def model(self, form: VarianceForm) -> VarianceModel:
         return VarianceModel(form, self.theta_hat)
@@ -165,7 +168,8 @@ def solve_weighted_equations(
         if cur < best[1]:
             best = (theta.copy(), cur)
 
-    if stalled or best[1] > tol:
+    fallback = stalled or best[1] > tol
+    if fallback:
         theta, f, extra = _simplex_polish(score_at, theta, free, tol)
         iterations += extra
         cur = float(np.max(np.abs(f)))
@@ -173,7 +177,8 @@ def solve_weighted_equations(
             best = (theta.copy(), cur)
 
     norm_inf = best[1]
-    return FitResult(tuple(best[0]), norm_inf <= tol, iterations, norm_inf)
+    return FitResult(tuple(best[0]), norm_inf <= tol, iterations, norm_inf,
+                     fallback=fallback)
 
 
 def _simplex_polish(score_at, theta, free, tol):

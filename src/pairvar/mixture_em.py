@@ -2,9 +2,14 @@
 
 The unknown per-pair means are treated as draws from a distribution
 supported on [a, b], discretized on a variance-adaptive grid. Coefficients
-and mixing weights are estimated jointly by EM: the E-step computes
-posterior support-point responsibilities, the M-step updates the weights in
-closed form and re-solves the weighted estimating equations for theta.
+theta and mixing weights pi are fitted by block ascent on the
+log-likelihood. Each outer iteration first solves for pi at fixed theta,
+a convex problem (the discrete nonparametric MLE of the mixing
+distribution; Koenker & Mizera, JASA 2014), by an active-set sequential
+quadratic programme (mixSQP; Kim, Carbonetto, Stephens & Anitescu, JCGS
+2020). It then takes one EM step in theta from the posterior
+responsibilities. The fit stops once the KKT gap of the pi problem and the
+theta step are both within tol, and returns that gap as its certificate.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import cholesky, solve_triangular
+from scipy.optimize import minimize, nnls
 
 from .errors import NumericalError
 from .macl import macl_fit, solve_weighted_equations
@@ -25,6 +31,17 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 2000
 _MAX_GRID_POINTS = 10**6
 _ASCENT_SLACK = 1e-8
+_MAX_SQP_STEPS = 500
+_MAX_NEWTON = 100
+_MIN_STEP = 2.0**-40
+# Added to the diagonal of the pi solve's Hessian (support entries >= 1
+# near the optimum) so that its Cholesky factor exists when columns of L
+# coincide or vanish; the fixed point does not depend on it.
+_RIDGE = 1e-10
+# Relative rounding error of an objective value. Near convergence a pi
+# step changes f, and the M-step's score root Q, by less than that; such
+# a change is no reason to halve the step or to run Nelder-Mead.
+_ROUNDING = 1e-14
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -66,11 +83,13 @@ class SupportGrid:
 class MixtureEstimate:
     """Fitted coefficients, grid weights and the attained log-likelihood.
 
-    log_lik_path records the likelihood at every accepted iterate, which is
-    non-decreasing by the EM ascent property; iterations counts applications
-    of the EM update map. jumps_accepted and jumps_rejected count the
-    squared-extrapolation candidates kept and dropped, and mstep_fallbacks
-    the M-steps that ran the Nelder-Mead fallback.
+    iterations counts outer iterations (a pi solve, then a theta step) and
+    inner_iterations the pi solver's steps over all of them. kkt_gap is
+    max_j (1/n) sum_i L_ij / (L pi)_i - 1 at the returned theta and pi: 0
+    when pi maximizes the likelihood at that theta. log_lik_path records
+    the likelihood after every pi solve and every theta step, which is
+    non-decreasing. mstep_fallbacks counts the theta steps that ran the
+    Nelder-Mead fallback (never for the exp-linear form).
     """
 
     theta_hat: tuple[float, ...]
@@ -79,8 +98,8 @@ class MixtureEstimate:
     iterations: int
     converged: bool
     log_lik_path: tuple[float, ...] = ()
-    jumps_accepted: int = 0
-    jumps_rejected: int = 0
+    inner_iterations: int = 0
+    kkt_gap: float = math.inf
     mstep_fallbacks: int = 0
 
     def __post_init__(self):
@@ -151,20 +170,20 @@ def _sq_deviations(data: PairedDataset, points: np.ndarray) -> np.ndarray:
 
 def responsibilities(data: PairedDataset, theta: VarianceModel,
                      grid: SupportGrid, pi: Sequence[float]) -> ResponsibilityMatrix:
-    """E-step posterior weights, computed in log space.
-
-    Columns of support points with pi = 0 are zero.
-    """
-    active, _, _, w = _EmEngine(data, grid, theta.form).e_step(theta.theta, pi)
-    full = np.zeros((data.n, grid.J))
-    full[:, active] = w
-    return ResponsibilityMatrix(w=full)
+    """E-step posterior weights; columns of support points with pi = 0 are zero."""
+    engine = _EmEngine(data, grid, theta.form)
+    L, _ = engine.joint(theta.theta)
+    lp = engine.density(L, pi)
+    return ResponsibilityMatrix(w=L * np.asarray(pi, dtype=float) / lp[:, None])
 
 
 def mixture_log_lik(data: PairedDataset, theta: VarianceModel,
                     grid: SupportGrid, pi: Sequence[float]) -> float:
-    """Log-likelihood of the discrete mixture, via log-sum-exp per pair."""
-    return _EmEngine(data, grid, theta.form).e_step(theta.theta, pi)[2]
+    """Log-likelihood of the discrete mixture, with each pair's densities
+    scaled by their largest before summing."""
+    engine = _EmEngine(data, grid, theta.form)
+    L, top = engine.joint(theta.theta)
+    return float(top.sum() + np.log(engine.density(L, pi)).sum())
 
 
 def _q_value(form: VarianceForm, theta, points, w_tot, v_tot) -> float:
@@ -189,7 +208,7 @@ def _m_step_theta(form, theta_old, points, w_tot, v_tot, inner_tol):
                                    tol=inner_tol, max_iter=100)
     q_old = _q_value(form, theta_old, points, w_tot, v_tot)
     q_new = _q_value(form, res.theta_hat, points, w_tot, v_tot)
-    if q_new >= q_old:
+    if q_new >= q_old - _ROUNDING * abs(q_old):
         return np.asarray(res.theta_hat), False
 
     # Score root moved downhill (rare): maximize Q directly instead.
@@ -201,6 +220,37 @@ def _m_step_theta(form, theta_old, points, w_tot, v_tot, inner_tol):
     if -alt.fun >= q_old:
         return np.asarray(alt.x), True
     return np.asarray(theta_old, dtype=float), True
+
+
+def _m_step_exp_linear(theta, points, w_tot, v_tot, inner_tol):
+    """Maximize Q over exp-linear theta by Newton's method.
+
+    With l_j = t1 + t2 mu_j = log h_j, Q = -sum_j w_j l_j + v_j exp(-l_j)
+    up to a constant: concave in theta, since l is linear in it. Each step
+    is halved until Q does not decrease; the pseudo-inverse covers a
+    support of one point, where only l at that point is identified.
+    """
+    x = np.stack([np.ones_like(points), points])
+
+    def q(t):
+        ell = t @ x
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -float(w_tot @ ell) - float(v_tot @ np.exp(-ell))
+
+    t = np.asarray(theta, dtype=float)
+    qt = q(t)
+    for _ in range(_MAX_NEWTON):
+        e = v_tot * np.exp(-(t @ x))
+        step = np.linalg.lstsq((x * e) @ x.T, x @ (e - w_tot), rcond=None)[0]
+        alpha = 1.0
+        while not (q_new := q(t + alpha * step)) >= qt:
+            alpha /= 2.0
+            if alpha < _MIN_STEP:
+                return t
+        t, qt = t + alpha * step, q_new
+        if np.max(np.abs(alpha * step)) <= inner_tol:
+            break
+    return t
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -220,15 +270,78 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return x
 
 
-class _EmEngine:
-    """E-step and EM update of (theta, pi), with the constant parts precomputed.
+def _hessian(L, lp, cols):
+    """(1/n) sum_i d_i d_i^T with d_i = L_i,cols / lp_i, plus the ridge.
 
-    Support points whose mixing weight has underflowed to exactly zero can
-    never regain mass (their posterior weight is identically zero), so the
-    engine skips those columns; results are identical to the full
-    computation. The active set only shrinks during EM, so the gathered
-    block of their squared deviations is kept until it changes.
+    The products over L here and in _solve_pi use einsum, not BLAS: on two
+    cores OpenBLAS threads even these small products, runs them several
+    times slower and leaves its workers spinning on the other core.
     """
+    d = L[:, cols]
+    d /= lp[:, None]
+    hess = np.einsum("ij,ik->jk", d, d)
+    hess /= L.shape[0]
+    hess.flat[::cols.size + 1] += _RIDGE
+    return hess
+
+
+def _solve_pi(L, lp, pi, tol):
+    """Mixing weights maximizing the likelihood at fixed theta (mixSQP).
+
+    Minimizes f(pi) = -(1/n) sum_i log (L pi)_i + sum_j pi_j over pi >= 0;
+    with u_j = (1/n) sum_i L_ij / (L pi)_i the minimizer has u_j <= 1, and
+    u_j = 1 where pi_j > 0. Each step minimizes the quadratic model on the
+    support plus the column of largest u (nonnegative least squares on the
+    Hessian's Cholesky factor), halves the step until f decreases and
+    renormalizes, which lowers f further. Stops once u is within tol of
+    those conditions, or once a step neither lowers f beyond rounding nor
+    halves u's distance from them. Returns pi, L pi, u and the step count.
+    """
+    n = L.shape[0]
+
+    def state(lp):
+        u = np.einsum("i,ij->j", 1.0 / lp, L) / n
+        resid = max(u.max() - 1.0, 1.0 - u[pi > 0.0].min())
+        return u, resid, 1.0 - float(np.log(lp).mean())
+
+    u, resid, f = state(lp)
+    steps = 0
+    while resid > tol and steps < _MAX_SQP_STEPS:
+        work = pi > 0.0
+        work[np.argmax(u)] = True
+        cols = np.flatnonzero(work)
+        chol = cholesky(_hessian(L, lp, cols), lower=True,
+                        overwrite_a=True, check_finite=False)
+        y = nnls(chol.T, solve_triangular(chol, 2.0 * u[cols] - 1.0,
+                                          lower=True))[0]
+        steps += 1
+        alpha = 1.0
+        while True:
+            cand = (1.0 - alpha) * pi[cols] + alpha * y
+            lc = np.einsum("ij,j->i", L[:, cols], cand)
+            with np.errstate(divide="ignore"):
+                fc = float(cand.sum() - np.log(lc).mean())
+            if fc < f + _ROUNDING * (1.0 + abs(f)):
+                break
+            alpha /= 2.0
+            if alpha < _MIN_STEP:
+                return pi, lp, u, steps
+        total = float(cand.sum())
+        pi = np.zeros_like(pi)
+        pi[cols] = cand / total
+        lp = lc / total
+        last_f, last_resid = f, resid
+        u, resid, f = state(lp)
+        if (fc > last_f - _ROUNDING * (1.0 + abs(last_f))
+                and resid > 0.5 * last_resid):
+            break
+    return pi, lp, u, steps
+
+
+class _EmEngine:
+    """Component densities on the support grid, with the constant parts
+    precomputed; one evaluation per theta serves the pi solve, the KKT gap,
+    the likelihood and the responsibilities."""
 
     def __init__(self, data, grid, form):
         self.form = form
@@ -236,62 +349,50 @@ class _EmEngine:
         self.sq_dev = _sq_deviations(data, self.points)
         self.ids = data.ids()
         self.mstep_fallbacks = 0
-        self._active = self._block = None
 
-    def e_step(self, theta, pi):
-        """Active columns, their squared deviations, the log-likelihood and
-        the responsibilities at (theta, pi)."""
+    def joint(self, theta):
+        """(L, top): L_ij = f_j(pair i) exp(-top_i), each row scaled by its
+        largest component density so that 0 <= L <= 1."""
+        h = VarianceModel(self.form, tuple(theta))(self.points)
+        if np.any(~np.isfinite(h)) or np.any(h <= 0):
+            raise NumericalError("variance function not positive on the grid")
+        with np.errstate(over="ignore"):
+            lj = self.sq_dev * (-0.5 / h)[None, :]
+        lj -= (LOG_2PI + np.log(h))[None, :]
+        top = lj.max(axis=1)
+        self._check(np.isfinite(top))
+        lj -= top[:, None]
+        return _exp(lj), top
+
+    def density(self, L, pi):
+        """Row mixture densities L pi, each positive."""
         pi = np.asarray(pi, dtype=float)
         if pi.shape != self.points.shape:
             raise ValueError(f"pi must have length {self.points.size}")
-        active = np.flatnonzero(pi > 0.0)
-        if not np.array_equal(active, self._active):
-            # The gather is Fortran-ordered; the sums below depend on that
-            # order for their last bits.
-            self._active, self._block = active, self.sq_dev[:, active]
-        h = VarianceModel(self.form, tuple(theta))(self.points[active])
-        if np.any(~np.isfinite(h)) or np.any(h <= 0):
-            raise NumericalError("variance function not positive on the grid")
-        head = np.log(pi[active]) - LOG_2PI - np.log(h)
-        with np.errstate(over="ignore"):
-            w = self._block * (-0.5 / h)[None, :]
-        w += head[None, :]
-        top = w.max(axis=1, keepdims=True)
-        bad = ~np.isfinite(top).ravel()
-        if np.any(bad):
+        lp = np.einsum("ij,j->i", L, pi)
+        self._check(lp > 0.0)
+        return lp
+
+    def _check(self, ok):
+        if not np.all(ok):
             raise NumericalError(
                 f"mixture density underflowed for pair "
-                f"{self.ids[int(np.argmax(bad))]!r}; "
+                f"{self.ids[int(np.argmin(ok))]!r}; "
                 "data point too far from every support point")
-        w -= top
-        totals = _exp(w).sum(axis=1)
-        ll = float((top.ravel() + np.log(totals)).sum())
-        w /= totals[:, None]
-        return active, self._block, ll, w
 
-    def step(self, theta, pi, inner_tol):
-        """Apply one EM update; returns (theta', pi', ll at the input point)."""
-        active, block, ll, w = self.e_step(theta, pi)
-        w_tot = w.sum(axis=0)
-        v_tot = np.einsum("ij,ij->j", w, block) / 2.0
-        pi_new = np.zeros_like(pi)
-        pi_new[active] = w_tot / w_tot.sum()
-        theta_new, fell_back = _m_step_theta(self.form, theta, self.points[active],
+    def m_step(self, theta, pi, L, lp, inner_tol):
+        """theta maximizing Q at the responsibilities pi_j L_ij / lp_i."""
+        cols = np.flatnonzero(pi)
+        r = L[:, cols] / lp[:, None]
+        w_tot = pi[cols] * r.sum(axis=0)
+        v_tot = pi[cols] * np.einsum("ij,ij->j", r, self.sq_dev[:, cols]) / 2.0
+        points = self.points[cols]
+        if self.form is VarianceForm.EXP_LINEAR:
+            return _m_step_exp_linear(theta, points, w_tot, v_tot, inner_tol)
+        theta_new, fell_back = _m_step_theta(self.form, theta, points,
                                              w_tot, v_tot, inner_tol)
         self.mstep_fallbacks += fell_back
-        return theta_new, pi_new, ll
-
-
-def _extrapolate(x0, x1, x2, step_bound):
-    """Squared-extrapolation candidate from three consecutive EM iterates."""
-    r = x1 - x0
-    v = (x2 - x1) - r
-    vnorm = float(np.linalg.norm(v))
-    if vnorm < 1e-300:
-        return None, 1.0
-    alpha = -float(np.linalg.norm(r)) / vnorm
-    alpha = min(max(alpha, -step_bound), -1.0)
-    return x0 - 2.0 * alpha * r + alpha * alpha * v, -alpha
+        return theta_new
 
 
 def em_fit(
@@ -301,102 +402,67 @@ def em_fit(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     inner_tol: float = 1e-9,
-    accelerate: bool = True,
 ) -> MixtureEstimate:
-    """EM over (theta, pi) on a fixed support grid.
+    """Block ascent over (theta, pi) on a fixed support grid.
 
-    Stops once one plain EM step improves the log-likelihood by less than
-    tol in relative terms. By default consecutive EM steps are combined into
-    squared-extrapolation jumps toward the fixed point; a candidate jump is
-    kept only if it does not lower the likelihood, so the accepted path is
-    non-decreasing exactly as for plain EM (the fixed point is unchanged,
-    only the route to it is shortened). A likelihood drop along the accepted
-    path beyond a small slack signals a broken M-step and raises
-    NumericalError.
+    pi starts in proportion to the pairs whose likeliest support point each
+    point is. Each outer iteration solves for pi at the current theta
+    (_solve_pi, to min(tol, inner_tol)), then takes one EM step in theta: a Newton solve
+    of the concave M-step for the exp-linear form, the weighted estimating
+    equations for the others. Converged once the KKT gap after a pi solve
+    and the theta step before it are both within tol; max_iter caps the
+    outer iterations, and the returned pi is solved at the returned theta.
+    Both blocks raise the likelihood, so a drop along the path beyond a
+    small slack signals a broken step and raises NumericalError.
     """
     if data.n < 3:
         raise ValueError("need at least 3 pairs")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     engine = _EmEngine(data, grid, init.form)
-    n_par = init.form.n_params
     theta = np.asarray(init.theta, dtype=float)
-    pi = np.full(grid.J, 1.0 / grid.J)
-
-    def pack(theta, pi):
-        return np.concatenate([theta, pi])
-
-    def unpack(x):
-        return x[:n_par], x[n_par:]
-
-    def mapped(x):
-        t, p = unpack(x)
-        t2, p2, ll = engine.step(t, p, inner_tol)
-        return pack(t2, p2), ll
-
-    x = pack(theta, pi)
-    used = 0
+    L, top = engine.joint(theta)
+    pi = np.bincount(L.argmax(axis=1), minlength=grid.J) / data.n
+    lp = engine.density(L, pi)
     path: list[float] = []
-    converged = False
-    step_bound = 4.0
-    accepted = rejected = 0
 
-    def record(ll):
+    def record():
+        ll = float(top.sum() + np.log(lp).sum())
         if path and ll < path[-1] - _ASCENT_SLACK:
             raise NumericalError(
                 f"log-likelihood decreased from {path[-1]:.10f} to {ll:.10f}; "
-                "M-step is broken")
+                "a pi solve or theta step is broken")
         path.append(ll)
 
-    while used < max_iter and not converged:
-        x1, ll0 = mapped(x)
-        used += 1
-        record(ll0)
-        if used >= max_iter:
-            x = x1
-            break
-        x2, ll1 = mapped(x1)
-        used += 1
-        record(ll1)
-        if ll1 - ll0 <= tol * abs(ll0):
-            x = x1
+    step = math.inf
+    inner = 0
+    converged = False
+    for outer in range(1, max_iter + 1):
+        pi, lp, u, k = _solve_pi(L, lp, pi, min(tol, inner_tol))
+        inner += k
+        record()
+        gap = float(u.max()) - 1.0
+        if gap <= tol and step <= tol:
             converged = True
             break
-        if not accelerate or used >= max_iter:
-            x = x2
-            continue
-        cand, step_len = _extrapolate(x, x1, x2, step_bound)
-        if cand is None:
-            x = x2
-            continue
-        t_c, p_c = unpack(cand)
-        alive = unpack(x2)[1] > 0.0
-        p_c = np.where(alive, np.clip(p_c, 1e-15, None), 0.0)
-        p_c /= p_c.sum()
-        cand = pack(t_c, p_c)
-        x3, ll_c = mapped(cand)
-        used += 1
-        if ll_c >= ll1:
-            accepted += 1
-            record(ll_c)
-            x = x3
-            if step_len >= step_bound:
-                step_bound *= 4.0
-        else:
-            rejected += 1
-            x = x2
-            step_bound = max(1.0, step_bound / 4.0)
+        if outer == max_iter:
+            break
+        theta_new = engine.m_step(theta, pi, L, lp, inner_tol)
+        step = float(np.max(np.abs(theta_new - theta)))
+        theta = theta_new
+        L, top = engine.joint(theta)
+        lp = engine.density(L, pi)
+        record()
 
-    theta, pi = unpack(x)
-    ll_final = engine.e_step(theta, pi)[2]
-    record(ll_final)
     return MixtureEstimate(
         theta_hat=tuple(float(t) for t in theta),
         pi_hat=tuple(float(p) for p in pi),
-        log_lik=ll_final,
-        iterations=used,
+        log_lik=path[-1],
+        iterations=outer,
         converged=converged,
         log_lik_path=tuple(path),
-        jumps_accepted=accepted,
-        jumps_rejected=rejected,
+        inner_iterations=inner,
+        kkt_gap=gap,
         mstep_fallbacks=engine.mstep_fallbacks,
     )
 
@@ -409,11 +475,11 @@ def fit_mixture(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[MixtureEstimate, SupportGrid]:
-    """Full mixture pipeline: starting fit, adaptive grid, then EM.
+    """Full mixture pipeline: starting fit, adaptive grid, then em_fit.
 
     Starting values come from the approximate conditional likelihood fit
     unless supplied; the grid spans the dataset bounds and stays frozen
-    during EM.
+    during the fit.
     """
     theta0 = tuple(init) if init is not None else macl_fit(data, form).theta_hat
     model0 = VarianceModel(form, theta0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -85,6 +86,8 @@ class StudyReport:
     rng: str = RNG_ID
     failures: int = 0
     config: dict = field(default_factory=dict)
+    # failed replicates by exception class name; sums to failures
+    failure_types: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for row in self.rows:
@@ -156,7 +159,7 @@ def estimator_study(
         fixed_means = scenario.draw_means(np.random.default_rng(means_ss))
 
     estimates = []
-    failures = 0
+    failure_types = Counter()
     for r in range(reps):
         rng = np.random.default_rng(rep_ss[r])
         mus = fixed_means if fixed_means is not None else scenario.draw_means(rng)
@@ -167,8 +170,9 @@ def estimator_study(
             else:
                 est, _ = fit_mixture(data, theta.form, d=d)
                 estimates.append(est.theta_hat)
-        except PairvarError:
-            failures += 1
+        except PairvarError as exc:
+            failure_types[type(exc).__name__] += 1
+    failures = sum(failure_types.values())
     if failures > max_failure_fraction * reps:
         raise StudyError(
             f"{failures}/{reps} replicates failed to fit; study aborted")
@@ -188,6 +192,7 @@ def estimator_study(
         seed=scenario.seed,
         wall_clock=time.perf_counter() - t0,
         failures=failures,
+        failure_types=dict(failure_types),
         config={"scenario": scenario.kind.value, "n": scenario.n,
                 "theta": theta.theta, "form": theta.form.value, "d": d},
     )

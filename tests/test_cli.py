@@ -39,6 +39,7 @@ class TestFitCommands:
         assert main(["fit-macl", "--input", str(inp)]) == 0
         rec = json.loads(capsys.readouterr().out)
         assert rec["converged"]
+        assert rec["fallback"] is False
         assert rec["residual_norm"] <= 1e-9
         assert abs(rec["theta_hat"][1] + 1.0) < 0.15
 
@@ -50,6 +51,10 @@ class TestFitCommands:
         assert rec["J"] >= 2
         assert "pi_hat" not in rec
         assert rec["converged"]
+        assert rec["kkt_gap"] <= 1e-8
+        assert rec["inner_iterations"] >= rec["iterations"] > 0
+        assert rec["mstep_fallbacks"] == 0
+        assert 0 < rec["active_points"] < rec["J"]
 
     def test_fit_mixture_weights_sum_to_one(self, tmp_path, capsys):
         inp = tmp_path / "control.csv"
@@ -187,6 +192,34 @@ class TestSimulateCommand:
         rows = list(csv.DictReader(io.StringIO(first)))
         assert [r["param"] for r in rows] == ["theta1", "theta2"]
 
+    def test_estimator_manifest_counts_failures_by_type(self, tmp_path,
+                                                        monkeypatch):
+        import pairvar.simulate as sim
+        from pairvar.errors import ConvergenceError, DomainError
+
+        calls = {"n": 0}
+        real = sim.macl_fit
+
+        def flaky(data, form):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise ConvergenceError("synthetic non-convergence")
+            if calls["n"] == 4:
+                raise DomainError("synthetic domain failure")
+            return real(data, form)
+
+        monkeypatch.setattr(sim, "macl_fit", flaky)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("theta=5,-1\nscenario=uniform:8,12\n"
+                       "n=150\nreps=20\nseed=11\nmethod=macl\n")
+        out = tmp_path / "study.csv"
+        assert main(["simulate", "--study", "estimator", "--config", str(cfg),
+                     "--out", str(out), "--quiet"]) == 0
+        manifest = json.loads((tmp_path / "study.csv.manifest.json").read_text())
+        assert manifest["diagnostics"] == {
+            "failures": 2,
+            "failure_types": {"ConvergenceError": 1, "DomainError": 1}}
+
     def test_power_study_csv(self, tmp_path, capsys):
         cfg = tmp_path / "power.cfg"
         cfg.write_text("theta=5,-1\nmu_grid=10\nk_grid=0,2\nreps=400\n"
@@ -257,11 +290,12 @@ class TestPipeline:
             "berger_boos_degenerate": 0,
             "mixture": {"iterations": est.iterations,
                         "converged": True,
-                        "jumps_accepted": est.jumps_accepted,
-                        "jumps_rejected": est.jumps_rejected,
+                        "inner_iterations": est.inner_iterations,
+                        "kkt_gap": est.kkt_gap,
                         "mstep_fallbacks": est.mstep_fallbacks,
                         "active_points": est.active_points}}
         assert est.active_points == np.count_nonzero(est.pi_hat)
+        assert est.kkt_gap <= 1e-8 and est.mstep_fallbacks == 0
 
     def test_manifest_counts_degenerate_berger_boos(self, tmp_path):
         control = tmp_path / "control.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pairvar import macl
 from pairvar.errors import ConvergenceError, NumericalError
 from pairvar.macl import default_init, macl_fit, mle_homoscedastic, solve_weighted_equations
 from pairvar.model import PairedDataset, PairedObservation, VarianceForm, VarianceModel
@@ -127,6 +128,26 @@ class TestWeightedSolver:
         a = solve_weighted_equations(VarianceForm.EXP_LINEAR, m, s, w)
         b = solve_weighted_equations(VarianceForm.EXP_LINEAR, rep_m, rep_s)
         assert np.allclose(a.theta_hat, b.theta_hat, atol=1e-7)
+
+    def test_newton_path_reports_no_fallback(self):
+        rng = np.random.default_rng(4)
+        m = rng.uniform(8, 12, 40)
+        s = np.exp(5 - m) * rng.chisquare(1, 40)
+        res = solve_weighted_equations(VarianceForm.EXP_LINEAR, m, s)
+        assert res.converged and not res.fallback
+
+    def test_unusable_jacobian_reports_fallback(self, monkeypatch):
+        # a non-finite Jacobian stalls Newton at once, so only the
+        # Nelder-Mead polish can solve the equations
+        monkeypatch.setattr(macl, "_score_jacobian",
+                            lambda *args: np.full((2, 2), np.nan))
+        rng = np.random.default_rng(4)
+        m = rng.uniform(8, 12, 40)
+        s = np.exp(5 - m) * rng.chisquare(1, 40)
+        res = solve_weighted_equations(VarianceForm.EXP_LINEAR, m, s,
+                                       init=(5.0, -1.0), tol=1e-6)
+        assert res.fallback
+        assert res.residual_norm <= 1e-6 and res.converged
 
     def test_default_init_slope_sign(self):
         rng = np.random.default_rng(9)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from pairvar import mixture_em
 from pairvar.errors import NumericalError
@@ -18,6 +19,7 @@ from pairvar.mixture_em import (
     responsibilities,
 )
 from pairvar.model import PairedDataset, PairedObservation, VarianceForm, VarianceModel
+from pairvar.simulate import Scenario, ScenarioKind, generate_dataset
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -42,25 +44,6 @@ def simulate_dataset(n, theta, seed, lo=8.0, hi=12.0,
     mus = rng.uniform(lo, hi, n)
     sd = np.sqrt(VarianceModel(form, theta)(mus))
     return dataset_from_arrays(rng.normal(mus, sd), rng.normal(mus, sd))
-
-
-class PlainEngine(mixture_em._EmEngine):
-    """Oracle: the E-step as plain np.exp on a freshly gathered block."""
-
-    def e_step(self, theta, pi):
-        pi = np.asarray(pi, dtype=float)
-        active = np.flatnonzero(pi > 0.0)
-        h = VarianceModel(self.form, tuple(theta))(self.points[active])
-        head = np.log(pi[active]) - LOG_2PI - np.log(h)
-        out = self.sq_dev[:, active] * (-0.5 / h)[None, :]
-        out += head[None, :]
-        top = out.max(axis=1, keepdims=True)
-        np.subtract(out, top, out=out)
-        np.exp(out, out=out)
-        totals = out.sum(axis=1)
-        ll = float((top.ravel() + np.log(totals)).sum())
-        out /= totals[:, None]
-        return active, self.sq_dev[:, active], ll, out
 
 
 class TestBuildSupport:
@@ -235,10 +218,90 @@ class TestFastExp:
         assert out[0] == 0.0 and np.isnan(out[1]) and out[7] > 0.0
 
 
-def oracle_fit(monkeypatch, *args, **kwargs):
-    with monkeypatch.context() as m:
-        m.setattr(mixture_em, "_EmEngine", PlainEngine)
-        return em_fit(*args, **kwargs)
+# The squared-extrapolation EM that em_fit replaced, kept as an oracle.
+
+
+def old_e_step(engine, theta, pi):
+    """Log-space responsibilities over the columns with pi > 0."""
+    active = np.flatnonzero(pi > 0.0)
+    block = engine.sq_dev[:, active]
+    h = VarianceModel(engine.form, tuple(theta))(engine.points[active])
+    w = block * (-0.5 / h)[None, :]
+    w += (np.log(pi[active]) - LOG_2PI - np.log(h))[None, :]
+    top = w.max(axis=1, keepdims=True)
+    w -= top
+    totals = mixture_em._exp(w).sum(axis=1)
+    w /= totals[:, None]
+    return active, block, float((top.ravel() + np.log(totals)).sum()), w
+
+
+def old_em_map(engine, theta, pi, inner_tol):
+    """One EM update of (theta, pi); returns it with the input's log-lik."""
+    active, block, ll, w = old_e_step(engine, theta, pi)
+    w_tot = w.sum(axis=0)
+    v_tot = np.einsum("ij,ij->j", w, block) / 2.0
+    pi_new = np.zeros_like(pi)
+    pi_new[active] = w_tot / w_tot.sum()
+    theta_new, _ = mixture_em._m_step_theta(
+        engine.form, theta, engine.points[active], w_tot, v_tot, inner_tol)
+    return theta_new, pi_new, ll
+
+
+def old_extrapolate(x0, x1, x2, step_bound):
+    r = x1 - x0
+    v = (x2 - x1) - r
+    vnorm = float(np.linalg.norm(v))
+    if vnorm < 1e-300:
+        return None, 1.0
+    alpha = -float(np.linalg.norm(r)) / vnorm
+    alpha = min(max(alpha, -step_bound), -1.0)
+    return x0 - 2.0 * alpha * r + alpha * alpha * v, -alpha
+
+
+def old_em_fit(data, grid, init, tol=1e-8, max_iter=2000, accelerate=True,
+               theta_tol=math.inf, inner_tol=1e-9):
+    """Returns (theta, pi, log-lik, maps). Converged once one plain EM step
+    raises the log-likelihood by at most tol relative and, for a tight
+    oracle, moves theta by at most theta_tol; along a flat ridge in theta
+    that also needs M-steps solved beyond the default inner_tol."""
+    engine = mixture_em._EmEngine(data, grid, init.form)
+    n_par = init.form.n_params
+    x = np.concatenate([init.theta, np.full(grid.J, 1.0 / grid.J)])
+
+    def mapped(x):
+        t, p, ll = old_em_map(engine, x[:n_par], x[n_par:], inner_tol)
+        return np.concatenate([t, p]), ll
+
+    used = 0
+    step_bound = 4.0
+    while used < max_iter:
+        x1, ll0 = mapped(x)
+        x2, ll1 = mapped(x1)
+        used += 2
+        if (ll1 - ll0 <= tol * abs(ll0)
+                and np.max(np.abs(x2[:n_par] - x1[:n_par])) <= theta_tol):
+            x = x1
+            break
+        if not accelerate:
+            x = x2
+            continue
+        cand, step_len = old_extrapolate(x, x1, x2, step_bound)
+        if cand is None:
+            x = x2
+            continue
+        p_c = np.where(x2[n_par:] > 0.0, np.clip(cand[n_par:], 1e-15, None), 0.0)
+        cand[n_par:] = p_c / p_c.sum()
+        x3, ll_c = mapped(cand)
+        used += 1
+        if ll_c >= ll1:
+            x = x3
+            if step_len >= step_bound:
+                step_bound *= 4.0
+        else:
+            x = x2
+            step_bound = max(1.0, step_bound / 4.0)
+    theta, pi = x[:n_par], x[n_par:]
+    return theta, pi, old_e_step(engine, theta, pi)[2], used
 
 
 def subnormal_share(ds, grid, model):
@@ -251,7 +314,33 @@ def subnormal_share(ds, grid, model):
     return float(np.mean((lj < EXP_SUBNORMAL) & (lj >= EXP_UNDERFLOW)))
 
 
+def kkt_scores(ds, grid, est, form):
+    """u_j = (1/n) sum_i f_ij / sum_k pi_k f_ik at the estimate, in log
+    space: at most 1, and 1 wherever pi_j > 0, when pi maximizes the
+    likelihood at theta."""
+    pts = grid.array
+    h = VarianceModel(form, est.theta_hat)(pts)
+    log_f = (-np.log(2.0 * np.pi * h)
+             - ((ds.y1[:, None] - pts) ** 2 + (ds.y2[:, None] - pts) ** 2)
+             / (2.0 * h))
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(est.pi_hat)
+    log_mix = logsumexp(log_f + log_pi, axis=1)
+    return np.exp(log_f - log_mix[:, None]).mean(axis=0)
+
+
+def bench_control(n):
+    """The benchmark's fixed control set of n pairs (seed 0)."""
+    seed = int(np.random.SeedSequence([0, 0]).spawn(1)[0].generate_state(1)[0])
+    return generate_dataset(
+        Scenario(ScenarioKind.UNIFORM_CONTINUOUS, n=n, seed=seed, lo=8.0, hi=12.0),
+        exp_linear(4.84, -0.927), bounds=(7.3, 13.9))
+
+
 class TestEngineOracle:
+    """em_fit against the EM it replaced: plain E-step and M-step maps,
+    without extrapolation, run until theta stops moving."""
+
     CASES = {
         "exp-linear": (VarianceForm.EXP_LINEAR, (5.0, -1.0), 8.0, 12.0),
         "power": (VarianceForm.POWER, (5.0, -4.0), 8.0, 12.0),
@@ -262,25 +351,38 @@ class TestEngineOracle:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_em_fit_matches_plain_e_step(self, case, monkeypatch):
+    def test_em_fit_matches_plain_e_step(self, case):
         form, theta, lo, hi = self.CASES[case]
         model = VarianceModel(form, theta)
-        ds = simulate_dataset(200, theta, seed=31, lo=lo, hi=hi, form=form)
-        grid = build_support(model, 7.3, 13.9, 0.25)
+        ds = simulate_dataset(100, theta, seed=31, lo=lo, hi=hi, form=form)
+        grid = build_support(model, 7.3, 13.9, 1.0)
         if case == "subnormal-band":
             assert subnormal_share(ds, grid, model) > 0.01
-        fast = em_fit(ds, grid, model, max_iter=300)
-        slow = oracle_fit(monkeypatch, ds, grid, model, max_iter=300)
-        assert fast.iterations > 50
-        if case != "exp-linear-const":
-            # support points dropped out, so the active block was re-gathered
-            assert fast.active_points < grid.J
-        assert fast.theta_hat == slow.theta_hat
-        assert fast.pi_hat == slow.pi_hat
-        assert fast.log_lik_path == slow.log_lik_path
-        assert fast.log_lik == slow.log_lik
-        assert fast.iterations == slow.iterations
-        assert fast.converged == slow.converged
+        tol = 1e-10
+        est = em_fit(ds, grid, model, tol=tol, inner_tol=1e-12)
+        theta_o, pi_o, ll_o, maps = old_em_fit(
+            ds, grid, model, tol=1e-14, max_iter=20000, accelerate=False,
+            theta_tol=1e-12, inner_tol=1e-12)
+        assert maps < 20000
+        assert est.converged and est.iterations < 60
+        assert np.max(np.abs(np.subtract(est.theta_hat, theta_o))) <= 1e-6
+        assert est.log_lik >= ll_o - 1e-9
+        assert est.kkt_gap <= tol
+        u = kkt_scores(ds, grid, est, form)
+        assert np.max(u) - 1.0 == pytest.approx(est.kkt_gap, abs=1e-12)
+        support = np.asarray(est.pi_hat) > 0.0
+        assert np.all(np.abs(u[support] - 1.0) <= tol)
+        assert est.active_points < np.count_nonzero(pi_o)
+
+    # the replaced EM stopped short of the maximum, most of all in pi
+    @pytest.mark.parametrize("n, gain", [(300, 0.0026), (1000, 0.016)])
+    def test_beats_replaced_em_on_benchmark_control_sets(self, n, gain):
+        ds = bench_control(n)
+        est, grid = fit_mixture(ds)
+        model0 = exp_linear(*macl_fit(ds).theta_hat)
+        _, _, ll_old, _ = old_em_fit(ds, grid, model0)
+        assert est.converged and est.kkt_gap <= mixture_em.DEFAULT_TOL
+        assert est.log_lik >= ll_old + gain
 
 
 class TestEmFit:
@@ -325,17 +427,6 @@ class TestEmFit:
         assert a.pi_hat == b.pi_hat
         assert a.log_lik == b.log_lik
 
-    def test_acceleration_reaches_plain_em_fixed_point(self):
-        ds = simulate_dataset(250, (5.0, -0.5), seed=9)
-        start = macl_fit(ds).theta_hat
-        grid = build_support(exp_linear(*start), 7.3, 13.9, 0.25)
-        fast = em_fit(ds, grid, exp_linear(*start), accelerate=True)
-        slow = em_fit(ds, grid, exp_linear(*start), accelerate=False,
-                      max_iter=30000)
-        assert fast.converged and slow.converged
-        assert fast.theta_hat == pytest.approx(slow.theta_hat, abs=2e-3)
-        assert fast.iterations < slow.iterations
-
     def test_iterations_never_exceed_max_iter(self):
         ds = simulate_dataset(300, (4.84, -0.927), seed=13)
         grid = build_support(exp_linear(4.84, -0.927), 7.3, 13.9, 0.25)
@@ -343,7 +434,8 @@ class TestEmFit:
             est = em_fit(ds, grid, exp_linear(4.84, -0.927), max_iter=max_iter)
             assert not est.converged
             assert est.iterations <= max_iter
-            assert len(est.log_lik_path) <= max_iter + 1
+            # one entry per pi solve and per theta step between them
+            assert len(est.log_lik_path) == 2 * est.iterations - 1
 
     def test_exact_budget_keeps_converged_count(self):
         ds = simulate_dataset(150, (5.0, -1.0), seed=6)
@@ -352,21 +444,6 @@ class TestEmFit:
         tight = em_fit(ds, grid, exp_linear(5.0, -0.9), max_iter=full.iterations)
         assert full.converged and tight.converged
         assert tight == full
-
-    def test_diagnostics(self):
-        ds = simulate_dataset(150, (5.0, -1.0), seed=6)
-        grid = build_support(exp_linear(5.0, -1.0), 7.3, 13.9, 0.5)
-        plain = em_fit(ds, grid, exp_linear(5.0, -0.9), accelerate=False,
-                       max_iter=200)
-        assert (plain.jumps_accepted, plain.jumps_rejected) == (0, 0)
-        fast = em_fit(ds, grid, exp_linear(5.0, -0.9))
-        assert fast.jumps_accepted > 0 and fast.jumps_rejected > 0
-        for est in (plain, fast):
-            assert est.active_points == np.count_nonzero(est.pi_hat)
-            assert est.mstep_fallbacks == 0
-            # every map but a rejected jump's adds a path entry; so does
-            # the final likelihood
-            assert len(est.log_lik_path) == est.iterations - est.jumps_rejected + 1
 
     def test_counts_mstep_fallbacks(self, monkeypatch):
         # a score root that moves Q downhill sends every M-step to the
@@ -379,10 +456,62 @@ class TestEmFit:
                 res, theta_hat=(res.theta_hat[0] + 20.0, *res.theta_hat[1:]))
 
         monkeypatch.setattr(mixture_em, "solve_weighted_equations", downhill)
-        ds = simulate_dataset(60, (5.0, -1.0), seed=3)
+        model = VarianceModel(VarianceForm.POWER, (5.0, -4.0))
+        ds = simulate_dataset(60, model.theta, seed=3, form=VarianceForm.POWER)
         grid = SupportGrid(points=tuple(np.linspace(8.0, 12.0, 5)), spacing_d=1.0)
-        est = em_fit(ds, grid, exp_linear(5.0, -1.0), max_iter=4)
-        assert est.mstep_fallbacks == est.iterations == 4
+        est = em_fit(ds, grid, model, max_iter=5)
+        # a theta step follows every pi solve but the last
+        assert est.mstep_fallbacks == est.iterations - 1 == 4
+
+    def test_exp_linear_needs_no_weighted_equations(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("exp-linear M-step called the general solver")
+
+        monkeypatch.setattr(mixture_em, "solve_weighted_equations", unused)
+        monkeypatch.setattr(mixture_em, "minimize", unused)
+        ds = simulate_dataset(150, (5.0, -1.0), seed=6)
+        grid = build_support(exp_linear(5.0, -1.0), 7.3, 13.9, 0.5)
+        est = em_fit(ds, grid, exp_linear(5.0, -0.9))
+        assert est.converged and est.mstep_fallbacks == 0
+
+    def test_diagnostics(self):
+        ds = simulate_dataset(150, (5.0, -1.0), seed=6)
+        grid = build_support(exp_linear(5.0, -1.0), 7.3, 13.9, 0.5)
+        est = em_fit(ds, grid, exp_linear(5.0, -0.9))
+        assert est.converged
+        assert 0.0 <= est.kkt_gap <= mixture_em.DEFAULT_TOL
+        assert est.inner_iterations >= est.iterations
+        assert est.active_points == np.count_nonzero(est.pi_hat)
+        assert est.log_lik == est.log_lik_path[-1]
+        assert len(est.log_lik_path) == 2 * est.iterations - 1
+        assert est.log_lik == pytest.approx(
+            mixture_log_lik(ds, exp_linear(*est.theta_hat), grid, est.pi_hat),
+            abs=1e-9)
+
+    def test_max_iter_must_be_positive(self):
+        ds = simulate_dataset(20, (5.0, -1.0), seed=6)
+        grid = SupportGrid(points=(9.0, 10.0), spacing_d=1.0)
+        with pytest.raises(ValueError):
+            em_fit(ds, grid, exp_linear(5.0, -1.0), max_iter=0)
+
+    def test_exp_linear_newton_never_lowers_q(self):
+        rng = np.random.default_rng(17)
+        form = VarianceForm.EXP_LINEAR
+        for _ in range(300):
+            j = int(rng.integers(1, 30))
+            points = np.sort(rng.uniform(7.3, 13.9, j))
+            w = rng.exponential(1.0, j) * 10.0 ** rng.uniform(-3, 3, j)
+            v = w * rng.exponential(1.0, j) * np.exp(rng.uniform(-6, 4))
+            theta = np.array([rng.uniform(-5, 8), rng.uniform(-2, 1)])
+            new = mixture_em._m_step_exp_linear(theta, points, w, v, 1e-9)
+            q_old = mixture_em._q_value(form, theta, points, w, v)
+            q_new = mixture_em._q_value(form, new, points, w, v)
+            assert q_new >= q_old - 1e-12 * abs(q_old)
+            if j >= 2:
+                # the score of Q vanishes at the maximizer
+                h = np.exp(new[0] + new[1] * points)
+                score = np.array([np.sum(v / h - w), np.sum(points * (v / h - w))])
+                assert np.max(np.abs(score)) <= 1e-6 * (1.0 + w.sum())
 
     def test_mixture_estimate_validation(self):
         with pytest.raises(ValueError):

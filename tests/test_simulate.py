@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairvar.errors import DomainError, NumericalError, StudyError
+from pairvar.errors import ConvergenceError, DomainError, NumericalError, StudyError
 from pairvar.intervals import _quad_form, chi2_2_quantile
 from pairvar.model import VarianceForm, VarianceModel
 from pairvar.simulate import (
@@ -122,6 +122,27 @@ class TestEstimatorStudy:
         monkeypatch.setattr(sim, "macl_fit", always_fail)
         with pytest.raises(StudyError):
             estimator_study(uniform_scenario(100, seed=2), EXP51, reps=10)
+
+    def test_failures_counted_by_type(self, monkeypatch):
+        import pairvar.simulate as sim
+
+        calls = {"n": 0}
+        real = sim.macl_fit
+
+        def flaky(data, form):
+            calls["n"] += 1
+            if calls["n"] in (3, 9, 15):
+                raise ConvergenceError("synthetic non-convergence")
+            if calls["n"] == 7:
+                raise DomainError("synthetic domain failure")
+            return real(data, form)
+
+        monkeypatch.setattr(sim, "macl_fit", flaky)
+        rep = estimator_study(uniform_scenario(100, seed=2), EXP51, reps=40)
+        assert rep.failures == 4
+        assert rep.failure_types == {"ConvergenceError": 3, "DomainError": 1}
+        assert estimator_study(uniform_scenario(100, seed=2), EXP51,
+                               reps=5).failure_types == {}
 
     @pytest.mark.slow
     def test_macl_small_variance_consistency_trend(self):
