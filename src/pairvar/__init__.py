@@ -14,14 +14,11 @@ from .model import (
     DEFAULT_BOUNDS,
     PairedDataset,
     PairedObservation,
-    PairStats,
     VarianceForm,
     VarianceModel,
     build_dataset,
     estimating_equation_bias,
     load_csv,
-    pair_stats,
-    variance_at,
 )
 from .macl import FitResult, macl_fit, mle_homoscedastic
 from .mixture_em import (

@@ -4,7 +4,11 @@ For one observation Y ~ N(mu, h(theta, mu)) the pivot (Y-mu)^2 / h(theta, mu)
 is chi-squared with one degree of freedom, and inverting it yields an exact
 confidence set: either a single unbounded interval or a union of two
 intervals, depending on where the pivot's interior local maximum sits
-relative to the quantile. For a pair (Y1, Y2) the reparametrization
+relative to the quantile: in closed form (Lambert W) for the exp-linear
+form with a negative slope, on one 20001-point grid over the bounds for
+every other form. bounded_hulls, the batch kernel for bounded hulls,
+serves Bonferroni intervals, coverage studies and Berger-Boos p-values.
+For a pair (Y1, Y2) the reparametrization
 (nu1, nu2) = (mu1 - mu2, mu1 + mu2) gives correlated standardized residuals
 whose quadratic form is chi-squared with two degrees of freedom; scanning
 that region and projecting onto nu1 yields a conservative set for the
@@ -165,27 +169,26 @@ def exact_pivot_crossings(y, theta1: float, theta2: float, q) -> PivotCrossings:
     return PivotCrossings(r1=r1, l2=l2, r2=r2, two_sided=two)
 
 
-def _exact_components(y: float, model: VarianceModel, alpha: float):
-    q = chi2_1_quantile(1.0 - alpha)
-    t1, t2 = model.theta
-    c = exact_pivot_crossings(np.array([y]), t1, t2, q)
-    if c.two_sided[0]:
-        return [(-math.inf, float(c.r1[0])), (float(c.l2[0]), float(c.r2[0]))]
-    return [(-math.inf, float(c.r1[0]))]
+def _grid_accepted(ys, model: VarianceModel, q, a: float, b: float):
+    """The 20001-point grid on [a, b] and, per row, where the pivot is <= q.
 
-
-def _grid_components(y: float, model: VarianceModel, alpha: float, bounds):
-    """Dense-grid inversion fallback for forms without the search structure."""
-    a, b = bounds
-    q = chi2_1_quantile(1.0 - alpha)
+    The pivot at mu is sum_k (ys[k] - mu)^2 / h(mu), one row per element of
+    the arrays in ys.
+    """
     grid = np.linspace(a, b, 20001)
-    accepted = (y - grid) ** 2 / model(grid) <= q
-    if not np.any(accepted):
-        raise NumericalError("confidence set empty on the bounded grid")
-    comps = []
-    for start, stop in _runs(accepted):
-        comps.append((grid[start], grid[stop]))
-    return comps
+    stat = sum((np.asarray(y, dtype=float)[:, None] - grid) ** 2 for y in ys)
+    return grid, stat / model(grid) <= q
+
+
+def _grid_hulls(ys, model: VarianceModel, q, a: float, b: float):
+    """Hulls (lo, hi, empty) of the grid-inverted sets, 64 rows at a time."""
+    parts = []
+    for s in range(0, max(np.size(ys[0]), 1), 64):
+        grid, acc = _grid_accepted([y[s:s + 64] for y in ys], model, q, a, b)
+        parts.append((grid[np.argmax(acc, axis=1)],
+                      grid[::-1][np.argmax(acc[:, ::-1], axis=1)],
+                      ~acc.any(axis=1)))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _runs(mask: np.ndarray):
@@ -199,12 +202,8 @@ def _runs(mask: np.ndarray):
     return list(zip(starts, stops))
 
 
-def ci_mu_exact(
-    y: float,
-    model: VarianceModel,
-    alpha: float,
-    bounds: tuple[float, float] | None = None,
-) -> ConfidenceSet:
+def ci_mu_exact(y: float, model: VarianceModel, alpha: float,
+                bounds: tuple[float, float] | None = None) -> ConfidenceSet:
     """Exact pivot-inversion confidence set for one mean.
 
     The closed-form search structure applies to the exp-linear form with a
@@ -214,17 +213,22 @@ def ci_mu_exact(
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
-    exactable = model.form is VarianceForm.EXP_LINEAR and model.theta[1] < 0
-    if exactable:
-        comps = _exact_components(y, model, alpha)
-        approximate = False
+    q = chi2_1_quantile(1.0 - alpha)
+    exact = model.form is VarianceForm.EXP_LINEAR and model.theta[1] < 0
+    if exact:
+        c = exact_pivot_crossings(np.array([y]), *model.theta, q)
+        comps = [(-math.inf, float(c.r1[0]))]
+        if c.two_sided[0]:
+            comps.append((float(c.l2[0]), float(c.r2[0])))
+    elif bounds is None:
+        raise DomainError(
+            "grid inversion for this variance form needs finite bounds")
     else:
-        if bounds is None:
-            raise DomainError(
-                "grid inversion for this variance form needs finite bounds")
-        comps = _grid_components(y, model, alpha, bounds)
-        approximate = True
-    cs = ConfidenceSet.from_components(comps, 1.0 - alpha, approximate)
+        grid, acc = _grid_accepted([np.array([y])], model, q, *bounds)
+        comps = [(grid[i], grid[j]) for i, j in _runs(acc[0])]
+        if not comps:
+            raise NumericalError("confidence set empty on the bounded grid")
+    cs = ConfidenceSet.from_components(comps, 1.0 - alpha, not exact)
     if bounds is not None:
         cs = cs.bounded(*bounds)
     return cs
@@ -299,11 +303,6 @@ def _region_radii(y1, y2, model, q, a, b, grid_res) -> np.ndarray:
             break
         r[live] = r_next[shrinks]
     return r * (1.0 + 1e-9) + 2.0 * grid_res
-
-
-def _region_radius(y1, y2, model, q, a, b, grid_res) -> float:
-    """_region_radii for one pair."""
-    return float(_region_radii(y1, y2, model, q, a, b, grid_res)[0])
 
 
 def _within(grid: np.ndarray, lo: float, hi: float) -> slice:
@@ -417,7 +416,7 @@ def ci_diff_region(
     n1 = int(round(2.0 * span / grid_res)) + 1
     nu1_grid = np.linspace(-span, span, n1)
     nu2_master = np.arange(2.0 * a, 2.0 * b + grid_res / 2.0, grid_res)
-    radius = _region_radius(y1, y2, model, q, a, b, grid_res)
+    radius = float(_region_radii(y1, y2, model, q, a, b, grid_res)[0])
     nu2_lo, nu2_hi = y1 + y2 - radius, y1 + y2 + radius
     rows = _within(nu1_grid, y1 - y2 - radius, y1 - y2 + radius)
     nu2 = nu2_master[None, _within(nu2_master, nu2_lo, nu2_hi)]
@@ -454,18 +453,17 @@ def ci_diff_region(
     return ConfidenceSet.from_components(comps, 1.0 - alpha)
 
 
-def ci_diff_bonferroni(
-    y1: float,
-    y2: float,
-    model: VarianceModel,
-    alpha: float,
-    bounds: tuple[float, float],
-) -> tuple[float, float]:
+def ci_diff_bonferroni(y1: float, y2: float, model: VarianceModel, alpha: float,
+                       bounds: tuple[float, float]) -> tuple[float, float]:
     """Difference interval from two exact half-alpha sets, via their hulls."""
-    s1 = ci_mu_exact(y1, model, alpha / 2.0, bounds)
-    s2 = ci_mu_exact(y2, model, alpha / 2.0, bounds)
-    (lo1, hi1), (lo2, hi2) = s1.hull, s2.hull
-    return (lo1 - hi2, hi1 - lo2)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be in (0,1), got {alpha}")
+    lo, hi, empty = bounded_hulls(np.array([y1, y2], dtype=float), model,
+                                  alpha / 2.0, *bounds)
+    if empty.any():
+        raise NumericalError(
+            f"confidence set empty after bounding to [{bounds[0]}, {bounds[1]}]")
+    return (float(lo[0] - hi[1]), float(hi[0] - lo[1]))
 
 
 def ci_diff_naive(y1: float, y2: float, model: VarianceModel,
@@ -489,15 +487,15 @@ def bounded_hulls(y, model: VarianceModel, alpha, a: float, b: float):
 
     Returns (lo, hi, empty): per-element hull endpoints of the exact pivot
     set intersected with [a, b], and a mask of elements whose bounded set is
-    empty. Exp-linear with negative slope only.
+    empty. Lambert-W crossings for exp-linear with a negative slope; every
+    other form uses ci_mu_exact's 20001-point grid, so hulls are equal.
     """
+    q = chi2_1_quantile(1.0 - alpha)
     if model.form is not VarianceForm.EXP_LINEAR or model.theta[1] >= 0:
-        raise DomainError("vectorized hulls need the exp-linear form with "
-                          "a negative slope")
-    t1, t2 = model.theta
-    q = chi2_1_quantile(1.0 - alpha) if np.isscalar(alpha) else np.asarray(
-        [chi2_1_quantile(1.0 - al) for al in alpha])
-    c = exact_pivot_crossings(y, t1, t2, q)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError("grid inversion needs finite bounds")
+        return _grid_hulls([np.atleast_1d(y)], model, q, a, b)
+    c = exact_pivot_crossings(y, *model.theta, q)
     # Component 1: (-inf, r1) clipped -> [a, min(r1, b)], present iff r1 >= a.
     has1 = c.r1 >= a
     # Component 2: (l2, r2) clipped, only for two-sided rows.

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, DomainError, NumericalError
+from .errors import DataError, DomainError
 
 DEFAULT_BOUNDS = (7.3, 13.9)
 
@@ -128,20 +128,6 @@ class VarianceModel:
         return VarianceModel(self.form, tuple(t))
 
 
-def variance_at(model: VarianceModel, mu: float) -> float:
-    """Evaluate the variance function at a single mean value.
-
-    Raises DomainError for a nonpositive mean under the power form and
-    NumericalError if the result is not finite and positive.
-    """
-    if model.form is VarianceForm.POWER and mu <= 0:
-        raise DomainError(f"power form requires mu > 0, got {mu}")
-    value = float(model(mu))
-    if not math.isfinite(value) or value <= 0:
-        raise NumericalError(f"variance evaluation failed at mu={mu}: h={value}")
-    return value
-
-
 @dataclass(frozen=True)
 class PairedObservation:
     """One peptide's two log-intensity measurements."""
@@ -154,21 +140,6 @@ class PairedObservation:
         if not (math.isfinite(self.y1) and math.isfinite(self.y2)):
             raise ValueError(f"non-finite intensities for {self.id!r}: "
                              f"({self.y1}, {self.y2})")
-
-
-@dataclass(frozen=True)
-class PairStats:
-    """Per-pair sufficient statistics: mean and the one-df variance statistic."""
-
-    ybar: float
-    s2: float
-
-
-def pair_stats(pair: PairedObservation) -> PairStats:
-    """Pair mean (y1+y2)/2 and variance statistic (y1-y2)^2 / 2."""
-    ybar = (pair.y1 + pair.y2) / 2.0
-    s2 = (pair.y1 - pair.y2) ** 2 / 2.0
-    return PairStats(ybar=ybar, s2=s2)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ in general), taking the supremum of the tail probability over the whole
 mean range (valid but blunt), and the Berger-Boos compromise that restricts
 the supremum to a high-confidence set for mu and pays for it with the
 complementary probability.
+
+The tail probability grows with h, and every variance form is monotone on
+the bounds [a, b], so the supremum over an interval [lo, hi] inside them
+sits at an end: at lo when h(a) >= h(b), at hi otherwise. One array kernel
+computes every method for every form; the scalar tests run it on a batch
+of one, and batch_pvalues returns its p-values.
 """
 
 from __future__ import annotations
@@ -18,16 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
-from .intervals import bounded_hulls, chi2_1_sf, ci_mu_exact
+from .errors import DomainError
+from .intervals import _grid_hulls, bounded_hulls, chi2_1_sf
+# bench/tracing.py wraps pairvar.pvalues.ci_mu_exact; keep the name here.
+from .intervals import ci_mu_exact  # noqa: F401
 from .model import DEFAULT_BOUNDS, VarianceForm, VarianceModel
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_BETA_ANALYSIS = 1e-6
 DEFAULT_BETA_POWER = 1e-3
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class TestMethod(enum.Enum):
@@ -62,87 +68,86 @@ class TestResult:
             raise ValueError(f"p-value {self.p_value} outside [0,1]")
 
 
-def _tail_at(y1, y2, model: VarianceModel, mu) -> np.ndarray:
-    return chi2_1_sf((y1 - y2) ** 2 / (2.0 * model(mu)))
+def _positive_h(model: VarianceModel, mu: np.ndarray) -> np.ndarray:
+    """h at the array mu, or DomainError where it is not finite and positive."""
+    with np.errstate(all="ignore"):
+        h = model(mu)
+    bad = ~(np.isfinite(h) & (h > 0))
+    if bad.any():
+        raise DomainError(
+            f"variance not finite and positive at mu = {mu[bad][0]}")
+    return h
 
 
-def _sup_tail(y1: float, y2: float, model: VarianceModel,
-              lo: float, hi: float) -> tuple[float, float]:
-    """Supremum of the tail probability over mu in [lo, hi], with argmax.
+def _kernel(y1, y2, model: VarianceModel, method: TestMethod,
+            bounds: tuple[float, float], beta: float | None,
+            cbeta_pivot: str = "mean"):
+    """One method's p-values over arrays of pairs.
 
-    The tail is largest where the variance is largest. For the exp-linear
-    form that is an endpoint; other forms get a dense grid plus a
-    golden-section polish around the best point.
+    Returns per pair the p-value, the nuisance mean attaining the supremum
+    (NaN where degenerate), whether the Berger-Boos set missed [a, b], and
+    the plug-in statistic (naive only, else None). DomainError unless h is
+    finite and positive where the method evaluates it: at the pair means
+    for the naive test, at a and b (with a > 0 for the power form) else.
     """
-    if hi < lo:
-        raise ValueError(f"empty search interval [{lo}, {hi}]")
-    if model.form is VarianceForm.EXP_LINEAR:
-        mu = lo if model.theta[1] <= 0 else hi
-        return float(_tail_at(y1, y2, model, mu)), mu
-    grid = np.linspace(lo, hi, 1000)
-    vals = _tail_at(y1, y2, model, grid)
-    k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, grid.size - 1)]
-    # Golden-section refinement of the bracketing cell.
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    for _ in range(80):
-        if _tail_at(y1, y2, model, c) >= _tail_at(y1, y2, model, d):
-            b, d = d, c
-            c = b - _GOLDEN * (b - a)
-        else:
-            a, c = c, d
-            d = a + _GOLDEN * (b - a)
-    mu = 0.5 * (a + b)
-    return float(_tail_at(y1, y2, model, mu)), float(mu)
+    y1, y2 = (np.atleast_1d(np.asarray(y, dtype=float)) for y in (y1, y2))
+    ybar = (y1 + y2) / 2.0
+    if method is TestMethod.NAIVE:
+        stat = (y1 - y2) ** 2 / (2.0 * _positive_h(model, ybar))
+        return chi2_1_sf(stat), ybar, np.zeros(ybar.shape, dtype=bool), stat
+    if method not in (TestMethod.CONSERVATIVE, TestMethod.BERGER_BOOS):
+        raise ValueError(f"unknown method {method}")
+    a, b = bounds
+    if method is TestMethod.BERGER_BOOS:
+        if not 0.0 < beta < 1.0:
+            raise DomainError(f"beta must be in (0,1), got {beta}")
+        if cbeta_pivot not in ("mean", "pair"):
+            raise ValueError(f"unknown cbeta_pivot {cbeta_pivot!r}")
+    if model.form is VarianceForm.POWER and a <= 0:
+        raise DomainError(f"the power form needs bounds with a > 0, got a = {a}")
+    h_a, h_b = _positive_h(model, np.array([a, b], dtype=float))
+    if method is TestMethod.CONSERVATIVE:
+        lo, hi, empty = a, b, np.zeros(ybar.shape, dtype=bool)
+    elif cbeta_pivot == "mean":
+        # Under H0 the pair average is N(mu, h(mu)/2): the one-observation
+        # pivot with the variance halved.
+        lo, hi, empty = bounded_hulls(ybar, model.scaled(0.5), beta, a, b)
+    else:
+        # The two-observation pivot, chi-squared with 2 df: quantile -2 log beta.
+        lo, hi, empty = _grid_hulls([y1, y2], model, -2.0 * math.log(beta),
+                                    a, b)
+    mu = np.where(empty, a, lo if h_a >= h_b else hi)
+    p = chi2_1_sf((y1 - y2) ** 2 / (2.0 * model(mu)))
+    if method is TestMethod.BERGER_BOOS:
+        p = np.where(empty, beta, np.minimum(p + beta, 1.0))
+    return p, np.where(empty, np.nan, mu), empty, None
+
+
+def _one(y1, y2, model, method, bounds=DEFAULT_BOUNDS, beta=None,
+         cbeta_pivot="mean") -> TestResult:
+    p, mu, degenerate, stat = _kernel(y1, y2, model, method, bounds, beta,
+                                      cbeta_pivot)
+    return TestResult(p_value=float(p[0]), method=method,
+                      statistic=None if stat is None else float(stat[0]),
+                      beta=beta, mu_sup=None if degenerate[0] else float(mu[0]),
+                      degenerate=bool(degenerate[0]))
 
 
 def pvalue_naive(y1: float, y2: float, model: VarianceModel) -> TestResult:
     """Plug-in test: the pair mean replaces the unknown common mean."""
-    ybar = (y1 + y2) / 2.0
-    stat = (y1 - y2) ** 2 / (2.0 * float(model(ybar)))
-    return TestResult(p_value=float(chi2_1_sf(stat)), method=TestMethod.NAIVE,
-                      statistic=stat, mu_sup=ybar)
+    return _one(y1, y2, model, TestMethod.NAIVE)
 
 
 def pvalue_conservative(y1: float, y2: float, model: VarianceModel,
                         bounds: tuple[float, float] = DEFAULT_BOUNDS) -> TestResult:
     """Supremum of the tail probability over the whole mean range."""
-    a, b = bounds
-    p, mu = _sup_tail(y1, y2, model, a, b)
-    return TestResult(p_value=p, method=TestMethod.CONSERVATIVE, mu_sup=mu)
+    return _one(y1, y2, model, TestMethod.CONSERVATIVE, bounds)
 
 
-def _cbeta_hull_mean_pivot(ybar, model, beta, bounds):
-    """Hull of the confidence set for the common mean from the pair average.
-
-    Under H0 the average is N(mu, h(theta, mu)/2), so the single-observation
-    pivot machinery applies with the variance halved.
-    """
-    return ci_mu_exact(ybar, model.scaled(0.5), beta, bounds).hull
-
-
-def _cbeta_hull_pair_pivot(y1, y2, model, beta, bounds):
-    """Hull of the two-observation chi-squared(2) pivot set on the grid."""
-    a, b = bounds
-    q = -2.0 * math.log(beta)  # chi-squared 2 df quantile at 1 - beta
-    grid = np.linspace(a, b, 20001)
-    accepted = ((y1 - grid) ** 2 + (y2 - grid) ** 2) / model(grid) <= q
-    if not np.any(accepted):
-        raise NumericalError("pair-pivot confidence set misses the bounds")
-    idx = np.flatnonzero(accepted)
-    return (float(grid[idx[0]]), float(grid[idx[-1]]))
-
-
-def pvalue_berger_boos(
-    y1: float,
-    y2: float,
-    model: VarianceModel,
-    bounds: tuple[float, float] = DEFAULT_BOUNDS,
-    beta: float = DEFAULT_BETA_ANALYSIS,
-    cbeta_pivot: str = "mean",
-) -> TestResult:
+def pvalue_berger_boos(y1: float, y2: float, model: VarianceModel,
+                       bounds: tuple[float, float] = DEFAULT_BOUNDS,
+                       beta: float = DEFAULT_BETA_ANALYSIS,
+                       cbeta_pivot: str = "mean") -> TestResult:
     """Supremum over a 1-beta confidence set for the nuisance mean, plus beta.
 
     The default confidence set inverts the pair-average pivot (the tightest
@@ -150,62 +155,16 @@ def pvalue_berger_boos(
     the two-observation chi-squared(2 df) variant for sensitivity analysis.
     The result exceeds beta by construction and is capped at 1.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta must be in (0,1), got {beta}")
-    if cbeta_pivot not in ("mean", "pair"):
-        raise ValueError(f"unknown cbeta_pivot {cbeta_pivot!r}")
-    ybar = (y1 + y2) / 2.0
-    try:
-        if cbeta_pivot == "mean":
-            lo, hi = _cbeta_hull_mean_pivot(ybar, model, beta, bounds)
-        else:
-            lo, hi = _cbeta_hull_pair_pivot(y1, y2, model, beta, bounds)
-    except NumericalError:
+    r = _one(y1, y2, model, TestMethod.BERGER_BOOS, bounds, beta, cbeta_pivot)
+    if r.degenerate:
         logger.warning(
             "Berger-Boos confidence set for the mean misses [%g, %g]; "
             "returning p = beta = %g", bounds[0], bounds[1], beta)
-        return TestResult(p_value=beta, method=TestMethod.BERGER_BOOS,
-                          beta=beta, degenerate=True)
-    sup, mu = _sup_tail(y1, y2, model, lo, hi)
-    return TestResult(p_value=min(1.0, sup + beta),
-                      method=TestMethod.BERGER_BOOS, beta=beta, mu_sup=mu)
+    return r
 
 
-def batch_pvalues(
-    y1,
-    y2,
-    model: VarianceModel,
-    method: TestMethod,
-    bounds: tuple[float, float] = DEFAULT_BOUNDS,
-    beta: float = DEFAULT_BETA_POWER,
-) -> np.ndarray:
-    """Vectorized p-values over arrays of pairs.
-
-    The exp-linear form with a negative slope is computed with array
-    operations throughout (the supremum locations are closed-form); other
-    forms fall back to the scalar routines per pair.
-    """
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    fast = model.form is VarianceForm.EXP_LINEAR and model.theta[1] < 0
-    if method is TestMethod.NAIVE:
-        return np.asarray(chi2_1_sf(
-            (y1 - y2) ** 2 / (2.0 * model((y1 + y2) / 2.0))))
-    if method is TestMethod.CONSERVATIVE:
-        if fast:
-            return np.asarray(_tail_at(y1, y2, model, bounds[0]))
-        return np.array([
-            pvalue_conservative(a, b, model, bounds).p_value
-            for a, b in zip(y1, y2)])
-    if method is TestMethod.BERGER_BOOS:
-        if fast:
-            ybar = (y1 + y2) / 2.0
-            lo, _, empty = bounded_hulls(ybar, model.scaled(0.5), beta,
-                                         bounds[0], bounds[1])
-            p = _tail_at(y1, y2, model, lo) + beta
-            p = np.where(empty, beta, np.minimum(p, 1.0))
-            return p
-        return np.array([
-            pvalue_berger_boos(a, b, model, bounds, beta).p_value
-            for a, b in zip(y1, y2)])
-    raise ValueError(f"unknown method {method}")
+def batch_pvalues(y1, y2, model: VarianceModel, method: TestMethod,
+                  bounds: tuple[float, float] = DEFAULT_BOUNDS,
+                  beta: float = DEFAULT_BETA_POWER) -> np.ndarray:
+    """Vectorized p-values over arrays of pairs, for every method and form."""
+    return _kernel(y1, y2, model, method, bounds, beta)[0]

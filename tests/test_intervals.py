@@ -8,7 +8,7 @@ from pairvar.errors import DomainError, NumericalError
 from pairvar.intervals import (
     ConfidenceSet,
     _quad_form,
-    _region_radius,
+    _region_radii,
     _runs,
     chi2_1_quantile,
     chi2_1_sf,
@@ -466,7 +466,7 @@ class TestRegionWindow:
     def test_unbounded_variance_scans_everything(self):
         # the power form is infinite at mu = 0, so no window applies
         model = VarianceModel(VarianceForm.POWER, (0.0, -1.0))
-        assert _region_radius(1.0, 1.3, model, 6.0, 0.0, 3.0, 0.01) == math.inf
+        assert _region_radii(1.0, 1.3, model, 6.0, 0.0, 3.0, 0.01)[0] == math.inf
         with np.errstate(divide="ignore"):
             fast = ci_diff_region(1.0, 1.3, model, 0.05, (0.0, 3.0), 0.01)
             slow = _dense_region(1.0, 1.3, model, 0.05, (0.0, 3.0), 0.01)
@@ -481,7 +481,7 @@ class TestRegionWindow:
         nu2 = np.arange(2.0 * a, 2.0 * b, 0.02)[None, :]
         inside = (np.abs(nu1) <= np.minimum(nu2 - 2.0 * a, 2.0 * b - nu2))
         for y1, y2 in _window_pairs(sum(map(ord, name)) + 1, 6):
-            radius = _region_radius(y1, y2, model, q, a, b, 0.0)
+            radius = _region_radii(y1, y2, model, q, a, b, 0.0)[0]
             assert math.isfinite(radius)
             _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
             hit = inside & (quad <= q)
@@ -556,9 +556,21 @@ class TestBoundedHulls:
 
     @pytest.mark.parametrize("name", ["positive-slope", "power",
                                       "exp-linear-const"])
-    def test_other_forms_are_domain_errors(self, name):
-        with pytest.raises(DomainError):
-            bounded_hulls(np.array([10.0]), WINDOW_MODELS[name], 0.05, *BOUNDS)
+    def test_other_forms_equal_scalar_hull(self, name):
+        # grid inversion, row-chunked: more rows than one chunk, some empty
+        model = WINDOW_MODELS[name]
+        rng = np.random.default_rng(sum(map(ord, name)))
+        y = np.concatenate([rng.uniform(6.5, 14.5, 150), [2.0, 25.0]])
+        lo, hi, empty = bounded_hulls(y, model, 0.05, *BOUNDS)
+        assert empty[-2:].all() and (~empty[:150]).any()
+        for i in range(y.size):
+            try:
+                hull = ci_mu_exact(float(y[i]), model, 0.05, BOUNDS).hull
+            except NumericalError:
+                assert empty[i]
+                continue
+            assert not empty[i]
+            assert (lo[i], hi[i]) == hull
 
 
 class TestConfidenceSetType:

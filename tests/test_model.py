@@ -13,8 +13,6 @@ from pairvar.model import (
     build_dataset,
     estimating_equation_bias,
     load_csv,
-    pair_stats,
-    variance_at,
 )
 
 
@@ -23,28 +21,23 @@ def exp_linear(t1, t2):
 
 
 class TestVarianceAt:
+    """Point values of h through VarianceModel.__call__."""
+
     def test_exp_linear_identity(self):
-        assert variance_at(exp_linear(0.0, 0.0), 5.0) == 1.0
+        assert float(exp_linear(0.0, 0.0)(5.0)) == 1.0
 
     def test_power(self):
         m = VarianceModel(VarianceForm.POWER, (0.0, 2.0))
-        assert variance_at(m, 3.0) == pytest.approx(9.0, abs=1e-12)
+        assert float(m(3.0)) == pytest.approx(9.0, abs=1e-12)
 
     def test_exp_linear_pooled_estimate_point(self):
         # frozen from 40-digit arithmetic: exp(4.84 - 0.927*10.21)
-        v = variance_at(exp_linear(4.84, -0.927), 10.21)
+        v = float(exp_linear(4.84, -0.927)(10.21))
         assert v == pytest.approx(0.009806890775851390, rel=1e-12)
 
     def test_exp_linear_const(self):
         m = VarianceModel(VarianceForm.EXP_LINEAR_CONST, (0.0, 0.0, 0.0))
-        assert variance_at(m, 2.0) == pytest.approx(2.0)
-
-    def test_power_rejects_nonpositive_mean(self):
-        m = VarianceModel(VarianceForm.POWER, (0.0, 2.0))
-        with pytest.raises(DomainError):
-            variance_at(m, 0.0)
-        with pytest.raises(DomainError):
-            variance_at(m, -1.0)
+        assert float(m(2.0)) == pytest.approx(2.0)
 
     def test_monotone_decreasing_for_negative_slope(self):
         m = exp_linear(4.84, -0.927)
@@ -109,16 +102,18 @@ class TestVarianceAt:
 
 
 class TestPairStats:
+    """Pair means and variance statistics from PairedDataset.ybar and s2."""
+
     def test_equal_pair(self):
-        st = pair_stats(PairedObservation("p", 3.5, 3.5))
-        assert (st.ybar, st.s2) == (3.5, 0.0)
+        d = PairedDataset((PairedObservation("p", 3.5, 3.5),))
+        assert (d.ybar[0], d.s2[0]) == (3.5, 0.0)
 
     def test_simple_values(self):
-        st = pair_stats(PairedObservation("p", 8.0, 10.0))
-        assert (st.ybar, st.s2) == (9.0, 2.0)
-        st = pair_stats(PairedObservation("p", 7.5, 8.0))
-        assert st.ybar == pytest.approx(7.75)
-        assert st.s2 == pytest.approx(0.125)
+        d = PairedDataset((PairedObservation("p", 8.0, 10.0),
+                           PairedObservation("q", 7.5, 8.0)))
+        assert (d.ybar[0], d.s2[0]) == (9.0, 2.0)
+        assert d.ybar[1] == pytest.approx(7.75)
+        assert d.s2[1] == pytest.approx(0.125)
 
     def test_identity_holds_over_random_pairs(self):
         # (y1-ybar)^2 + (y2-ybar)^2 == s2, elementwise to machine precision
