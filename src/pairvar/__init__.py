@@ -13,7 +13,6 @@ from .errors import (
 from .model import (
     DEFAULT_BOUNDS,
     PairedDataset,
-    PairedObservation,
     VarianceForm,
     VarianceModel,
     build_dataset,

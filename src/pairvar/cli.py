@@ -17,7 +17,6 @@ import logging
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -155,11 +154,9 @@ def _record_text(records: list[dict], fmt: str) -> str:
     return buf.getvalue()
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _pairs(data):
+    """(id, y1, y2) per pair, as Python floats so that rows echo them exactly."""
+    return zip(data.ids(), data.y1.tolist(), data.y2.tolist())
 
 
 # ---------------------------------------------------------------- fit-macl
@@ -280,14 +277,13 @@ def _cmd_ci(args) -> int:
                     drop_ties=False)
     config["input"] = str(args.input)
 
-    def one(pair):
-        y2 = None if args.method == "exact" else pair.y2
-        lo, hi, disc = _ci_single(args, model, pair.y1, y2, bounds)
-        return {"id": pair.id, "y1": pair.y1, "y2": pair.y2,
-                "lo": lo, "hi": hi, "disconnected": disc,
-                "method": args.method}
-
-    rows = _parallel_map(one, data.pairs, args.threads)
+    rows = []
+    for pid, y1, y2 in _pairs(data):
+        lo, hi, disc = _ci_single(args, model, y1,
+                                  None if args.method == "exact" else y2,
+                                  bounds)
+        rows.append({"id": pid, "y1": y1, "y2": y2, "lo": lo, "hi": hi,
+                     "disconnected": disc, "method": args.method})
     _emit(args, _record_text(rows, args.format or "csv"),
           _build_manifest(args, config, [args.input]))
     return 0
@@ -325,20 +321,18 @@ def _cmd_pvalue(args) -> int:
     data = load_csv(args.input, bounds=bounds, raw=args.raw,
                     drop_ties=False)
     config["input"] = str(args.input)
-    results = _parallel_map(
-        lambda p: _pvalue_one(args, model, bounds, p.y1, p.y2),
-        data.pairs, args.threads)
     cutoff = 0.05 / data.n
     rows = []
-    for pair, r in zip(data.pairs, results):
-        row = {"id": pair.id, "y1": pair.y1, "y2": pair.y2,
+    for pid, y1, y2 in _pairs(data):
+        r = _pvalue_one(args, model, bounds, y1, y2)
+        row = {"id": pid, "y1": y1, "y2": y2,
                "statistic": r.statistic, "p_value": r.p_value,
                "mu_sup": r.mu_sup}
         if args.bonferroni:
             row["significant_bonferroni"] = r.p_value <= cutoff
         rows.append(row)
     if args.bonferroni and not args.quiet:
-        count = sum(1 for r in results if r.p_value <= cutoff)
+        count = sum(1 for r in rows if r["p_value"] <= cutoff)
         print(f"{count} of {data.n} p-values below 0.05/N = {cutoff:.3g}",
               file=sys.stderr)
     _emit(args, _record_text(rows, args.format or "csv"),
@@ -500,26 +494,24 @@ def _cmd_pipeline(args) -> int:
     est, grid = fit_mixture(control, form, d=args.d)
     model = VarianceModel(form, est.theta_hat)
 
-    def one(pair):
-        region = ci_diff_region(pair.y1, pair.y2, model, args.alpha, bounds,
+    def one(pid, y1, y2):
+        region = ci_diff_region(y1, y2, model, args.alpha, bounds,
                                 args.grid_res)
-        naive = ci_diff_naive(pair.y1, pair.y2, model, args.alpha)
-        berger_boos = pvalue_berger_boos(pair.y1, pair.y2, model, bounds,
-                                         args.beta)
+        naive = ci_diff_naive(y1, y2, model, args.alpha)
+        berger_boos = pvalue_berger_boos(y1, y2, model, bounds, args.beta)
         return {
-            "id": pair.id, "y1": pair.y1, "y2": pair.y2,
+            "id": pid, "y1": y1, "y2": y2,
             "ratio_lo": math.exp(region.hull[0]),
             "ratio_hi": math.exp(region.hull[1]),
             "ci_disconnected": region.disconnected,
             "ratio_naive_lo": math.exp(naive[0]),
             "ratio_naive_hi": math.exp(naive[1]),
-            "p_naive": pvalue_naive(pair.y1, pair.y2, model).p_value,
-            "p_conservative": pvalue_conservative(pair.y1, pair.y2, model,
-                                                  bounds).p_value,
+            "p_naive": pvalue_naive(y1, y2, model).p_value,
+            "p_conservative": pvalue_conservative(y1, y2, model, bounds).p_value,
             "p_berger_boos": berger_boos.p_value,
         }, berger_boos.degenerate
 
-    results = _parallel_map(one, experiment.pairs, args.threads)
+    results = [one(*pair) for pair in _pairs(experiment)]
     rows = [row for row, _ in results]
     cutoff = 0.05 / experiment.n
     counts = {m: sum(1 for r in rows if r[m] <= cutoff)
@@ -562,8 +554,6 @@ def _common_options(record_format: str | None) -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["jsonl", "csv"],
                         default=record_format,
                         help="record output format where applicable")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for batch operations")
     common.add_argument("--quiet", action="store_true",
                         help="suppress informational messages")
     return common

@@ -57,6 +57,18 @@ def chi2_1_sf(x) -> np.ndarray | float:
     return erfc(np.sqrt(np.asarray(x, dtype=float) / 2.0))
 
 
+def _positive_h(model: VarianceModel, mu) -> np.ndarray:
+    """h at the array mu, or DomainError where it is not finite and positive."""
+    mu = np.asarray(mu, dtype=float)
+    with np.errstate(all="ignore"):
+        h = model(mu)
+    bad = ~(np.isfinite(h) & (h > 0))
+    if bad.any():
+        raise DomainError(
+            f"variance not finite and positive at mu = {mu[bad][0]}")
+    return h
+
+
 @dataclass(frozen=True)
 class ConfidenceSet:
     """One or two disjoint intervals, their hull, and the confidence level.
@@ -239,7 +251,7 @@ def ci_mu_naive(y: float, model: VarianceModel, alpha: float) -> tuple[float, fl
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     z = normal_quantile(1.0 - alpha / 2.0)
-    half = z * math.sqrt(float(model(y)))
+    half = z * math.sqrt(float(_positive_h(model, y)))
     return (y - half, y + half)
 
 
@@ -472,7 +484,8 @@ def ci_diff_naive(y1: float, y2: float, model: VarianceModel,
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     z = normal_quantile(1.0 - alpha / 2.0)
-    half = z * math.sqrt(float(model(y1)) + float(model(y2)))
+    half = z * math.sqrt(float(_positive_h(model, y1))
+                         + float(_positive_h(model, y2)))
     d = y1 - y2
     return (d - half, d + half)
 

@@ -1,8 +1,11 @@
-"""Core data model: variance functions, paired observations, sufficient statistics.
+"""Core data model: variance functions and datasets of measurement pairs.
 
 A measurement pair (y1, y2) for one peptide is modeled as two independent
 draws from N(mu, h(theta, mu)), where h is a parametric variance function
 of the unknown mean. Intensities are on the natural-log scale throughout.
+A PairedDataset holds its pairs as read-only float arrays, one element per
+pair: y1, y2, the pair means ybar and the variance statistics s2, with the
+pair ids alongside.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -128,56 +130,46 @@ class VarianceModel:
         return VarianceModel(self.form, tuple(t))
 
 
-@dataclass(frozen=True)
-class PairedObservation:
-    """One peptide's two log-intensity measurements."""
-
-    id: str
-    y1: float
-    y2: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.y1) and math.isfinite(self.y2)):
-            raise ValueError(f"non-finite intensities for {self.id!r}: "
-                             f"({self.y1}, {self.y2})")
+def _readonly(values) -> np.ndarray:
+    y = np.array(values, dtype=float)
+    y.flags.writeable = False
+    return y
 
 
-@dataclass(frozen=True)
 class PairedDataset:
-    """A collection of measurement pairs plus the assumed mean support [a, b]."""
+    """Measurement pairs as read-only arrays plus the assumed mean support [a, b].
 
-    pairs: tuple[PairedObservation, ...]
-    bounds: tuple[float, float] = DEFAULT_BOUNDS
+    y1[i] and y2[i] are the two log intensities of the pair named ids()[i];
+    ybar and s2 are the pair means and the one-degree-of-freedom variance
+    estimates (y1 - y2)^2 / 2. Datasets compare and hash by identity.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        a, b = self.bounds
-        object.__setattr__(self, "bounds", (float(a), float(b)))
+    def __init__(self, ids: Sequence[str], y1, y2,
+                 bounds: tuple[float, float] = DEFAULT_BOUNDS):
+        self._ids = tuple(ids)
+        self.y1, self.y2 = _readonly(y1), _readonly(y2)
+        if not (self.y1.ndim == self.y2.ndim == 1
+                and len(self._ids) == self.y1.size == self.y2.size):
+            raise ValueError(f"ids, y1 and y2 must be 1-D of one length, got "
+                             f"{len(self._ids)}, {self.y1.shape}, {self.y2.shape}")
+        bad = ~(np.isfinite(self.y1) & np.isfinite(self.y2))
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(f"non-finite intensities for {self._ids[k]!r}: "
+                             f"({self.y1[k]}, {self.y2[k]})")
+        a, b = bounds
+        self.bounds = (float(a), float(b))
         if not (self.bounds[0] < self.bounds[1]):
             raise ValueError(f"bounds must satisfy a < b, got {self.bounds}")
+        self.ybar = _readonly((self.y1 + self.y2) / 2.0)
+        self.s2 = _readonly((self.y1 - self.y2) ** 2 / 2.0)
 
     @property
     def n(self) -> int:
-        return len(self.pairs)
-
-    @cached_property
-    def y1(self) -> np.ndarray:
-        return np.array([p.y1 for p in self.pairs])
-
-    @cached_property
-    def y2(self) -> np.ndarray:
-        return np.array([p.y2 for p in self.pairs])
-
-    @cached_property
-    def ybar(self) -> np.ndarray:
-        return (self.y1 + self.y2) / 2.0
-
-    @cached_property
-    def s2(self) -> np.ndarray:
-        return (self.y1 - self.y2) ** 2 / 2.0
+        return self.y1.size
 
     def ids(self) -> list[str]:
-        return [p.id for p in self.pairs]
+        return list(self._ids)
 
 
 def build_dataset(
@@ -190,17 +182,18 @@ def build_dataset(
     Pairs with y1 == y2 carry no variance information under the pivot
     constructions and are removed; the count is reported via warnings.
     """
-    kept = []
-    ties = 0
-    for pid, y1, y2 in rows:
-        if drop_ties and y1 == y2:
-            ties += 1
-            continue
-        kept.append(PairedObservation(id=pid, y1=y1, y2=y2))
-    if ties:
-        warnings.warn(f"dropped {ties} pair(s) with identical measurements",
-                      stacklevel=2)
-    return PairedDataset(pairs=tuple(kept), bounds=bounds)
+    rows = list(rows)
+    ids = [r[0] for r in rows]
+    y1, y2 = (np.array([r[k] for r in rows], dtype=float) for k in (1, 2))
+    if drop_ties:
+        keep = y1 != y2
+        ties = keep.size - int(keep.sum())
+        if ties:
+            warnings.warn(f"dropped {ties} pair(s) with identical measurements",
+                          stacklevel=2)
+            ids = [pid for pid, k in zip(ids, keep) if k]
+            y1, y2 = y1[keep], y2[keep]
+    return PairedDataset(ids, y1, y2, bounds)
 
 
 def load_csv(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .intervals import _grid_hulls, bounded_hulls, chi2_1_sf
+from .intervals import _grid_hulls, _positive_h, bounded_hulls, chi2_1_sf
 # bench/tracing.py wraps pairvar.pvalues.ci_mu_exact; keep the name here.
 from .intervals import ci_mu_exact  # noqa: F401
 from .model import DEFAULT_BOUNDS, VarianceForm, VarianceModel
@@ -66,17 +66,6 @@ class TestResult:
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0,1]")
-
-
-def _positive_h(model: VarianceModel, mu: np.ndarray) -> np.ndarray:
-    """h at the array mu, or DomainError where it is not finite and positive."""
-    with np.errstate(all="ignore"):
-        h = model(mu)
-    bad = ~(np.isfinite(h) & (h > 0))
-    if bad.any():
-        raise DomainError(
-            f"variance not finite and positive at mu = {mu[bad][0]}")
-    return h
 
 
 def _kernel(y1, y2, model: VarianceModel, method: TestMethod,

@@ -29,8 +29,7 @@ from .intervals import (
 )
 from .macl import macl_fit, mle_homoscedastic
 from .mixture_em import fit_mixture
-from .model import (DEFAULT_BOUNDS, PairedDataset, PairedObservation,
-                    VarianceForm, VarianceModel)
+from .model import DEFAULT_BOUNDS, PairedDataset, VarianceForm, VarianceModel
 from .pvalues import TestMethod, batch_pvalues
 
 RNG_ID = "numpy-pcg64/seedseq-spawn"
@@ -117,9 +116,8 @@ def _pairs_from_means(mus: np.ndarray, theta: VarianceModel,
     sd = np.sqrt(theta(mus))
     y1 = rng.normal(mus, sd)
     y2 = rng.normal(mus, sd)
-    pairs = tuple(PairedObservation(f"sim-{i:06d}", float(a), float(b))
-                  for i, (a, b) in enumerate(zip(y1, y2)))
-    return PairedDataset(pairs, bounds=bounds)
+    return PairedDataset([f"sim-{i:06d}" for i in range(mus.size)], y1, y2,
+                         bounds)
 
 
 def generate_dataset(scenario: Scenario, theta: VarianceModel,
@@ -368,6 +366,5 @@ def neyman_scott_check(theta_value: float, n: int, seed: int = 0,
     sd = math.sqrt(theta_value)
     y1 = rng.normal(mus, sd)
     y2 = rng.normal(mus, sd)
-    pairs = tuple(PairedObservation(f"ns-{i:06d}", float(a), float(b))
-                  for i, (a, b) in enumerate(zip(y1, y2)))
-    return mle_homoscedastic(PairedDataset(pairs))
+    return mle_homoscedastic(
+        PairedDataset([f"ns-{i:06d}" for i in range(n)], y1, y2))

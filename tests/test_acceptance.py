@@ -21,7 +21,6 @@ from pairvar.macl import macl_fit
 from pairvar.mixture_em import SupportGrid, em_fit, fit_mixture, responsibilities
 from pairvar.model import (
     PairedDataset,
-    PairedObservation,
     VarianceForm,
     VarianceModel,
     estimating_equation_bias,
@@ -305,10 +304,9 @@ def test_a10_em_update_properties():
         t2 = float(rng.uniform(-1.2, -0.2))
         mus = rng.uniform(8.0, 12.0, n)
         sd = np.sqrt(np.exp(t1 + t2 * mus))
-        pairs = tuple(PairedObservation(str(i), float(a), float(b))
-                      for i, (a, b) in enumerate(
-                          zip(rng.normal(mus, sd), rng.normal(mus, sd))))
-        data = PairedDataset(pairs)
+        y1 = rng.normal(mus, sd)
+        y2 = rng.normal(mus, sd)
+        data = PairedDataset([str(i) for i in range(n)], y1, y2)
         j = int(rng.integers(2, 11))
         grid = SupportGrid(points=tuple(np.linspace(7.5, 13.5, j)),
                            spacing_d=0.5)

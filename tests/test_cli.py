@@ -28,7 +28,8 @@ def simulated_csv(path, n, theta=(5.0, -1.0), seed=0):
         Scenario(kind=ScenarioKind.UNIFORM_CONTINUOUS, n=n, seed=seed,
                  lo=8.0, hi=12.0),
         VarianceModel(VarianceForm.EXP_LINEAR, theta))
-    write_pairs_csv(path, [(p.id, repr(p.y1), repr(p.y2)) for p in ds.pairs])
+    write_pairs_csv(path, [(pid, repr(float(a)), repr(float(b)))
+                           for pid, a, b in zip(ds.ids(), ds.y1, ds.y2)])
     return ds
 
 
@@ -115,18 +116,6 @@ class TestCiCommand:
         assert [r["id"] for r in recs] == ["a", "b"]
         assert recs[1]["lo"] == float(rows[1]["lo"])
         assert recs[0]["disconnected"] is False
-
-    def test_threads_do_not_change_output(self, tmp_path, capsys):
-        inp = tmp_path / "pairs.csv"
-        write_pairs_csv(inp, [(f"p{i}", 9.0 + 0.1 * i, 9.5 + 0.05 * i)
-                              for i in range(12)])
-        base = ["ci", "--theta", "4.84,-0.927", "--input", str(inp),
-                "--method", "bonferroni"]
-        assert main(base) == 0
-        one = capsys.readouterr().out
-        assert main(base + ["--threads", "4"]) == 0
-        four = capsys.readouterr().out
-        assert one == four
 
 
 class TestPvalueCommand:
@@ -262,7 +251,7 @@ class TestPipeline:
         # shift one pair apart by 6 null standard deviations, placed in the
         # low-intensity region where even the blunt conservative test has
         # power (at high intensity its worst-case variance swamps the gap)
-        pairs = [(p.id, p.y1, p.y2) for p in ds.pairs]
+        pairs = list(zip(ds.ids(), ds.y1.tolist(), ds.y2.tolist()))
         mu = 7.5
         sd = float(np.sqrt(EXP51(mu)))
         pairs[0] = ("shifted", mu, mu + 6 * sd)
@@ -374,6 +363,28 @@ class TestExitCodes:
         }[command]
         assert main(argv + ["--quiet"]) == 3
         assert "a > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta", ["1,-1.5", "1,-1"])
+    @pytest.mark.parametrize("command", ["ci", "pvalue"])
+    def test_naive_outside_power_domain_is_4(self, capsys, theta, command):
+        # h = e * mu^t2 is nan (t2 = -1.5) or negative (t2 = -1) at mu < 0
+        argv = [command, "--theta", theta, "--form", "power", "--a", "0.5",
+                "--y1", "-0.5", "--method", "naive"]
+        if command == "pvalue":
+            argv += ["--y2", "-0.4"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite and positive" in captured.err
+
+    def test_naive_batch_outside_power_domain_is_4(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        write_pairs_csv(pairs, [("p1", 1.0, 1.3), ("p2", -0.5, 1.0)])
+        assert main(["ci", "--theta", "1,-1.5", "--form", "power", "--a",
+                     "0.5", "--input", str(pairs), "--method", "naive"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mu = -0.5" in captured.err
 
     def test_missing_file_is_3(self):
         assert main(["fit-macl", "--input", "/nonexistent.csv"]) == 3

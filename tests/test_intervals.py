@@ -539,6 +539,32 @@ class TestDifferenceNaive:
         assert math.log(lo) == pytest.approx(-math.log(hi), abs=1e-12)
 
 
+class TestNaiveDomain:
+    """Plug-in intervals need h finite and positive at the observations."""
+
+    @pytest.mark.parametrize("theta, y", [
+        ((1.0, -1.5), -0.5),   # h is nan
+        ((1.0, -1.0), -0.5),   # h is negative
+        ((1.0, -1.0), 0.0),    # h is infinite
+        ((0.0, 2.0), 0.0),     # h is zero
+    ])
+    def test_power_form_outside_its_domain_raises(self, theta, y):
+        m = VarianceModel(VarianceForm.POWER, theta)
+        with pytest.raises(DomainError, match="finite and positive"):
+            ci_mu_naive(y, m, 0.5)
+        with pytest.raises(DomainError, match="finite and positive"):
+            ci_diff_naive(y, 1.0, m, 0.5)
+        with pytest.raises(DomainError, match="finite and positive"):
+            ci_diff_naive(1.0, y, m, 0.5)
+
+    def test_power_form_inside_its_domain(self):
+        m = VarianceModel(VarianceForm.POWER, (1.0, -1.5))
+        z = float(ndtri(0.75))
+        lo, hi = ci_mu_naive(2.0, m, 0.5)
+        assert (hi - lo) / 2 == pytest.approx(z * math.sqrt(math.e * 2.0 ** -1.5),
+                                              rel=1e-12)
+
+
 class TestBoundedHulls:
     def test_matches_scalar_construction(self):
         rng = np.random.default_rng(5)

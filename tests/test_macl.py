@@ -4,15 +4,13 @@ import pytest
 from pairvar import macl
 from pairvar.errors import ConvergenceError, NumericalError
 from pairvar.macl import default_init, macl_fit, mle_homoscedastic, solve_weighted_equations
-from pairvar.model import PairedDataset, PairedObservation, VarianceForm, VarianceModel
+from pairvar.model import PairedDataset, VarianceForm, VarianceModel
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def dataset_from_arrays(y1, y2, bounds=(7.3, 13.9)):
-    pairs = tuple(PairedObservation(str(i), float(a), float(b))
-                  for i, (a, b) in enumerate(zip(y1, y2)))
-    return PairedDataset(pairs, bounds=bounds)
+    return PairedDataset([str(i) for i in range(len(y1))], y1, y2, bounds)
 
 
 def simulate_dataset(n, theta, seed, lo=8.0, hi=12.0):

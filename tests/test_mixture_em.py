@@ -18,7 +18,7 @@ from pairvar.mixture_em import (
     mixture_log_lik,
     responsibilities,
 )
-from pairvar.model import PairedDataset, PairedObservation, VarianceForm, VarianceModel
+from pairvar.model import PairedDataset, VarianceForm, VarianceModel
 from pairvar.simulate import Scenario, ScenarioKind, generate_dataset
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -33,9 +33,7 @@ def exp_linear(t1, t2):
 
 
 def dataset_from_arrays(y1, y2, bounds=(7.3, 13.9)):
-    pairs = tuple(PairedObservation(str(i), float(a), float(b))
-                  for i, (a, b) in enumerate(zip(y1, y2)))
-    return PairedDataset(pairs, bounds=bounds)
+    return PairedDataset([str(i) for i in range(len(y1))], y1, y2, bounds)
 
 
 def simulate_dataset(n, theta, seed, lo=8.0, hi=12.0,
@@ -146,12 +144,12 @@ class TestMixtureLogLik:
         m = exp_linear(2.0, -0.3)
         ll = mixture_log_lik(ds, m, grid, pi)
         direct = 0.0
-        for pair in ds.pairs:
+        for y1, y2 in zip(ds.y1.tolist(), ds.y2.tolist()):
             total = 0.0
             for p, mu in zip(pi, grid.points):
                 h = float(m(mu))
                 dens = (1.0 / (2 * math.pi * h)) * math.exp(
-                    -((pair.y1 - mu) ** 2 + (pair.y2 - mu) ** 2) / (2 * h))
+                    -((y1 - mu) ** 2 + (y2 - mu) ** 2) / (2 * h))
                 total += p * dens
             direct += math.log(total)
         assert ll == pytest.approx(direct, abs=1e-9)

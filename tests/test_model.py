@@ -7,7 +7,6 @@ import pytest
 from pairvar.errors import DataError, DomainError
 from pairvar.model import (
     PairedDataset,
-    PairedObservation,
     VarianceForm,
     VarianceModel,
     build_dataset,
@@ -105,12 +104,11 @@ class TestPairStats:
     """Pair means and variance statistics from PairedDataset.ybar and s2."""
 
     def test_equal_pair(self):
-        d = PairedDataset((PairedObservation("p", 3.5, 3.5),))
+        d = PairedDataset(["p"], [3.5], [3.5])
         assert (d.ybar[0], d.s2[0]) == (3.5, 0.0)
 
     def test_simple_values(self):
-        d = PairedDataset((PairedObservation("p", 8.0, 10.0),
-                           PairedObservation("q", 7.5, 8.0)))
+        d = PairedDataset(["p", "q"], [8.0, 7.5], [10.0, 8.0])
         assert (d.ybar[0], d.s2[0]) == (9.0, 2.0)
         assert d.ybar[1] == pytest.approx(7.75)
         assert d.s2[1] == pytest.approx(0.125)
@@ -127,9 +125,55 @@ class TestPairStats:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            PairedObservation("p", math.nan, 1.0)
+            PairedDataset(["p"], [math.nan], [1.0])
         with pytest.raises(ValueError):
-            PairedObservation("p", 1.0, math.inf)
+            PairedDataset(["p"], [1.0], [math.inf])
+
+
+class TestPairedDataset:
+    """Validation and storage of the array-backed dataset."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_names_the_first_bad_id(self, bad):
+        y1 = [8.0, 9.0, bad, bad]
+        with pytest.raises(ValueError,
+                           match=r"non-finite intensities for 'c': \("):
+            PairedDataset(["a", "b", "c", "d"], y1, [8.5, 9.5, 9.0, 9.0])
+        with pytest.raises(ValueError, match="'b'"):
+            PairedDataset(["a", "b"], [8.0, 9.0], [8.5, bad])
+
+    @pytest.mark.parametrize("ids, y1, y2", [
+        (["a", "b"], [8.0], [9.0]),
+        (["a"], [8.0, 9.0], [9.0, 10.0]),
+        (["a", "b"], [8.0, 9.0], [9.0]),
+        (["a"], [[8.0]], [[9.0]]),
+    ])
+    def test_shapes_must_agree(self, ids, y1, y2):
+        with pytest.raises(ValueError, match="one length"):
+            PairedDataset(ids, y1, y2)
+
+    def test_arrays_are_read_only_copies(self):
+        y1 = np.array([8.0, 9.0])
+        d = PairedDataset(["a", "b"], y1, [8.5, 10.0])
+        y1[0] = 0.0
+        assert d.y1[0] == 8.0
+        for name in ("y1", "y2", "ybar", "s2"):
+            arr = getattr(d, name)
+            assert arr.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_empty(self):
+        d = PairedDataset([], [], [])
+        assert d.n == 0 and d.ids() == []
+        assert d.y1.shape == d.ybar.shape == (0,)
+        assert build_dataset([]).n == 0
+
+    def test_identity_equality(self):
+        a = PairedDataset(["a"], [8.0], [9.0])
+        b = PairedDataset(["a"], [8.0], [9.0])
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
 
 class TestEstimatingEquationBias:
@@ -204,9 +248,27 @@ class TestDatasetIngestion:
         assert ds.n == 2
         assert ds.ids() == ["a", "c"]
 
+    def test_tie_dropping_keeps_order_and_values(self):
+        rows = [("a", 8.0, 9.0), ("b", 9.5, 9.5), ("c", 10.0, 10.5),
+                ("d", math.inf, math.inf), ("e", 11.0, 10.0)]
+        with pytest.warns(UserWarning) as rec:
+            ds = build_dataset(rows, bounds=(7.0, 12.0))
+        assert [str(w.message) for w in rec] == [
+            "dropped 2 pair(s) with identical measurements"]
+        assert ds.ids() == ["a", "c", "e"]
+        assert ds.y1.tolist() == [8.0, 10.0, 11.0]
+        assert ds.y2.tolist() == [9.0, 10.5, 10.0]
+        assert ds.bounds == (7.0, 12.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept = build_dataset(rows[:3], drop_ties=False)
+        assert kept.ids() == ["a", "b", "c"]
+
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
-            PairedDataset((PairedObservation("a", 1.0, 2.0),), bounds=(5.0, 5.0))
+            PairedDataset(["a"], [1.0], [2.0], bounds=(5.0, 5.0))
+        with pytest.raises(ValueError, match="a < b"):
+            PairedDataset(["a"], [1.0], [2.0], bounds=(6.0, 5.0))
 
     def test_default_bounds(self):
         ds = build_dataset([("a", 1.0, 2.0)])
@@ -222,15 +284,15 @@ class TestDatasetIngestion:
         p.write_text("id,y1,y2\npep1,8.25,8.5\npep2,10.0,10.1\n")
         ds = load_csv(p)
         assert ds.n == 2
-        assert ds.pairs[0].id == "pep1"
-        assert ds.pairs[1].y2 == pytest.approx(10.1)
+        assert ds.ids()[0] == "pep1"
+        assert ds.y2[1] == pytest.approx(10.1)
 
     def test_load_csv_raw_applies_log(self, tmp_path):
         p = tmp_path / "pairs.csv"
         p.write_text("id,y1,y2\npep1,1000,2000\n")
         ds = load_csv(p, raw=True)
-        assert ds.pairs[0].y1 == pytest.approx(math.log(1000))
-        assert ds.pairs[0].y2 == pytest.approx(math.log(2000))
+        assert ds.y1[0] == pytest.approx(math.log(1000))
+        assert ds.y2[0] == pytest.approx(math.log(2000))
 
     def test_load_csv_rejects_nonfinite_with_row_number(self, tmp_path):
         p = tmp_path / "pairs.csv"

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,45 @@ class TestScenario:
             assert np.mean(mus == v) == pytest.approx(0.2, abs=0.005)
 
 
+@dataclass(frozen=True)
+class _Pair:
+    id: str
+    y1: float
+    y2: float
+
+
+def _object_dataset(scenario, theta, bounds=(7.3, 13.9)):
+    """generate_dataset as built from one object per pair; the oracle."""
+    means_ss, pairs_ss = np.random.SeedSequence(scenario.seed).spawn(2)
+    mus = scenario.draw_means(np.random.default_rng(means_ss))
+    rng = np.random.default_rng(pairs_ss)
+    sd = np.sqrt(theta(mus))
+    y1 = rng.normal(mus, sd)
+    y2 = rng.normal(mus, sd)
+    pairs = tuple(_Pair(f"sim-{i:06d}", float(a), float(b))
+                  for i, (a, b) in enumerate(zip(y1, y2)))
+    return ([p.id for p in pairs], np.array([p.y1 for p in pairs]),
+            np.array([p.y2 for p in pairs]), bounds)
+
+
 class TestGenerateDataset:
+    @pytest.mark.parametrize("kind", list(ScenarioKind))
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 5), (37, 1), (2000, 9)])
+    def test_bit_identical_to_object_construction(self, kind, n, seed):
+        if kind in (ScenarioKind.FIXED_RESAMPLE, ScenarioKind.RANDOM_RESAMPLE):
+            sc = Scenario(kind=kind, n=n, seed=seed,
+                          source_means=(8.1, 9.7, 10.2, 12.9))
+        else:
+            sc = Scenario(kind=kind, n=n, seed=seed, lo=8.0, hi=12.0)
+        bounds = (7.0, 14.5)
+        ds = generate_dataset(sc, EXP505, bounds=bounds)
+        ids, y1, y2, oracle_bounds = _object_dataset(sc, EXP505, bounds)
+        assert ds.n == n
+        assert ds.ids() == ids
+        assert ds.bounds == oracle_bounds
+        assert np.array_equal(ds.y1.view(np.int64), y1.view(np.int64))
+        assert np.array_equal(ds.y2.view(np.int64), y2.view(np.int64))
+
     def test_deterministic_for_fixed_seed(self):
         sc = uniform_scenario(100, seed=7)
         a = generate_dataset(sc, EXP51)
