@@ -32,13 +32,11 @@ from .mixture_em import (
 )
 from .intervals import (
     ConfidenceSet,
-    DifferencePivot,
     ci_diff_bonferroni,
     ci_diff_naive,
     ci_diff_region,
     ci_mu_exact,
     ci_mu_naive,
-    difference_pivot,
     ratio_scale,
 )
 from .pvalues import (

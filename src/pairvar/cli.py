@@ -69,8 +69,8 @@ class RunManifest:
     """Everything needed to reproduce one CLI invocation's outputs.
 
     diagnostics holds counts of special cases the run met, such as
-    disconnected sets and degenerate p-values, and the path the mixture
-    fit took.
+    disconnected sets and degenerate p-values, the path the mixture fit
+    took and the work of the region boundary search.
     """
 
     subcommand: str
@@ -509,10 +509,10 @@ def _cmd_pipeline(args) -> int:
             "p_naive": pvalue_naive(y1, y2, model).p_value,
             "p_conservative": pvalue_conservative(y1, y2, model, bounds).p_value,
             "p_berger_boos": berger_boos.p_value,
-        }, berger_boos.degenerate
+        }, berger_boos.degenerate, region.diagnostics
 
     results = [one(*pair) for pair in _pairs(experiment)]
-    rows = [row for row, _ in results]
+    rows = [row for row, _, _ in results]
     cutoff = 0.05 / experiment.n
     counts = {m: sum(1 for r in rows if r[m] <= cutoff)
               for m in ("p_naive", "p_berger_boos", "p_conservative")}
@@ -525,8 +525,10 @@ def _cmd_pipeline(args) -> int:
               "significant_counts": counts}
     diagnostics = {
         "region_disconnected": sum(r["ci_disconnected"] for r in rows),
-        "berger_boos_degenerate": sum(deg for _, deg in results),
-        "mixture": _mixture_diagnostics(est)}
+        "berger_boos_degenerate": sum(deg for _, deg, _ in results),
+        "mixture": _mixture_diagnostics(est),
+        "region": {key: sum(counts[key] for _, _, counts in results)
+                   for key in ("decisions", "polishes", "evaluations")}}
     _emit(args, _record_text(rows, "csv"),
           _build_manifest(args, config, [args.control, args.experiment],
                           diagnostics))

@@ -18,7 +18,8 @@ difference. Plug-in ("naive") intervals are provided for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import erfc, lambertw, ndtri, wrightomega
@@ -75,6 +76,7 @@ class ConfidenceSet:
 
     Endpoints may be infinite before bounding. approximate marks sets built
     by grid inversion rather than the closed-form search structure.
+    diagnostics (not compared) counts the work a construction did.
     """
 
     components: tuple[tuple[float, float], ...]
@@ -82,6 +84,7 @@ class ConfidenceSet:
     disconnected: bool
     level: float
     approximate: bool = False
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if not self.components:
@@ -111,16 +114,6 @@ class ConfidenceSet:
             raise NumericalError(
                 f"confidence set empty after bounding to [{a}, {b}]")
         return ConfidenceSet.from_components(kept, self.level, self.approximate)
-
-
-@dataclass(frozen=True)
-class DifferencePivot:
-    """Standardized residuals of the difference and sum, and their quadratic form."""
-
-    g_diff: float
-    g_sum: float
-    rho: float
-    g_quad: float
 
 
 @dataclass(frozen=True)
@@ -255,27 +248,20 @@ def ci_mu_naive(y: float, model: VarianceModel, alpha: float) -> tuple[float, fl
     return (y - half, y + half)
 
 
-def difference_pivot(y1: float, y2: float, model: VarianceModel,
-                     nu1: float, nu2: float) -> DifferencePivot:
-    """Standardized residuals and quadratic form at a candidate (nu1, nu2)."""
-    gd, gs, rho, quad = _quad_form(y1, y2, model,
-                                   np.asarray(nu1, dtype=float),
-                                   np.asarray(nu2, dtype=float))
-    return DifferencePivot(g_diff=float(gd), g_sum=float(gs),
-                           rho=float(rho), g_quad=float(quad))
-
-
 def _quad_form(y1, y2, model, nu1, nu2):
-    mu1 = (nu2 + nu1) / 2.0
-    mu2 = (nu2 - nu1) / 2.0
-    h1 = model(mu1)
-    h2 = model(mu2)
+    """Standardized residuals, their correlation and quadratic form at
+    (nu1, nu2). Floats stay floats (math.sqrt is correctly rounded, as
+    np.sqrt); a float division by zero is redone on numpy scalars."""
+    h1, h2 = model((nu2 + nu1) / 2.0), model((nu2 - nu1) / 2.0)
     s = h1 + h2
-    root = np.sqrt(s)
-    gd = (y1 - y2 - nu1) / root
-    gs = (y1 + y2 - nu2) / root
-    rho = (h1 - h2) / s
-    quad = (gd * gd - 2.0 * rho * gd * gs + gs * gs) / (1.0 - rho * rho)
+    root = math.sqrt(s) if type(s) is float else np.sqrt(s)
+    try:
+        gd = (y1 - y2 - nu1) / root
+        gs = (y1 + y2 - nu2) / root
+        rho = (h1 - h2) / s
+        quad = (gd * gd - 2.0 * rho * gd * gs + gs * gs) / (1.0 - rho * rho)
+    except ZeroDivisionError:
+        return _quad_form(y1, y2, model, np.float64(nu1), np.float64(nu2))
     return gd, gs, rho, quad
 
 
@@ -327,65 +313,73 @@ _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _nu1_accepted(y1, y2, model, nu1, q, a, b, grid_res, nu2_lo, nu2_hi):
-    """Whether some nuisance sum puts the quadratic form at or under q at nu1.
+    """Whether some nuisance sum puts the quadratic form at or under q at
+    nu1, and how many form evaluations that took.
 
     The decision is that of minimising the form over the grid
     linspace(2a + |nu1|, 2b - |nu1|) and golden-section polishing the cell
     around the grid minimum, but only the grid points in [nu2_lo, nu2_hi],
     which holds every accepted point, are evaluated. A grid value at or under
     q there settles the answer without the polish, which can only lower it.
+    The polish keeps the value at its surviving point: 62 evaluations.
     """
-    lo = 2.0 * a + abs(nu1)
-    hi = 2.0 * b - abs(nu1)
+    lo, hi = 2.0 * a + abs(nu1), 2.0 * b - abs(nu1)
     if hi < lo:
-        return False
+        return False, 0
     n = max(int(math.ceil((hi - lo) / grid_res)) + 1, 2)
     nu2 = np.linspace(lo, hi, n)
     window = _within(nu2, nu2_lo, nu2_hi)
     if window.start == window.stop:
-        return False
+        return False, 0
     with np.errstate(invalid="ignore"):
         _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2[window])
     k = window.start + int(np.argmin(quad))
     best = float(quad[k - window.start])
     if best <= q:
-        return True
-    left = nu2[max(k - 1, 0)]
-    right = nu2[min(k + 1, n - 1)]
+        return True, 1
+
+    def form(x):
+        return float(_quad_form(y1, y2, model, nu1, x)[3])
+
+    left, right = float(nu2[max(k - 1, 0)]), float(nu2[min(k + 1, n - 1)])
     c = right - _GOLDEN_RATIO * (right - left)
     d = left + _GOLDEN_RATIO * (right - left)
-    for _ in range(60):
-        qc = float(_quad_form(y1, y2, model, nu1, c)[3])
-        qd = float(_quad_form(y1, y2, model, nu1, d)[3])
+    qc, qd = form(c), form(d)
+    for _ in range(59):
         if qc <= qd:
-            right, d = d, c
+            right, d, qd = d, c, qc
             c = right - _GOLDEN_RATIO * (right - left)
+            qc = form(c)
         else:
-            left, c = c, d
+            left, c, qc = c, d, qd
             d = left + _GOLDEN_RATIO * (right - left)
-    mid = 0.5 * (left + right)
-    if not min(best, float(_quad_form(y1, y2, model, nu1, mid)[3])) <= q:
-        return False
+            qd = form(d)
+    left, right = (left, d) if qc <= qd else (c, right)
+    if not min(best, form(0.5 * (left + right))) <= q:
+        return False, 63
     # The polish counts only around the minimum of the whole grid. Outside
     # the window the form is over q, but it can still undercut the window's
     # grid values, so check that the whole grid has its minimum at k.
     with np.errstate(invalid="ignore"):
         _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
-    return int(np.argmin(quad)) == k
+    return int(np.argmin(quad)) == k, 64
 
 
 def _refine_boundary(y1, y2, model, inside, outside, q, a, b, grid_res,
                      nu2_lo, nu2_hi):
-    """Bisect the nu1 membership boundary between an accepted and a rejected point."""
+    """Bisect the nu1 membership boundary between an accepted and a rejected
+    point; return it and the decisions, polishes and evaluations spent."""
+    inside, outside = float(inside), float(outside)
+    counts = Counter()
     for _ in range(60):
         mid = 0.5 * (inside + outside)
-        if _nu1_accepted(y1, y2, model, mid, q, a, b, grid_res, nu2_lo, nu2_hi):
-            inside = mid
-        else:
-            outside = mid
+        accepted, spent = _nu1_accepted(y1, y2, model, mid, q, a, b, grid_res,
+                                        nu2_lo, nu2_hi)
+        counts.update(decisions=1, polishes=int(spent > 1), evaluations=spent)
+        inside, outside = (mid, outside) if accepted else (inside, mid)
         if abs(inside - outside) < 1e-10:
             break
-    return inside
+    return inside, counts
 
 
 def ci_diff_region(
@@ -414,7 +408,8 @@ def ci_diff_region(
     (see _region_radii). The scan and each bisection step evaluate the form
     only inside that square; points outside it are rejected without being
     evaluated, and the result is the same as scanning the whole
-    parallelogram.
+    parallelogram. The set's diagnostics count the bisection decisions,
+    the golden-section polishes among them and their form evaluations.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
@@ -423,6 +418,7 @@ def ci_diff_region(
     a, b = bounds
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"region scan needs finite bounds a < b, got {bounds}")
+    y1, y2 = float(y1), float(y2)
     q = chi2_2_quantile(1.0 - alpha)
     span = b - a
     n1 = int(round(2.0 * span / grid_res)) + 1
@@ -450,19 +446,18 @@ def ci_diff_region(
         raise NumericalError(
             "projected confidence set is empty; the observed pair maps "
             "outside the bounded parameter region")
-    comps = []
+    comps, counts = [], Counter(decisions=0, polishes=0, evaluations=0)
     for i, j in runs:
-        lo = nu1_grid[i]
-        hi = nu1_grid[j]
-        if refine_boundaries:
-            if i > 0:
-                lo = _refine_boundary(y1, y2, model, lo, nu1_grid[i - 1],
-                                      q, a, b, grid_res, nu2_lo, nu2_hi)
-            if j < n1 - 1:
-                hi = _refine_boundary(y1, y2, model, hi, nu1_grid[j + 1],
-                                      q, a, b, grid_res, nu2_lo, nu2_hi)
-        comps.append((lo, hi))
-    return ConfidenceSet.from_components(comps, 1.0 - alpha)
+        ends = [nu1_grid[i], nu1_grid[j]]
+        for e, out in enumerate((i - 1, j + 1)):
+            if refine_boundaries and 0 <= out < n1:
+                ends[e], spent = _refine_boundary(
+                    y1, y2, model, ends[e], nu1_grid[out], q, a, b, grid_res,
+                    nu2_lo, nu2_hi)
+                counts.update(spent)
+        comps.append(tuple(ends))
+    return replace(ConfidenceSet.from_components(comps, 1.0 - alpha),
+                   diagnostics=dict(counts))
 
 
 def ci_diff_bonferroni(y1: float, y2: float, model: VarianceModel, alpha: float,

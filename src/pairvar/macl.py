@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConvergenceError, DomainError, NumericalError
 from .model import PairedDataset, VarianceForm, VarianceModel
@@ -183,6 +182,7 @@ def solve_weighted_equations(
 
 def _simplex_polish(score_at, theta, free, tol):
     """Nelder-Mead on the squared residual norm over the free coordinates."""
+    from scipy.optimize import minimize  # slow to import; rarely needed
 
     def objective(x):
         vec = theta.copy()

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.optimize import minimize, nnls
 
 from .errors import NumericalError
 from .macl import macl_fit, solve_weighted_equations
@@ -162,10 +160,13 @@ def build_support(theta_tilde: VarianceModel, a: float, b: float,
 
 
 def _sq_deviations(data: PairedDataset, points: np.ndarray) -> np.ndarray:
-    """N x J matrix of (y1-mu_j)^2 + (y2-mu_j)^2; constant during EM."""
+    """N x J matrix of (y1-mu_j)^2 + (y2-mu_j)^2, with one N x J temporary."""
     with np.errstate(over="ignore"):
-        return ((data.y1[:, None] - points[None, :]) ** 2
-                + (data.y2[:, None] - points[None, :]) ** 2)
+        out = np.subtract.outer(data.y1, points)
+        np.square(out, out=out)
+        dev = np.subtract.outer(data.y2, points)
+        out += np.square(dev, out=dev)
+    return out
 
 
 def responsibilities(data: PairedDataset, theta: VarianceModel,
@@ -193,6 +194,12 @@ def _q_value(form: VarianceForm, theta, points, w_tot, v_tot) -> float:
         return -np.inf
     n = float(w_tot.sum())
     return float(-n * LOG_2PI - np.dot(w_tot, np.log(h)) - np.dot(v_tot, 1.0 / h))
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use (slow to import)."""
+    from scipy import optimize
+    return optimize.minimize(*args, **kwargs)
 
 
 def _m_step_theta(form, theta_old, points, w_tot, v_tot, inner_tol):
@@ -297,6 +304,8 @@ def _solve_pi(L, lp, pi, tol):
     those conditions, or once a step neither lowers f beyond rounding nor
     halves u's distance from them. Returns pi, L pi, u and the step count.
     """
+    from scipy.linalg import cholesky, solve_triangular
+    from scipy.optimize import nnls
     n = L.shape[0]
 
     def state(lp):

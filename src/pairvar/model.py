@@ -67,13 +67,16 @@ class VarianceModel:
             raise ValueError(f"non-finite coefficients: {theta}")
 
     def __call__(self, mu):
-        """Evaluate h(theta, mu); accepts scalars or arrays."""
+        """Evaluate h(theta, mu); accepts scalars or arrays. For the exp forms
+        a Python float gives a float with the array path's bits."""
         t = self.theta
-        if self.form is VarianceForm.EXP_LINEAR:
-            return np.exp(t[0] + t[1] * np.asarray(mu, dtype=float))
         if self.form is VarianceForm.POWER:
             return np.exp(t[0]) * np.asarray(mu, dtype=float) ** t[1]
-        return np.exp(t[0] + t[1] * np.asarray(mu, dtype=float)) + math.exp(t[2])
+        if type(mu) is float:  # np.exp runs the array loop on one double
+            h = float(np.exp(t[0] + t[1] * mu))
+        else:
+            h = np.exp(t[0] + t[1] * np.asarray(mu, dtype=float))
+        return h if self.form is VarianceForm.EXP_LINEAR else h + math.exp(t[2])
 
     def gradient(self, mu) -> np.ndarray:
         """Partial derivatives of h with respect to each coefficient.

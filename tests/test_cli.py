@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pairvar.cli import main
+from pairvar.intervals import ci_diff_region
 from pairvar.mixture_em import fit_mixture
 from pairvar.model import load_csv
 from pairvar.model import VarianceForm, VarianceModel
@@ -273,10 +274,18 @@ class TestPipeline:
         assert manifest["subcommand"] == "pipeline"
         assert len(manifest["input_digests"]) == 2
         est, _ = fit_mixture(load_csv(control))
+        model = VarianceModel(VarianceForm.EXP_LINEAR, est.theta_hat)
+        region = dict.fromkeys(("decisions", "polishes", "evaluations"), 0)
+        for _, y1, y2 in pairs:
+            counts = ci_diff_region(y1, y2, model, 0.05, (7.3, 13.9),
+                                    0.02).diagnostics
+            region = {key: region[key] + counts[key] for key in region}
+        assert region["polishes"] > 0
         assert manifest["diagnostics"] == {
             "region_disconnected": sum(r["ci_disconnected"] == "True"
                                        for r in rows),
             "berger_boos_degenerate": 0,
+            "region": region,
             "mixture": {"iterations": est.iterations,
                         "converged": True,
                         "inner_iterations": est.inner_iterations,
@@ -426,3 +435,12 @@ class TestConsoleScript:
         res = subprocess.run([sys.executable, "-m", "pairvar.cli",
                               "--version"], capture_output=True, text=True)
         assert res.returncode == 0
+
+    def test_import_leaves_scipy_optimize_and_linalg_unloaded(self):
+        code = ("import sys, pairvar.cli; pairvar.cli.build_parser(); "
+                "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') "
+                "if m in sys.modules))")
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"

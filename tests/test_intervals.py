@@ -6,7 +6,9 @@ from scipy.special import ndtri
 
 from pairvar.errors import DomainError, NumericalError
 from pairvar.intervals import (
+    DEFAULT_GRID_RES,
     ConfidenceSet,
+    _nu1_accepted,
     _quad_form,
     _region_radii,
     _runs,
@@ -18,7 +20,6 @@ from pairvar.intervals import (
     ci_diff_region,
     ci_mu_exact,
     ci_mu_naive,
-    difference_pivot,
     exact_pivot_crossings,
     normal_quantile,
     ratio_scale,
@@ -314,15 +315,15 @@ class TestDifferenceRegion:
         assert abs(coarse.hull[1] - fine.hull[1]) < 2 * 0.02
 
     def test_rho_zero_at_equal_means(self):
-        dp = difference_pivot(10.0, 11.0, POOLED, 0.0, 20.0)
-        assert dp.rho == 0.0
-        assert dp.g_quad >= 0.0
+        _, _, rho, quad = _quad_form(10.0, 11.0, POOLED, 0.0, 20.0)
+        assert rho == 0.0
+        assert quad >= 0.0
 
     def test_rho_formula(self):
-        dp = difference_pivot(10.0, 11.0, POOLED, 1.0, 21.0)
+        _, _, rho, _ = _quad_form(10.0, 11.0, POOLED, 1.0, 21.0)
         h1 = float(POOLED(11.0))
         h2 = float(POOLED(10.0))
-        assert dp.rho == pytest.approx((h1 - h2) / (h1 + h2), rel=1e-12)
+        assert rho == pytest.approx((h1 - h2) / (h1 + h2), rel=1e-12)
 
     def test_joint_region_is_exact_at_true_parameters(self):
         # the quadratic form at the true (difference, sum) is chi-squared
@@ -505,6 +506,157 @@ class TestRegionWindow:
                 ci_diff_region(y1, y2, POOLED, 0.05, BOUNDS, 0.01)
             with pytest.raises(NumericalError):
                 _dense_region(y1, y2, POOLED, 0.05, BOUNDS, 0.01)
+
+
+def _nu1_accepted_121(y1, y2, model, nu1, q, a, b, grid_res, nu2_lo, nu2_hi,
+                     log=None):
+    """The boundary decision as it was before the polish carried its
+    surviving point: 121 form evaluations per polish, on numpy scalars.
+
+    Returns the decision and its form evaluations; appends
+    (polished, window calls, whole-grid calls) to log when one is given.
+    """
+    calls = {"window": 0, "polish": 0, "grid": 0}
+
+    def done(accepted):
+        if log is not None:
+            log.append((calls["polish"] > 0, calls["window"], calls["grid"]))
+        return accepted, sum(calls.values())
+
+    lo = 2.0 * a + abs(nu1)
+    hi = 2.0 * b - abs(nu1)
+    if hi < lo:
+        return done(False)
+    n = max(int(math.ceil((hi - lo) / grid_res)) + 1, 2)
+    nu2 = np.linspace(lo, hi, n)
+    start = int(np.searchsorted(nu2, nu2_lo, "left"))
+    stop = int(np.searchsorted(nu2, nu2_hi, "right"))
+    if start == stop:
+        return done(False)
+    calls["window"] += 1
+    with np.errstate(invalid="ignore"):
+        _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2[start:stop])
+    k = start + int(np.argmin(quad))
+    best = float(quad[k - start])
+    if best <= q:
+        return done(True)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    left = nu2[max(k - 1, 0)]
+    right = nu2[min(k + 1, n - 1)]
+    c = right - golden * (right - left)
+    d = left + golden * (right - left)
+    for _ in range(60):
+        qc = float(_quad_form(y1, y2, model, nu1, c)[3])
+        qd = float(_quad_form(y1, y2, model, nu1, d)[3])
+        calls["polish"] += 2
+        if qc <= qd:
+            right, d = d, c
+            c = right - golden * (right - left)
+        else:
+            left, c = c, d
+            d = left + golden * (right - left)
+    mid = 0.5 * (left + right)
+    calls["polish"] += 1
+    if not min(best, float(_quad_form(y1, y2, model, nu1, mid)[3])) <= q:
+        return done(False)
+    calls["grid"] += 1
+    with np.errstate(invalid="ignore"):
+        _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
+    return done(int(np.argmin(quad)) == k)
+
+
+def _boundary_points(y1, y2, model, rng, count):
+    """count nu1 floats: half spread over the square's width, half within
+    1e-9 of the refined boundaries."""
+    a, b = BOUNDS
+    q = chi2_2_quantile(0.95)
+    radius = float(_region_radii(y1, y2, model, q, a, b, DEFAULT_GRID_RES)[0])
+    ends = [e for c in ci_diff_region(y1, y2, model, 0.05, BOUNDS).components
+            for e in c if abs(e) < b - a]
+    spread = rng.uniform(y1 - y2 - radius, y1 - y2 + radius, count // 2)
+    near = (rng.choice(ends, count - spread.size)
+            + rng.uniform(-1e-9, 1e-9, count - spread.size))
+    return (q, a, b, y1 + y2 - radius, y1 + y2 + radius,
+            np.concatenate([spread, near]).tolist())
+
+
+class TestBoundaryPolish:
+    """The boundary decision that carries the golden-section point it keeps,
+    on Python floats, against the 121-evaluation one it replaces."""
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_MODELS))
+    def test_decisions_equal_oracle(self, name):
+        model = WINDOW_MODELS[name]
+        rng = np.random.default_rng(sum(map(ord, name)) + 11)
+        checked = polished = accepted = 0
+        for y1, y2 in _window_pairs(sum(map(ord, name)) + 2, 1)[:4]:
+            q, a, b, lo, hi, points = _boundary_points(y1, y2, model, rng, 520)
+            for nu1 in points:
+                args = (y1, y2, model, nu1, q, a, b, DEFAULT_GRID_RES, lo, hi)
+                fast, spent = _nu1_accepted(*args)
+                slow, slow_spent = _nu1_accepted_121(*args)
+                assert fast == slow, (y1, y2, nu1)
+                assert spent == slow_spent - 59 * (slow_spent > 1)
+                checked += 1
+                polished += spent > 1
+                accepted += fast
+        assert checked >= 2000
+        assert polished >= 100 and 0 < accepted < checked
+
+    def test_counts_match_oracle(self, monkeypatch):
+        fast = ci_diff_region(10.21, 10.78, POOLED, 0.05, BOUNDS)
+        log = []
+        monkeypatch.setattr(
+            "pairvar.intervals._nu1_accepted",
+            lambda *args: _nu1_accepted_121(*args, log=log))
+        slow = ci_diff_region(10.21, 10.78, POOLED, 0.05, BOUNDS)
+        assert fast.components == slow.components
+        polishes = sum(p for p, _, _ in log)
+        calls = sum(w + g for _, w, g in log)
+        assert polishes > 0
+        assert fast.diagnostics == {"decisions": len(log),
+                                    "polishes": polishes,
+                                    "evaluations": 62 * polishes + calls}
+
+    def test_numpy_scalar_inputs_give_the_same_set(self):
+        for name, model in sorted(WINDOW_MODELS.items()):
+            for y1, y2 in _window_pairs(sum(map(ord, name)) + 3, 1)[:3]:
+                floats = ci_diff_region(y1, y2, model, 0.05, BOUNDS, 0.01)
+                scalars = ci_diff_region(np.float64(y1), np.float64(y2),
+                                         model, 0.05, BOUNDS, 0.01)
+                assert floats.components == scalars.components, (name, y1)
+                assert floats.diagnostics == scalars.diagnostics
+
+    def test_diagnostics_take_no_part_in_equality(self):
+        cs = ci_diff_region(10.21, 10.78, POOLED, 0.05, BOUNDS, 0.01)
+        bare = ConfidenceSet.from_components(cs.components, cs.level)
+        assert cs.diagnostics["decisions"] > 0 and bare.diagnostics == {}
+        assert cs == bare and hash(cs) == hash(bare)
+
+    def test_float_form_matches_array_form(self):
+        rng = np.random.default_rng(5)
+        y1, y2 = rng.uniform(7.3, 13.9, (2, 2000))
+        nu1 = rng.uniform(-6.6, 6.6, 2000)
+        nu2 = rng.uniform(14.6, 27.8, 2000)
+        for name, model in sorted(WINDOW_MODELS.items()):
+            arrays = np.stack(_quad_form(y1, y2, model, nu1, nu2))
+            floats = np.array([_quad_form(*map(float, p), model, u, v)
+                               for p, u, v in zip(zip(y1, y2), nu1.tolist(),
+                                                  nu2.tolist())]).T
+            assert np.array_equal(arrays.view(np.int64),
+                                  floats.view(np.int64)), name
+
+    def test_float_division_by_zero_follows_numpy(self):
+        # h(mu2) / h(mu1) < 2^-53 puts rho at 1; both h underflow for the
+        # second point. numpy scalars give inf or nan there, not an error.
+        steep = VarianceModel(VarianceForm.EXP_LINEAR, (0.0, -12.0))
+        for args in [(10.0, 7.0, 3.2, 17.0), (80.0, 81.0, 0.0, 161.0)]:
+            with np.errstate(all="ignore"):
+                want = _quad_form(*map(np.float64, args[:2]), steep,
+                                  *map(np.float64, args[2:]))
+                got = _quad_form(*args[:2], steep, *args[2:])
+            assert np.array_equal(np.array(got), np.array(want),
+                                  equal_nan=True)
 
 
 class TestDifferenceBonferroni:

@@ -335,6 +335,19 @@ def bench_control(n):
         exp_linear(4.84, -0.927), bounds=(7.3, 13.9))
 
 
+class TestSqDeviations:
+    def test_equal_to_the_three_temporary_expression(self):
+        rng = np.random.default_rng(23)
+        y1, y2 = rng.uniform(7.0, 14.0, (2, 300))
+        y1[:3] = [1e150, -1e150, 0.0]       # some squares overflow to inf
+        points = np.concatenate([rng.uniform(7.3, 13.9, 97), [-1e200, 0.0, 1e-300]])
+        data = dataset_from_arrays(y1, y2)
+        with np.errstate(over="ignore"):
+            old = ((data.y1[:, None] - points[None, :]) ** 2
+                   + (data.y2[:, None] - points[None, :]) ** 2)
+        assert np.array_equal(mixture_em._sq_deviations(data, points), old)
+
+
 class TestEngineOracle:
     """em_fit against the EM it replaced: plain E-step and M-step maps,
     without extrapolation, run until theta stops moving."""

@@ -88,6 +88,30 @@ class TestVarianceAt:
                       - VarianceModel(form, tuple(dn)).gradient(mus)) / (2 * eps)
                 assert np.allclose(hess[k], fd, rtol=1e-4, atol=1e-10)
 
+    @pytest.mark.parametrize("form,theta", [
+        (VarianceForm.EXP_LINEAR, (4.84, -0.927)),
+        (VarianceForm.POWER, (3.9, -3.0)),
+        (VarianceForm.EXP_LINEAR_CONST, (4.84, -0.927, -6.0)),
+    ])
+    def test_float_input_matches_array_path_bit_for_bit(self, form, theta):
+        # a Python float mu gives a float with the array path's bits,
+        # through exp overflow (mu < -760 here) and underflow (mu > 810),
+        # signed zeros, infinities and NaN
+        m = VarianceModel(form, theta)
+        rng = np.random.default_rng(17)
+        mus = np.concatenate([
+            rng.uniform(7.3, 13.9, 50_000), rng.uniform(-1000.0, 1000.0, 49_990),
+            [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+             np.inf, -np.inf, np.nan, -np.nan]])
+        with np.errstate(all="ignore"):
+            want = m(mus)
+            got = [m(mu) for mu in mus.tolist()]
+        assert all(isinstance(h, float) for h in got)
+        if form is not VarianceForm.POWER:
+            assert all(type(h) is float for h in got)
+        assert np.array_equal(np.array(got).view(np.int64),
+                              want.view(np.int64))
+
     def test_scaled_model_halves_variance(self):
         for form, theta in [
             (VarianceForm.EXP_LINEAR, (4.84, -0.927)),
