@@ -6,8 +6,11 @@ The estimator solves, over the coefficient vector theta,
 
 where m_i is the pair mean and s_i the pair variance statistic. For the
 exp-linear form these are exactly the two classical estimating equations of
-the Sadler-Smith scheme. A weighted variant of the same system doubles as
-the M-step of the mixture fit, so the solver lives here and accepts weights.
+the Sadler-Smith scheme. They are the gradient of
+l(theta) = -sum_i [log h(theta, m_i) + s_i / h(theta, m_i)], so they are
+solved by Newton ascent on l. A weighted variant of the same system doubles
+as the M-step of the mixture fit, so the solver lives here and accepts
+weights.
 """
 
 from __future__ import annotations
@@ -24,16 +27,22 @@ from .model import PairedDataset, VarianceForm, VarianceModel
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
 _LS_EPS = 1e-12  # floor inside log() for the least-squares starting values
+# Relative rounding error of an objective value. Near an optimum a step
+# changes the objective by less than that; such a change is no reason to
+# halve the step.
+_ROUNDING = 1e-14
+_MIN_STEP = 2.0**-40  # smallest step fraction a line search tries
 
 
 @dataclass(frozen=True)
 class FitResult:
     """Solution of the estimating equations.
 
-    residual_norm is the max absolute estimating-equation value at theta_hat,
-    normalized by the total weight; converged implies residual_norm <= tol.
-    fallback records whether the Newton iteration stalled or fell short
-    and the Nelder-Mead polish ran.
+    residual_norm is the max absolute value of the free coefficients'
+    estimating equations at theta_hat, normalized by the total weight;
+    converged implies residual_norm <= tol.
+    fallback records whether some step followed the gradient because the
+    Newton direction was not finite or did not ascend.
     """
 
     theta_hat: tuple[float, ...]
@@ -46,28 +55,27 @@ class FitResult:
         return VarianceModel(form, self.theta_hat)
 
 
-def _score(model: VarianceModel, m: np.ndarray, s: np.ndarray,
-           w: np.ndarray, total_w: float) -> np.ndarray:
-    """Weight-normalized estimating equations at theta."""
+def _evaluate(form: VarianceForm, theta: np.ndarray, m: np.ndarray,
+              s: np.ndarray, w: np.ndarray, total_w: float):
+    """(l, f, jac) at theta: the weighted log-likelihood
+    l = -sum_i w_i [log h(m_i) + s_i / h(m_i)] / total_w, its gradient f
+    (the estimating equations) and its Hessian. l is -inf, and f and jac
+    are None, where theta or h is not finite or h is not positive."""
+    if not np.all(np.isfinite(theta)):
+        return -math.inf, None, None
+    model = VarianceModel(form, tuple(theta))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         h = model(m)
-        g = model.gradient(m) / h**2
-        f = (g * (w * (s - h))).sum(axis=1) / total_w
-    return f
-
-
-def _score_jacobian(model: VarianceModel, m: np.ndarray, s: np.ndarray,
-                    w: np.ndarray, total_w: float) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        h = model(m)
-        grad = model.gradient(m)
-        hess = model.hessian(m)
-        resid = s - h
-        # d/dl of (h_k / h^2): h_kl / h^2 - 2 h_k h_l / h^3
-        term1 = (hess / h**2 - 2.0 * grad[:, None, :] * grad[None, :, :] / h**3)
-        term2 = grad[:, None, :] * grad[None, :, :] / h**2
-        jac = ((term1 * resid - term2) * w).sum(axis=2) / total_w
-    return jac
+        if not np.all(np.isfinite(h) & (h > 0)):
+            return -math.inf, None, None
+        wr = w * (s / h)
+        ell = -float(w @ np.log(h) + wr.sum()) / total_w
+        g, g2 = model.log_derivatives(m)
+        f = g @ (wr - w) / total_w
+        jac = -(g * wr) @ g.T
+        if g2 is not None:
+            jac += g2 @ (wr - w)
+        return ell, f, jac / total_w
 
 
 def default_init(form: VarianceForm, m: np.ndarray, s: np.ndarray,
@@ -102,12 +110,17 @@ def solve_weighted_equations(
     max_iter: int = DEFAULT_MAX_ITER,
     fix: Mapping[int, float] | None = None,
 ) -> FitResult:
-    """Damped-Newton solve of the (weighted) estimating equations.
+    """Solve the (weighted) estimating equations by Newton ascent on their
+    log-likelihood l (see _evaluate), whose gradient they are.
 
     fix maps coefficient indices to frozen values; only the remaining
-    coordinates are solved for. Falls back to derivative-free minimization
-    of the squared residual norm when the Newton direction is unusable.
-    Never raises on non-convergence; inspect .converged.
+    coordinates are solved for. Each step takes the Newton direction (a
+    least-squares solve, so a singular Hessian still gives a step) and is
+    halved until l does not fall by more than rounding. Where that
+    direction is not finite or does not ascend, the step follows the
+    gradient instead and the result records the fallback. Stops once the
+    largest equation value is within tol. Never raises on
+    non-convergence; inspect .converged.
     """
     m = np.asarray(m, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -127,77 +140,35 @@ def solve_weighted_equations(
     for idx, val in fix.items():
         theta[idx] = val
 
-    def score_at(vec: np.ndarray) -> np.ndarray:
-        return _score(VarianceModel(form, tuple(vec)), m, s, w, total_w)
-
-    f = score_at(theta)
-    best = (theta.copy(), float(np.max(np.abs(f))))
-    iterations = 0
-    stalled = False
-    for iterations in range(1, max_iter + 1):
-        norm_inf = float(np.max(np.abs(f)))
-        if norm_inf <= tol:
-            return FitResult(tuple(theta), True, iterations - 1, norm_inf)
-        jac = _score_jacobian(VarianceModel(form, tuple(theta)), m, s, w, total_w)
+    ell, f, jac = _evaluate(form, theta, m, s, w, total_w)
+    if f is None:
+        return FitResult(tuple(theta), False, 0, math.inf)
+    fallback = False
+    for iterations in range(max_iter + 1):
+        grad = f[free]
+        norm_inf = float(np.max(np.abs(grad)))
+        if norm_inf <= tol or iterations == max_iter:
+            break
         sub = jac[np.ix_(free, free)]
-        if not np.all(np.isfinite(sub)):
-            stalled = True
-            break
-        try:
-            step = np.linalg.solve(sub, -f[free])
-        except np.linalg.LinAlgError:
-            stalled = True
-            break
-        norm2 = float(np.dot(f, f))
-        lam = 1.0
-        accepted = False
-        while lam >= 2.0**-30:
+        step = np.full_like(grad, np.nan)
+        if np.all(np.isfinite(sub)):
+            step = np.linalg.lstsq(sub, -grad, rcond=None)[0]
+        if not (np.all(np.isfinite(step)) and float(grad @ step) > 0.0):
+            step = grad / max(1.0, norm_inf)
+            fallback = True
+        alpha = 1.0
+        while alpha >= _MIN_STEP:
             cand = theta.copy()
-            cand[free] += lam * step
-            fc = score_at(cand)
-            if np.all(np.isfinite(fc)) and float(np.dot(fc, fc)) < norm2:
-                theta, f = cand, fc
-                accepted = True
+            cand[free] += alpha * step
+            ell_c, f_c, jac_c = _evaluate(form, cand, m, s, w, total_w)
+            if ell_c >= ell - _ROUNDING * (1.0 + abs(ell)):
                 break
-            lam /= 2.0
-        if not accepted:
-            stalled = True
+            alpha /= 2.0
+        else:
             break
-        cur = float(np.max(np.abs(f)))
-        if cur < best[1]:
-            best = (theta.copy(), cur)
-
-    fallback = stalled or best[1] > tol
-    if fallback:
-        theta, f, extra = _simplex_polish(score_at, theta, free, tol)
-        iterations += extra
-        cur = float(np.max(np.abs(f)))
-        if cur < best[1]:
-            best = (theta.copy(), cur)
-
-    norm_inf = best[1]
-    return FitResult(tuple(best[0]), norm_inf <= tol, iterations, norm_inf,
+        theta, ell, f, jac = cand, ell_c, f_c, jac_c
+    return FitResult(tuple(theta), norm_inf <= tol, iterations, norm_inf,
                      fallback=fallback)
-
-
-def _simplex_polish(score_at, theta, free, tol):
-    """Nelder-Mead on the squared residual norm over the free coordinates."""
-    from scipy.optimize import minimize  # slow to import; rarely needed
-
-    def objective(x):
-        vec = theta.copy()
-        vec[free] = x
-        f = score_at(vec)
-        if not np.all(np.isfinite(f)):
-            return 1e300
-        return float(np.dot(f, f))
-
-    res = minimize(objective, theta[free], method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": tol**2 * 1e-4,
-                            "maxiter": 4000, "maxfev": 4000})
-    out = theta.copy()
-    out[free] = res.x
-    return out, score_at(out), int(res.nit)
 
 
 def macl_fit(
@@ -213,7 +184,7 @@ def macl_fit(
     The homoscedastic one-parameter model is obtained with fix={1: 0.0}
     (exp-linear with the slope frozen at zero), so one solver serves both.
 
-    Raises ConvergenceError (carrying the best iterate) on non-convergence
+    Raises ConvergenceError (carrying the last iterate) on non-convergence
     and NumericalError when every pair has zero variance statistic.
     """
     n_free = form.n_params - len(fix or {})

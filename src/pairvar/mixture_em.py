@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .macl import macl_fit, solve_weighted_equations
+from .macl import _MIN_STEP, _ROUNDING, macl_fit, solve_weighted_equations
 from .model import PairedDataset, VarianceForm, VarianceModel
 
 DEFAULT_SPACING = 0.25
@@ -30,16 +30,10 @@ DEFAULT_MAX_ITER = 2000
 _MAX_GRID_POINTS = 10**6
 _ASCENT_SLACK = 1e-8
 _MAX_SQP_STEPS = 500
-_MAX_NEWTON = 100
-_MIN_STEP = 2.0**-40
 # Added to the diagonal of the pi solve's Hessian (support entries >= 1
 # near the optimum) so that its Cholesky factor exists when columns of L
 # coincide or vanish; the fixed point does not depend on it.
 _RIDGE = 1e-10
-# Relative rounding error of an objective value. Near convergence a pi
-# step changes f, and the M-step's score root Q, by less than that; such
-# a change is no reason to halve the step or to run Nelder-Mead.
-_ROUNDING = 1e-14
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -86,8 +80,8 @@ class MixtureEstimate:
     max_j (1/n) sum_i L_ij / (L pi)_i - 1 at the returned theta and pi: 0
     when pi maximizes the likelihood at that theta. log_lik_path records
     the likelihood after every pi solve and every theta step, which is
-    non-decreasing. mstep_fallbacks counts the theta steps that ran the
-    Nelder-Mead fallback (never for the exp-linear form).
+    non-decreasing. mstep_fallbacks counts the theta steps in which the
+    M-step solver took a gradient step.
     """
 
     theta_hat: tuple[float, ...]
@@ -187,77 +181,13 @@ def mixture_log_lik(data: PairedDataset, theta: VarianceModel,
     return float(top.sum() + np.log(engine.density(L, pi)).sum())
 
 
-def _q_value(form: VarianceForm, theta, points, w_tot, v_tot) -> float:
-    """Expected complete-data log-likelihood (theta part only)."""
-    h = VarianceModel(form, tuple(theta))(points)
-    if np.any(~np.isfinite(h)) or np.any(h <= 0):
-        return -np.inf
-    n = float(w_tot.sum())
-    return float(-n * LOG_2PI - np.dot(w_tot, np.log(h)) - np.dot(v_tot, 1.0 / h))
-
-
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use (slow to import)."""
+    """scipy.optimize.minimize, imported on first use (slow to import).
+
+    Nothing in the fit calls it; bench/tracing.py wraps this name and
+    counts its calls as M-step fallbacks, so it stays."""
     from scipy import optimize
     return optimize.minimize(*args, **kwargs)
-
-
-def _m_step_theta(form, theta_old, points, w_tot, v_tot, inner_tol):
-    """Maximize the weighted likelihood in theta; guarantee no Q decrease.
-
-    Returns the new theta and whether the Nelder-Mead fallback ran.
-    """
-    keep = w_tot > 1e-300
-    m = points[keep]
-    w = w_tot[keep]
-    s = v_tot[keep] / w
-    res = solve_weighted_equations(form, m, s, w, init=theta_old,
-                                   tol=inner_tol, max_iter=100)
-    q_old = _q_value(form, theta_old, points, w_tot, v_tot)
-    q_new = _q_value(form, res.theta_hat, points, w_tot, v_tot)
-    if q_new >= q_old - _ROUNDING * abs(q_old):
-        return np.asarray(res.theta_hat), False
-
-    # Score root moved downhill (rare): maximize Q directly instead.
-    def neg_q(vec):
-        return -_q_value(form, vec, points, w_tot, v_tot)
-
-    alt = minimize(neg_q, np.asarray(theta_old, dtype=float), method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 2000})
-    if -alt.fun >= q_old:
-        return np.asarray(alt.x), True
-    return np.asarray(theta_old, dtype=float), True
-
-
-def _m_step_exp_linear(theta, points, w_tot, v_tot, inner_tol):
-    """Maximize Q over exp-linear theta by Newton's method.
-
-    With l_j = t1 + t2 mu_j = log h_j, Q = -sum_j w_j l_j + v_j exp(-l_j)
-    up to a constant: concave in theta, since l is linear in it. Each step
-    is halved until Q does not decrease; the pseudo-inverse covers a
-    support of one point, where only l at that point is identified.
-    """
-    x = np.stack([np.ones_like(points), points])
-
-    def q(t):
-        ell = t @ x
-        with np.errstate(over="ignore", invalid="ignore"):
-            return -float(w_tot @ ell) - float(v_tot @ np.exp(-ell))
-
-    t = np.asarray(theta, dtype=float)
-    qt = q(t)
-    for _ in range(_MAX_NEWTON):
-        e = v_tot * np.exp(-(t @ x))
-        step = np.linalg.lstsq((x * e) @ x.T, x @ (e - w_tot), rcond=None)[0]
-        alpha = 1.0
-        while not (q_new := q(t + alpha * step)) >= qt:
-            alpha /= 2.0
-            if alpha < _MIN_STEP:
-                return t
-        t, qt = t + alpha * step, q_new
-        if np.max(np.abs(alpha * step)) <= inner_tol:
-            break
-    return t
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -390,18 +320,22 @@ class _EmEngine:
                 "data point too far from every support point")
 
     def m_step(self, theta, pi, L, lp, inner_tol):
-        """theta maximizing Q at the responsibilities pi_j L_ij / lp_i."""
+        """theta maximizing Q at the responsibilities pi_j L_ij / lp_i.
+
+        Q is the weighted log-likelihood of solve_weighted_equations with
+        support points m_j, weights w_j and statistics v_j / w_j; its
+        Newton ascent starts from theta, so Q never falls beyond rounding.
+        """
         cols = np.flatnonzero(pi)
         r = L[:, cols] / lp[:, None]
         w_tot = pi[cols] * r.sum(axis=0)
         v_tot = pi[cols] * np.einsum("ij,ij->j", r, self.sq_dev[:, cols]) / 2.0
-        points = self.points[cols]
-        if self.form is VarianceForm.EXP_LINEAR:
-            return _m_step_exp_linear(theta, points, w_tot, v_tot, inner_tol)
-        theta_new, fell_back = _m_step_theta(self.form, theta, points,
-                                             w_tot, v_tot, inner_tol)
-        self.mstep_fallbacks += fell_back
-        return theta_new
+        keep = w_tot > 1e-300
+        res = solve_weighted_equations(self.form, self.points[cols][keep],
+                                       v_tot[keep] / w_tot[keep], w_tot[keep],
+                                       init=theta, tol=inner_tol)
+        self.mstep_fallbacks += res.fallback
+        return np.asarray(res.theta_hat)
 
 
 def em_fit(
@@ -416,13 +350,14 @@ def em_fit(
 
     pi starts in proportion to the pairs whose likeliest support point each
     point is. Each outer iteration solves for pi at the current theta
-    (_solve_pi, to min(tol, inner_tol)), then takes one EM step in theta: a Newton solve
-    of the concave M-step for the exp-linear form, the weighted estimating
-    equations for the others. Converged once the KKT gap after a pi solve
-    and the theta step before it are both within tol; max_iter caps the
-    outer iterations, and the returned pi is solved at the returned theta.
-    Both blocks raise the likelihood, so a drop along the path beyond a
-    small slack signals a broken step and raises NumericalError.
+    (_solve_pi, to min(tol, inner_tol)), then takes one EM step in theta:
+    a Newton ascent on the M-step objective, solving its weighted
+    estimating equations to inner_tol. Converged once the KKT gap after a
+    pi solve and the theta step before it are both within tol; max_iter
+    caps the outer iterations, and the returned pi is solved at the
+    returned theta. Both blocks raise the likelihood, so a drop along the
+    path beyond a small slack signals a broken step and raises
+    NumericalError.
     """
     if data.n < 3:
         raise ValueError("need at least 3 pairs")

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DataError, DomainError
 
 DEFAULT_BOUNDS = (7.3, 13.9)
+_EXP_MAX = 709.782712893384  # largest x with finite float64 exp(x)
 
 
 class VarianceForm(enum.Enum):
@@ -76,50 +77,29 @@ class VarianceModel:
             h = float(np.exp(t[0] + t[1] * mu))
         else:
             h = np.exp(t[0] + t[1] * np.asarray(mu, dtype=float))
-        return h if self.form is VarianceForm.EXP_LINEAR else h + math.exp(t[2])
+        if self.form is VarianceForm.EXP_LINEAR:
+            return h
+        return h + (math.exp(t[2]) if t[2] <= _EXP_MAX else math.inf)
 
-    def gradient(self, mu) -> np.ndarray:
-        """Partial derivatives of h with respect to each coefficient.
+    def log_derivatives(self, mu):
+        """First and second partials of log h with respect to the coefficients.
 
-        Returns an array of shape (n_params,) + shape(mu).
+        Returns (g, g2) of shapes (n_params,) + shape(mu) and
+        (n_params, n_params) + shape(mu). log h is linear in theta for the
+        exp-linear and power forms, where g2 is None (zero).
         """
         mu = np.asarray(mu, dtype=float)
         t = self.theta
         if self.form is VarianceForm.EXP_LINEAR:
-            h = np.exp(t[0] + t[1] * mu)
-            return np.stack([h, mu * h])
+            return np.stack([np.ones_like(mu), mu]), None
         if self.form is VarianceForm.POWER:
-            h = np.exp(t[0]) * mu ** t[1]
-            return np.stack([h, h * np.log(mu)])
-        e = np.exp(t[0] + t[1] * mu)
-        c = np.full_like(e, math.exp(t[2]))
-        return np.stack([e, mu * e, c])
-
-    def hessian(self, mu) -> np.ndarray:
-        """Second partials of h; shape (n_params, n_params) + shape(mu)."""
-        mu = np.asarray(mu, dtype=float)
-        t = self.theta
-        if self.form is VarianceForm.EXP_LINEAR:
-            h = np.exp(t[0] + t[1] * mu)
-            return np.stack([
-                np.stack([h, mu * h]),
-                np.stack([mu * h, mu * mu * h]),
-            ])
-        if self.form is VarianceForm.POWER:
-            h = np.exp(t[0]) * mu ** t[1]
-            lm = np.log(mu)
-            return np.stack([
-                np.stack([h, h * lm]),
-                np.stack([h * lm, h * lm * lm]),
-            ])
-        e = np.exp(t[0] + t[1] * mu)
-        c = np.full_like(e, math.exp(t[2]))
-        z = np.zeros_like(e)
-        return np.stack([
-            np.stack([e, mu * e, z]),
-            np.stack([mu * e, mu * mu * e, z]),
-            np.stack([z, z, c]),
-        ])
+            return np.stack([np.ones_like(mu), np.log(mu)]), None
+        # p and q = 1 - p: the exp-linear and constant shares of h
+        with np.errstate(over="ignore"):
+            p = 1.0 / (1.0 + np.exp(t[2] - t[0] - t[1] * mu))
+            q = 1.0 / (1.0 + np.exp(t[0] + t[1] * mu - t[2]))
+        z = np.stack([np.ones_like(mu), mu, -np.ones_like(mu)])
+        return np.stack([p, mu * p, q]), p * q * z[:, None] * z[None, :]
 
     def scaled(self, factor: float) -> "VarianceModel":
         """A model evaluating to factor * h(theta, mu); used for pivots on pair means."""

@@ -66,6 +66,19 @@ class TestFitCommands:
         assert sum(rec["pi_hat"]) == pytest.approx(1.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("option,value", [("--max-iter", "0"),
+                                              ("--max-iter", "-3"),
+                                              ("--tol", "0"), ("--tol", "-1e-9"),
+                                              ("--tol", "nan")])
+    @pytest.mark.parametrize("command", ["fit-macl", "fit-mixture"])
+    def test_unusable_fit_settings_are_usage_errors(self, capsys, command,
+                                                    option, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", "unread.csv", f"{option}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {option}: must be positive" in capsys.readouterr().err
+
+
 class TestCiCommand:
     def test_naive_single_ratio_scale(self, capsys):
         assert main(["ci", "--theta", "4.84,-0.927", "--y1", "10.21",
@@ -382,6 +395,14 @@ class TestExitCodes:
         if command == "pvalue":
             argv += ["--y2", "-0.4"]
         assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite and positive" in captured.err
+
+    def test_const_term_past_exp_overflow_is_4(self, capsys):
+        # exp(800) overflows float64: h is infinite, not a traceback
+        assert main(["ci", "--form", "exp-linear-const", "--theta", "1,-1,800",
+                     "--method", "naive", "--y1", "10", "--y2", "10.5"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite and positive" in captured.err

@@ -1,13 +1,14 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import logsumexp
+from test_macl import old_solve_weighted_equations
 
-from pairvar import mixture_em
+from pairvar import macl, mixture_em
 from pairvar.errors import NumericalError
-from pairvar.macl import macl_fit
+from pairvar.macl import macl_fit, solve_weighted_equations
 from pairvar.mixture_em import (
     LOG_2PI,
     MixtureEstimate,
@@ -233,6 +234,38 @@ def old_e_step(engine, theta, pi):
     return active, block, float((top.ravel() + np.log(totals)).sum()), w
 
 
+def old_q_value(form, theta, points, w_tot, v_tot) -> float:
+    """Expected complete-data log-likelihood (theta part only)."""
+    h = VarianceModel(form, tuple(theta))(points)
+    if np.any(~np.isfinite(h)) or np.any(h <= 0):
+        return -np.inf
+    n = float(w_tot.sum())
+    return float(-n * LOG_2PI - np.dot(w_tot, np.log(h)) - np.dot(v_tot, 1.0 / h))
+
+
+def old_m_step_theta(form, theta_old, points, w_tot, v_tot, inner_tol):
+    """The replaced M-step: the score root from the replaced solver, or
+    Nelder-Mead on Q where that root lowers Q. Returns the new theta."""
+    keep = w_tot > 1e-300
+    w = w_tot[keep]
+    theta_new, _, _ = old_solve_weighted_equations(
+        form, points[keep], v_tot[keep] / w, w, init=theta_old, tol=inner_tol,
+        max_iter=100)
+    q_old = old_q_value(form, theta_old, points, w_tot, v_tot)
+    q_new = old_q_value(form, theta_new, points, w_tot, v_tot)
+    if q_new >= q_old - 1e-14 * abs(q_old):
+        return np.asarray(theta_new)
+
+    def neg_q(vec):
+        return -old_q_value(form, vec, points, w_tot, v_tot)
+
+    alt = minimize(neg_q, np.asarray(theta_old, dtype=float), method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 2000})
+    if -alt.fun >= q_old:
+        return np.asarray(alt.x)
+    return np.asarray(theta_old, dtype=float)
+
+
 def old_em_map(engine, theta, pi, inner_tol):
     """One EM update of (theta, pi); returns it with the input's log-lik."""
     active, block, ll, w = old_e_step(engine, theta, pi)
@@ -240,9 +273,23 @@ def old_em_map(engine, theta, pi, inner_tol):
     v_tot = np.einsum("ij,ij->j", w, block) / 2.0
     pi_new = np.zeros_like(pi)
     pi_new[active] = w_tot / w_tot.sum()
-    theta_new, _ = mixture_em._m_step_theta(
+    theta_new = old_m_step_theta(
         engine.form, theta, engine.points[active], w_tot, v_tot, inner_tol)
     return theta_new, pi_new, ll
+
+
+def assert_m_step_reaches_oracle_q(form, theta, points, w, v):
+    """The M-step from theta never lowers Q and reaches the replaced
+    M-step's Q, each within 1e-12 relative."""
+    new = solve_weighted_equations(form, points, v / w, w, init=theta,
+                                   tol=1e-9).theta_hat
+    with np.errstate(all="ignore"):  # the replaced solver can overflow
+        q_oracle = old_q_value(form, old_m_step_theta(form, theta, points, w,
+                                                      v, 1e-9), points, w, v)
+    q_old = old_q_value(form, theta, points, w, v)
+    q_new = old_q_value(form, new, points, w, v)
+    assert q_new >= q_old - 1e-12 * abs(q_old)
+    assert q_new >= q_oracle - 1e-12 * abs(q_oracle)
 
 
 def old_extrapolate(x0, x1, x2, step_bound):
@@ -395,6 +442,18 @@ class TestEngineOracle:
         assert est.converged and est.kkt_gap <= mixture_em.DEFAULT_TOL
         assert est.log_lik >= ll_old + gain
 
+    # An M-step whose gain in Q fell below rounding used to be rejected, so
+    # the fit stopped early, 6e-8 to 1.1e-7 (n = 1000) and 2.8e-8 to 1.0e-7
+    # (n = 300) from the same fit at tol 1e-10, by the BLAS thread count.
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_fit_at_default_tol_is_near_the_tight_fit(self, n):
+        ds = bench_control(n)
+        loose, _ = fit_mixture(ds, tol=1e-8)
+        tight, _ = fit_mixture(ds, tol=1e-10)
+        assert loose.converged and tight.converged
+        assert np.max(np.abs(np.subtract(loose.theta_hat,
+                                         tight.theta_hat))) <= 3e-8
+
 
 class TestEmFit:
     def test_single_point_grid_forced_mixture(self):
@@ -457,33 +516,48 @@ class TestEmFit:
         assert tight == full
 
     def test_counts_mstep_fallbacks(self, monkeypatch):
-        # a score root that moves Q downhill sends every M-step to the
-        # Nelder-Mead fallback
-        real = mixture_em.solve_weighted_equations
+        # a non-finite Jacobian leaves the M-step solver no Newton
+        # direction, so every M-step takes gradient steps
+        real = macl._evaluate
 
-        def downhill(*args, **kwargs):
-            res = real(*args, **kwargs)
-            return dataclasses.replace(
-                res, theta_hat=(res.theta_hat[0] + 20.0, *res.theta_hat[1:]))
+        def nan_jacobian(*args):
+            ell, f, jac = real(*args)
+            return ell, f, None if jac is None else np.full_like(jac, np.nan)
 
-        monkeypatch.setattr(mixture_em, "solve_weighted_equations", downhill)
+        monkeypatch.setattr(macl, "_evaluate", nan_jacobian)
         model = VarianceModel(VarianceForm.POWER, (5.0, -4.0))
         ds = simulate_dataset(60, model.theta, seed=3, form=VarianceForm.POWER)
         grid = SupportGrid(points=tuple(np.linspace(8.0, 12.0, 5)), spacing_d=1.0)
         est = em_fit(ds, grid, model, max_iter=5)
         # a theta step follows every pi solve but the last
         assert est.mstep_fallbacks == est.iterations - 1 == 4
+        assert np.all(np.diff(est.log_lik_path) >= -1e-8)
 
-    def test_exp_linear_needs_no_weighted_equations(self, monkeypatch):
+    @pytest.mark.parametrize("form,theta", [
+        (VarianceForm.EXP_LINEAR, (5.0, -1.0)),
+        (VarianceForm.POWER, (5.0, -4.0)),
+        (VarianceForm.EXP_LINEAR_CONST, (4.84, -0.927, -4.0)),
+    ])
+    def test_every_form_steps_through_weighted_equations(self, monkeypatch,
+                                                         form, theta):
         def unused(*args, **kwargs):
-            raise AssertionError("exp-linear M-step called the general solver")
+            raise AssertionError("the M-step called Nelder-Mead")
 
-        monkeypatch.setattr(mixture_em, "solve_weighted_equations", unused)
+        calls = []
+        real = mixture_em.solve_weighted_equations
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mixture_em, "solve_weighted_equations", counted)
         monkeypatch.setattr(mixture_em, "minimize", unused)
-        ds = simulate_dataset(150, (5.0, -1.0), seed=6)
-        grid = build_support(exp_linear(5.0, -1.0), 7.3, 13.9, 0.5)
-        est = em_fit(ds, grid, exp_linear(5.0, -0.9))
+        model = VarianceModel(form, theta)
+        ds = simulate_dataset(150, theta, seed=6, form=form)
+        grid = build_support(model, 7.3, 13.9, 0.5)
+        est = em_fit(ds, grid, model)
         assert est.converged and est.mstep_fallbacks == 0
+        assert calls == [form] * (est.iterations - 1)
 
     def test_diagnostics(self):
         ds = simulate_dataset(150, (5.0, -1.0), seed=6)
@@ -505,24 +579,45 @@ class TestEmFit:
         with pytest.raises(ValueError):
             em_fit(ds, grid, exp_linear(5.0, -1.0), max_iter=0)
 
-    def test_exp_linear_newton_never_lowers_q(self):
+    @pytest.mark.parametrize("form", [VarianceForm.EXP_LINEAR,
+                                      VarianceForm.POWER])
+    def test_m_step_never_lowers_q(self, form):
+        # Q is concave for these two forms: the M-step reaches the replaced
+        # M-step's Q on random weights, from any start
         rng = np.random.default_rng(17)
-        form = VarianceForm.EXP_LINEAR
         for _ in range(300):
             j = int(rng.integers(1, 30))
             points = np.sort(rng.uniform(7.3, 13.9, j))
             w = rng.exponential(1.0, j) * 10.0 ** rng.uniform(-3, 3, j)
             v = w * rng.exponential(1.0, j) * np.exp(rng.uniform(-6, 4))
             theta = np.array([rng.uniform(-5, 8), rng.uniform(-2, 1)])
-            new = mixture_em._m_step_exp_linear(theta, points, w, v, 1e-9)
-            q_old = mixture_em._q_value(form, theta, points, w, v)
-            q_new = mixture_em._q_value(form, new, points, w, v)
-            assert q_new >= q_old - 1e-12 * abs(q_old)
-            if j >= 2:
-                # the score of Q vanishes at the maximizer
-                h = np.exp(new[0] + new[1] * points)
-                score = np.array([np.sum(v / h - w), np.sum(points * (v / h - w))])
-                assert np.max(np.abs(score)) <= 1e-6 * (1.0 + w.sum())
+            assert_m_step_reaches_oracle_q(form, theta, points, w, v)
+
+    @pytest.mark.parametrize("form,theta", [
+        (VarianceForm.EXP_LINEAR, (5.0, -1.0)),
+        (VarianceForm.POWER, (5.0, -4.0)),
+        (VarianceForm.EXP_LINEAR_CONST, (4.84, -0.927, -4.0)),
+    ])
+    def test_m_step_never_lowers_q_along_em_fits(self, monkeypatch, form,
+                                                 theta):
+        # Q need not be concave for the const form, so its M-steps are
+        # checked where the fit makes them: from the previous theta, at the
+        # responsibilities of each outer iteration
+        inputs = []
+        real = mixture_em.solve_weighted_equations
+
+        def recorded(form, m, s, w, init, tol):
+            inputs.append((np.array(init), m, w, s * w))
+            return real(form, m, s, w, init=init, tol=tol)
+
+        monkeypatch.setattr(mixture_em, "solve_weighted_equations", recorded)
+        model = VarianceModel(form, theta)
+        for seed in range(3):
+            ds = simulate_dataset(100, theta, seed=40 + seed, form=form)
+            em_fit(ds, build_support(model, 7.3, 13.9, 0.5), model)
+        assert len(inputs) > 30
+        for start, points, w, v in inputs:
+            assert_m_step_reaches_oracle_q(form, start, points, w, v)
 
     def test_mixture_estimate_validation(self):
         with pytest.raises(ValueError):

@@ -50,43 +50,53 @@ class TestVarianceAt:
         with pytest.raises(ValueError):
             VarianceModel(VarianceForm.EXP_LINEAR_CONST, (1.0, 2.0))
 
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(7)
-        eps = 1e-6
-        for form, theta in [
-            (VarianceForm.EXP_LINEAR, (1.2, -0.4)),
-            (VarianceForm.POWER, (0.3, 1.7)),
-            (VarianceForm.EXP_LINEAR_CONST, (1.2, -0.4, -2.0)),
-        ]:
-            m = VarianceModel(form, theta)
-            mus = rng.uniform(1.0, 5.0, 4)
-            grad = m.gradient(mus)
-            for k in range(form.n_params):
-                up = list(theta)
-                up[k] += eps
-                dn = list(theta)
-                dn[k] -= eps
-                fd = (VarianceModel(form, tuple(up))(mus)
-                      - VarianceModel(form, tuple(dn))(mus)) / (2 * eps)
-                assert np.allclose(grad[k], fd, rtol=1e-5)
+    FORMS = [
+        (VarianceForm.EXP_LINEAR, (1.2, -0.4)),
+        (VarianceForm.POWER, (0.3, 1.7)),
+        (VarianceForm.EXP_LINEAR_CONST, (1.2, -0.4, -2.0)),
+    ]
 
-    def test_hessian_matches_finite_differences(self):
+    @pytest.mark.parametrize("form,theta", FORMS)
+    def test_log_gradient_matches_finite_differences(self, form, theta):
+        eps = 1e-6
+        mus = np.random.default_rng(7).uniform(1.0, 5.0, 4)
+        grad, _ = VarianceModel(form, theta).log_derivatives(mus)
+        assert grad.shape == (form.n_params, mus.size)
+        for k in range(form.n_params):
+            up = list(theta)
+            up[k] += eps
+            dn = list(theta)
+            dn[k] -= eps
+            fd = (np.log(VarianceModel(form, tuple(up))(mus))
+                  - np.log(VarianceModel(form, tuple(dn))(mus))) / (2 * eps)
+            assert np.allclose(grad[k], fd, rtol=1e-5, atol=1e-10)
+
+    @pytest.mark.parametrize("form,theta", FORMS)
+    def test_log_hessian_matches_finite_differences(self, form, theta):
+        # None where log h is linear in theta: there every finite
+        # difference of the gradient vanishes
         eps = 1e-5
-        for form, theta in [
-            (VarianceForm.EXP_LINEAR, (0.8, -0.5)),
-            (VarianceForm.EXP_LINEAR_CONST, (0.8, -0.5, -1.5)),
-        ]:
-            m = VarianceModel(form, theta)
-            mus = np.array([2.0, 4.0])
-            hess = m.hessian(mus)
-            for k in range(form.n_params):
-                up = list(theta)
-                up[k] += eps
-                dn = list(theta)
-                dn[k] -= eps
-                fd = (VarianceModel(form, tuple(up)).gradient(mus)
-                      - VarianceModel(form, tuple(dn)).gradient(mus)) / (2 * eps)
-                assert np.allclose(hess[k], fd, rtol=1e-4, atol=1e-10)
+        mus = np.array([2.0, 4.0])
+        _, hess = VarianceModel(form, theta).log_derivatives(mus)
+        assert (hess is None) == (form is not VarianceForm.EXP_LINEAR_CONST)
+        for k in range(form.n_params):
+            up = list(theta)
+            up[k] += eps
+            dn = list(theta)
+            dn[k] -= eps
+            fd = (VarianceModel(form, tuple(up)).log_derivatives(mus)[0]
+                  - VarianceModel(form, tuple(dn)).log_derivatives(mus)[0]) / (2 * eps)
+            expect = np.zeros_like(fd) if hess is None else hess[k]
+            assert np.allclose(expect, fd, rtol=1e-4, atol=1e-10)
+
+    def test_const_term_past_exp_overflow_gives_infinite_h(self):
+        m = VarianceModel(VarianceForm.EXP_LINEAR_CONST, (1.0, -1.0, 800.0))
+        h = m(10.0)
+        assert type(h) is float and h == math.inf
+        assert np.all(m(np.array([9.0, 10.0])) == np.inf)
+        edge = VarianceModel(VarianceForm.EXP_LINEAR_CONST,
+                             (1.0, -1.0, 709.782712893384))
+        assert math.isfinite(edge(10.0))
 
     @pytest.mark.parametrize("form,theta", [
         (VarianceForm.EXP_LINEAR, (4.84, -0.927)),
