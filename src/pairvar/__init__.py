@@ -22,7 +22,6 @@ from .model import (
 from .macl import FitResult, macl_fit, mle_homoscedastic
 from .mixture_em import (
     MixtureEstimate,
-    ResponsibilityMatrix,
     SupportGrid,
     build_support,
     em_fit,

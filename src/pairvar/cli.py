@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -62,6 +63,7 @@ DEFAULTS = {
     "beta": 1e-6,
     "grid_res": 0.005,
 }
+FORMS = [f.value for f in VarianceForm]
 
 
 @dataclass(frozen=True)
@@ -81,12 +83,6 @@ class RunManifest:
     timestamp: str = ""
     rng: str = RNG_ID
     diagnostics: dict = field(default_factory=dict)
-
-    def identity(self) -> dict:
-        """The reproducibility-relevant part (timestamp excluded)."""
-        return {"subcommand": self.subcommand, "config": self.config,
-                "seed": self.seed, "version": self.version,
-                "input_digests": self.input_digests, "rng": self.rng}
 
 
 def _sha256(path) -> str:
@@ -153,6 +149,15 @@ def _model_from_args(args) -> VarianceModel:
     form = VarianceForm.from_name(args.form)
     _check_bounds(form, args.a)
     return VarianceModel(form, args.theta)
+
+
+def _setting(cfg: dict, key: str, default, cast=float):
+    """cfg[key], else default, through cast; DataError if cast rejects it."""
+    value = cfg.get(key, default)
+    try:
+        return cast(value)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise DataError(f"{key} = {value!r}: {exc}") from None
 
 
 def _record_text(records: list[dict], fmt: str) -> str:
@@ -371,8 +376,7 @@ def _read_config_file(path) -> dict:
     return cfg
 
 
-def _scenario_from_config(cfg: dict, n: int, seed: int) -> Scenario:
-    text = cfg.get("scenario", "uniform:8,12")
+def _scenario(text: str, n: int, seed: int) -> Scenario:
     kind_name, _, rest = text.partition(":")
     try:
         kind = ScenarioKind(kind_name)
@@ -410,39 +414,40 @@ def _floats(text: str) -> list[float]:
 
 def _cmd_simulate(args) -> int:
     cfg = _read_config_file(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    theta = tuple(_floats(cfg.get("theta", "5,-1")))
-    form = VarianceForm.from_name(cfg.get("form", "exp-linear"))
-    model = VarianceModel(form, theta)
-    alpha = float(cfg.get("alpha", DEFAULTS["alpha"]))
-    bounds = (float(cfg.get("a", DEFAULTS["a"])),
-              float(cfg.get("b", DEFAULTS["b"])))
+    get = functools.partial(_setting, cfg)
+    seed = args.seed if args.seed is not None else get("seed", 0, int)
+    form = get("form", "exp-linear", VarianceForm.from_name)
+
+    def model(text):
+        return VarianceModel(form, _floats(text))
+
+    theta = get("theta", "5,-1", model)
+    alpha = get("alpha", DEFAULTS["alpha"])
+    bounds = (get("a", DEFAULTS["a"]), get("b", DEFAULTS["b"]))
     _check_bounds(form, bounds[0])
 
     if args.study == "estimator":
-        n = int(cfg.get("n", 2000))
-        method = EstimatorMethod(cfg.get("method", "macl"))
-        reps = int(cfg.get("reps", 1000 if method is EstimatorMethod.MACL
-                           else 200))
-        scenario = _scenario_from_config(cfg, n, seed)
-        report = estimator_study(scenario, model, reps, method,
-                                 d=float(cfg.get("d", DEFAULTS["d"])),
-                                 bounds=bounds)
+        n = get("n", 2000, int)
+        method = get("method", "macl", EstimatorMethod)
+        report = estimator_study(
+            get("scenario", "uniform:8,12", lambda t: _scenario(t, n, seed)),
+            theta, get("reps", 200 if method is EstimatorMethod.MIXTURE
+                       else 1000, int), method,
+            d=get("d", DEFAULTS["d"], _positive(float)), bounds=bounds)
     elif args.study == "coverage":
-        reps = int(cfg.get("reps", 100_000))
-        mu_values = _floats(cfg.get("mu_grid", "7.5,9,11,13"))
-        methods = [m.strip() for m in cfg.get("methods", "exact,naive").split(",")]
-        mode = cfg.get("mode", "single")
-        theta_fit = tuple(_floats(cfg.get("theta_fit", cfg.get("theta", "5,-1"))))
-        report = coverage_study(model, VarianceModel(form, theta_fit),
-                                mu_values, alpha, reps, methods, mode=mode,
-                                seed=seed, bounds=bounds)
+        methods = cfg.get("methods", "exact,naive").split(",")
+        report = coverage_study(
+            theta, get("theta_fit", cfg.get("theta", "5,-1"), model),
+            get("mu_grid", "7.5,9,11,13", _floats), alpha,
+            get("reps", 100_000, _positive(int)),
+            [m.strip() for m in methods], mode=cfg.get("mode", "single"),
+            seed=seed, bounds=bounds)
     elif args.study == "power":
-        reps = int(cfg.get("reps", 10_000))
-        report = power_study(model, _floats(cfg.get("mu_grid", "8,10,12")),
-                             _floats(cfg.get("k_grid", "0,1,2,3")), reps,
-                             beta=float(cfg.get("beta", 1e-3)),
-                             alpha=alpha, bounds=bounds, seed=seed)
+        report = power_study(
+            theta, get("mu_grid", "8,10,12", _floats),
+            get("k_grid", "0,1,2,3", _floats),
+            get("reps", 10_000, _positive(int)), beta=get("beta", 1e-3),
+            alpha=alpha, bounds=bounds, seed=seed)
     else:
         raise DataError(f"unknown study {args.study!r}")
 
@@ -581,6 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     # ci and pvalue write a jsonl record for one pair and csv rows for
     # --input unless --format is given
     per_pair = _common_options(None)
+    bounds = argparse.ArgumentParser(add_help=False)  # the mean support
+    bounds.add_argument("--a", type=float, default=DEFAULTS["a"])
+    bounds.add_argument("--b", type=float, default=DEFAULTS["b"])
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -588,8 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit the variance function by approximate "
                             "conditional likelihood")
     p.add_argument("--input", required=True)
-    p.add_argument("--form", default="exp-linear",
-                   choices=[f.value for f in VarianceForm])
+    p.add_argument("--form", default="exp-linear", choices=FORMS)
     p.add_argument("--init", type=_parse_theta, default=None)
     p.add_argument("--tol", type=_positive(float), default=1e-9)
     p.add_argument("--max-iter", type=_positive(int), default=200)
@@ -597,15 +604,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input intensities are raw; take natural logs")
     p.set_defaults(func=_cmd_fit_macl)
 
-    p = sub.add_parser("fit-mixture", parents=[common],
+    p = sub.add_parser("fit-mixture", parents=[common, bounds],
                        help="fit the latent-mean mixture model")
     p.add_argument("--input", required=True)
-    p.add_argument("--form", default="exp-linear",
-                   choices=[f.value for f in VarianceForm])
-    p.add_argument("--d", type=float, default=DEFAULTS["d"],
+    p.add_argument("--form", default="exp-linear", choices=FORMS)
+    p.add_argument("--d", type=_positive(float), default=DEFAULTS["d"],
                    help="support spacing in estimated standard deviations")
-    p.add_argument("--a", type=float, default=DEFAULTS["a"])
-    p.add_argument("--b", type=float, default=DEFAULTS["b"])
     p.add_argument("--tol", type=_positive(float), default=1e-8,
                    help="bound on the final KKT gap of the weights and on "
                         "the last theta step; the gap has a rounding floor "
@@ -619,11 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true")
     p.set_defaults(func=_cmd_fit_mixture)
 
-    p = sub.add_parser("ci", parents=[per_pair],
+    p = sub.add_parser("ci", parents=[per_pair, bounds],
                        help="confidence sets for a mean or a difference")
     p.add_argument("--theta", type=_parse_theta, required=True)
-    p.add_argument("--form", default="exp-linear",
-                   choices=[f.value for f in VarianceForm])
+    p.add_argument("--form", default="exp-linear", choices=FORMS)
     p.add_argument("--y1", type=float, default=None)
     p.add_argument("--y2", type=float, default=None)
     p.add_argument("--input", default=None,
@@ -631,8 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=DEFAULTS["alpha"])
     p.add_argument("--method", required=True,
                    choices=["exact", "naive", "region", "bonferroni"])
-    p.add_argument("--a", type=float, default=DEFAULTS["a"])
-    p.add_argument("--b", type=float, default=DEFAULTS["b"])
     p.add_argument("--grid-res", type=float, default=DEFAULTS["grid_res"])
     p.add_argument("--no-refine", action="store_true",
                    help="report region endpoints at the accepted grid "
@@ -641,19 +642,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true")
     p.set_defaults(func=_cmd_ci)
 
-    p = sub.add_parser("pvalue", parents=[per_pair],
+    p = sub.add_parser("pvalue", parents=[per_pair, bounds],
                        help="equal-means p-values for measurement pairs")
     p.add_argument("--theta", type=_parse_theta, required=True)
-    p.add_argument("--form", default="exp-linear",
-                   choices=[f.value for f in VarianceForm])
+    p.add_argument("--form", default="exp-linear", choices=FORMS)
     p.add_argument("--input", default=None)
     p.add_argument("--y1", type=float, default=None)
     p.add_argument("--y2", type=float, default=None)
     p.add_argument("--method", required=True,
                    choices=[m.value for m in TestMethod])
     p.add_argument("--beta", type=float, default=DEFAULTS["beta"])
-    p.add_argument("--a", type=float, default=DEFAULTS["a"])
-    p.add_argument("--b", type=float, default=DEFAULTS["b"])
     p.add_argument("--cbeta-pivot", choices=["mean", "pair"], default="mean",
                    help="nuisance-set pivot for the Berger-Boos method")
     p.add_argument("--bonferroni", action="store_true",
@@ -674,22 +672,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "equations at the true coefficients")
     p.add_argument("--theta", type=_parse_theta, required=True)
     p.add_argument("--mus", type=_parse_theta, required=True)
-    p.add_argument("--mc-reps", type=int, default=0,
+    p.add_argument("--mc-reps", type=_positive(int), default=None,
                    help="optionally cross-check by Monte Carlo")
     p.set_defaults(func=_cmd_bias_oracle)
 
-    p = sub.add_parser("pipeline", parents=[common],
+    p = sub.add_parser("pipeline", parents=[common, bounds],
                        help="fit on control data, then per-peptide intervals "
                             "and p-values on experiment data")
     p.add_argument("--control", required=True)
     p.add_argument("--experiment", required=True)
-    p.add_argument("--form", default="exp-linear",
-                   choices=[f.value for f in VarianceForm])
+    p.add_argument("--form", default="exp-linear", choices=FORMS)
     p.add_argument("--alpha", type=float, default=DEFAULTS["alpha"])
     p.add_argument("--beta", type=float, default=DEFAULTS["beta"])
-    p.add_argument("--a", type=float, default=DEFAULTS["a"])
-    p.add_argument("--b", type=float, default=DEFAULTS["b"])
-    p.add_argument("--d", type=float, default=DEFAULTS["d"])
+    p.add_argument("--d", type=_positive(float), default=DEFAULTS["d"])
     p.add_argument("--grid-res", type=float, default=DEFAULTS["grid_res"])
     p.add_argument("--raw", action="store_true")
     p.set_defaults(func=_cmd_pipeline)
@@ -711,9 +706,6 @@ def main(argv=None) -> int:
     except (DomainError, NumericalError) as exc:
         print(f"pairvar: numerical failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"pairvar: data error: {exc}", file=sys.stderr)
-        return 3
     except PairvarError as exc:
         print(f"pairvar: error: {exc}", file=sys.stderr)
         return 4

@@ -9,8 +9,8 @@ class PairvarError(Exception):
     """Base class for all package errors."""
 
 
-class DataError(PairvarError):
-    """Malformed or unusable input data (carries a row number when known)."""
+class DataError(PairvarError, ValueError):
+    """Malformed or unusable input (row number when known); a ValueError."""
 
     def __init__(self, message: str, row: int | None = None):
         self.row = row

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalError
+from .errors import ConvergenceError, DataError, DomainError, NumericalError
 from .model import PairedDataset, VarianceForm, VarianceModel
 
 DEFAULT_TOL = 1e-9
@@ -41,8 +41,8 @@ class FitResult:
     residual_norm is the max absolute value of the free coefficients'
     estimating equations at theta_hat, normalized by the total weight;
     converged implies residual_norm <= tol.
-    fallback records whether some step followed the gradient because the
-    Newton direction was not finite or did not ascend.
+    fallback records whether some step took the Fisher-scoring direction
+    because the Newton direction was not finite or did not ascend.
     """
 
     theta_hat: tuple[float, ...]
@@ -50,9 +50,6 @@ class FitResult:
     iterations: int
     residual_norm: float
     fallback: bool = False
-
-    def model(self, form: VarianceForm) -> VarianceModel:
-        return VarianceModel(form, self.theta_hat)
 
 
 def _evaluate(form: VarianceForm, theta: np.ndarray, m: np.ndarray,
@@ -117,8 +114,10 @@ def solve_weighted_equations(
     coordinates are solved for. Each step takes the Newton direction (a
     least-squares solve, so a singular Hessian still gives a step) and is
     halved until l does not fall by more than rounding. Where that
-    direction is not finite or does not ascend, the step follows the
-    gradient instead and the result records the fallback. Stops once the
+    direction is not finite or does not ascend, the step takes the
+    Fisher-scoring direction (sum_i w_i g_i g_i^T)^-1 f instead, g_i the
+    gradient of log h at m_i, which ascends: that matrix is -jac with each
+    s_i at its mean h(m_i). The result records the fallback. Stops once the
     largest equation value is within tol. Never raises on
     non-convergence; inspect .converged.
     """
@@ -136,7 +135,7 @@ def solve_weighted_equations(
     theta = np.array(default_init(form, m, s, fix) if init is None else init,
                      dtype=float)
     if theta.shape != (form.n_params,):
-        raise ValueError(f"init must have {form.n_params} coefficients")
+        raise DataError(f"init must have {form.n_params} coefficients")
     for idx, val in fix.items():
         theta[idx] = val
 
@@ -154,7 +153,8 @@ def solve_weighted_equations(
         if np.all(np.isfinite(sub)):
             step = np.linalg.lstsq(sub, -grad, rcond=None)[0]
         if not (np.all(np.isfinite(step)) and float(grad @ step) > 0.0):
-            step = grad / max(1.0, norm_inf)
+            g = VarianceModel(form, tuple(theta)).log_derivatives(m)[0][free]
+            step = np.linalg.lstsq(g * w @ g.T, total_w * grad, rcond=None)[0]
             fallback = True
         alpha = 1.0
         while alpha >= _MIN_STEP:
@@ -189,7 +189,7 @@ def macl_fit(
     """
     n_free = form.n_params - len(fix or {})
     if data.n < n_free + 1:
-        raise ValueError(f"need at least {n_free + 1} pairs to fit "
+        raise DataError(f"need at least {n_free + 1} pairs to fit "
                          f"{n_free} free coefficient(s), got {data.n}")
     if form is VarianceForm.POWER and np.any(data.ybar <= 0):
         raise DomainError("power form requires all pair means to be positive")

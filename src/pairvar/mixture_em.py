@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 from .macl import _MIN_STEP, _ROUNDING, macl_fit, solve_weighted_equations
 from .model import PairedDataset, VarianceForm, VarianceModel
 
@@ -81,7 +81,7 @@ class MixtureEstimate:
     when pi maximizes the likelihood at that theta. log_lik_path records
     the likelihood after every pi solve and every theta step, which is
     non-decreasing. mstep_fallbacks counts the theta steps in which the
-    M-step solver took a gradient step.
+    M-step solver took a Fisher-scoring step.
     """
 
     theta_hat: tuple[float, ...]
@@ -105,21 +105,6 @@ class MixtureEstimate:
     def active_points(self) -> int:
         """Number of support points with positive weight."""
         return sum(p > 0.0 for p in self.pi_hat)
-
-    def model(self, form: VarianceForm) -> VarianceModel:
-        return VarianceModel(form, self.theta_hat)
-
-
-@dataclass(frozen=True)
-class ResponsibilityMatrix:
-    """Posterior probabilities that pair i was generated at support point j."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        row_sums = self.w.sum(axis=1)
-        if np.max(np.abs(row_sums - 1.0)) > 1e-10:
-            raise ValueError("responsibility rows must sum to 1")
 
 
 def build_support(theta_tilde: VarianceModel, a: float, b: float,
@@ -164,12 +149,13 @@ def _sq_deviations(data: PairedDataset, points: np.ndarray) -> np.ndarray:
 
 
 def responsibilities(data: PairedDataset, theta: VarianceModel,
-                     grid: SupportGrid, pi: Sequence[float]) -> ResponsibilityMatrix:
-    """E-step posterior weights; columns of support points with pi = 0 are zero."""
+                     grid: SupportGrid, pi: Sequence[float]) -> np.ndarray:
+    """E-step posterior weights, n x J, each row summing to 1; columns of
+    support points with pi = 0 are zero."""
     engine = _EmEngine(data, grid, theta.form)
     L, _ = engine.joint(theta.theta)
     lp = engine.density(L, pi)
-    return ResponsibilityMatrix(w=L * np.asarray(pi, dtype=float) / lp[:, None])
+    return L * np.asarray(pi, dtype=float) / lp[:, None]
 
 
 def mixture_log_lik(data: PairedDataset, theta: VarianceModel,
@@ -286,7 +272,7 @@ class _EmEngine:
         self.form = form
         self.points = grid.array
         self.sq_dev = _sq_deviations(data, self.points)
-        self.ids = data.ids()
+        self.ids = data.ids  # names are built only for an error
         self.mstep_fallbacks = 0
 
     def joint(self, theta):
@@ -316,7 +302,7 @@ class _EmEngine:
         if not np.all(ok):
             raise NumericalError(
                 f"mixture density underflowed for pair "
-                f"{self.ids[int(np.argmin(ok))]!r}; "
+                f"{self.ids()[int(np.argmin(ok))]!r}; "
                 "data point too far from every support point")
 
     def m_step(self, theta, pi, L, lp, inner_tol):
@@ -360,7 +346,7 @@ def em_fit(
     NumericalError.
     """
     if data.n < 3:
-        raise ValueError("need at least 3 pairs")
+        raise DataError("need at least 3 pairs")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     engine = _EmEngine(data, grid, init.form)

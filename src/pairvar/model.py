@@ -41,7 +41,7 @@ class VarianceForm(enum.Enum):
         for form in cls:
             if form.value == name:
                 return form
-        raise ValueError(f"unknown variance form {name!r}; "
+        raise DataError(f"unknown variance form {name!r}; "
                          f"expected one of {[f.value for f in cls]}")
 
 
@@ -60,12 +60,12 @@ class VarianceModel:
         theta = tuple(float(t) for t in self.theta)
         object.__setattr__(self, "theta", theta)
         if len(theta) != self.form.n_params:
-            raise ValueError(
+            raise DataError(
                 f"{self.form.value} takes {self.form.n_params} coefficients, "
                 f"got {len(theta)}"
             )
         if not all(math.isfinite(t) for t in theta):
-            raise ValueError(f"non-finite coefficients: {theta}")
+            raise DataError(f"non-finite coefficients: {theta}")
 
     def __call__(self, mu):
         """Evaluate h(theta, mu); accepts scalars or arrays. For the exp forms
@@ -124,26 +124,29 @@ class PairedDataset:
 
     y1[i] and y2[i] are the two log intensities of the pair named ids()[i];
     ybar and s2 are the pair means and the one-degree-of-freedom variance
-    estimates (y1 - y2)^2 / 2. Datasets compare and hash by identity.
+    estimates (y1 - y2)^2 / 2. ids is a sequence of names or a pattern,
+    such as "sim-%06d", naming pair i pattern % i when asked for.
+    Datasets compare and hash by identity.
     """
 
-    def __init__(self, ids: Sequence[str], y1, y2,
+    def __init__(self, ids: Sequence[str] | str, y1, y2,
                  bounds: tuple[float, float] = DEFAULT_BOUNDS):
-        self._ids = tuple(ids)
+        self._ids = ids if isinstance(ids, str) else tuple(ids)
         self.y1, self.y2 = _readonly(y1), _readonly(y2)
+        n_ids = self.y1.size if isinstance(ids, str) else len(self._ids)
         if not (self.y1.ndim == self.y2.ndim == 1
-                and len(self._ids) == self.y1.size == self.y2.size):
-            raise ValueError(f"ids, y1 and y2 must be 1-D of one length, got "
-                             f"{len(self._ids)}, {self.y1.shape}, {self.y2.shape}")
+                and n_ids == self.y1.size == self.y2.size):
+            raise DataError(f"ids, y1 and y2 must be 1-D of one length, got "
+                             f"{n_ids}, {self.y1.shape}, {self.y2.shape}")
         bad = ~(np.isfinite(self.y1) & np.isfinite(self.y2))
         if bad.any():
             k = int(bad.argmax())
-            raise ValueError(f"non-finite intensities for {self._ids[k]!r}: "
+            raise DataError(f"non-finite intensities for {self.ids()[k]!r}: "
                              f"({self.y1[k]}, {self.y2[k]})")
         a, b = bounds
         self.bounds = (float(a), float(b))
         if not (self.bounds[0] < self.bounds[1]):
-            raise ValueError(f"bounds must satisfy a < b, got {self.bounds}")
+            raise DataError(f"bounds must satisfy a < b, got {self.bounds}")
         self.ybar = _readonly((self.y1 + self.y2) / 2.0)
         self.s2 = _readonly((self.y1 - self.y2) ** 2 / 2.0)
 
@@ -152,6 +155,8 @@ class PairedDataset:
         return self.y1.size
 
     def ids(self) -> list[str]:
+        if isinstance(self._ids, str):
+            return [self._ids % k for k in range(self.n)]
         return list(self._ids)
 
 

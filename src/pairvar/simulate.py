@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PairvarError, StudyError
+from .errors import DataError, DomainError, NumericalError, StudyError
 from .intervals import (
     bounded_hulls,
     chi2_1_quantile,
@@ -55,15 +55,14 @@ class Scenario:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("scenario needs n >= 1")
+            raise DataError("scenario needs n >= 1")
         if self.kind in (ScenarioKind.FIXED_RESAMPLE, ScenarioKind.RANDOM_RESAMPLE):
             if not self.source_means:
-                raise ValueError(f"{self.kind.value} scenario needs source_means")
+                raise DataError(f"{self.kind.value} scenario needs source_means")
             object.__setattr__(self, "source_means",
                                tuple(float(m) for m in self.source_means))
-        else:
-            if self.lo is None or self.hi is None or not self.lo < self.hi:
-                raise ValueError(f"{self.kind.value} scenario needs lo < hi")
+        elif self.lo is None or self.hi is None or not self.lo < self.hi:
+            raise DataError(f"{self.kind.value} scenario needs lo < hi")
 
     def draw_means(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind is ScenarioKind.UNIFORM_CONTINUOUS:
@@ -100,14 +99,9 @@ class StudyReport:
         cols = list(self.rows[0].keys())
         lines = [",".join(cols)]
         for row in self.rows:
-            lines.append(",".join(_format_cell(row[c]) for c in cols))
+            lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
+                                  else str(row[c]) for c in cols))
         return "\n".join(lines) + "\n"
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _pairs_from_means(mus: np.ndarray, theta: VarianceModel,
@@ -116,8 +110,7 @@ def _pairs_from_means(mus: np.ndarray, theta: VarianceModel,
     sd = np.sqrt(theta(mus))
     y1 = rng.normal(mus, sd)
     y2 = rng.normal(mus, sd)
-    return PairedDataset([f"sim-{i:06d}" for i in range(mus.size)], y1, y2,
-                         bounds)
+    return PairedDataset("sim-%06d", y1, y2, bounds)
 
 
 def generate_dataset(scenario: Scenario, theta: VarianceModel,
@@ -144,11 +137,12 @@ def estimator_study(
 ) -> StudyReport:
     """Bias and spread of the fitted coefficients over simulated datasets.
 
-    Fit failures are counted and reported; more than max_failure_fraction
-    of failed replicates aborts the study.
+    Numerical and domain failures of the fits are counted and reported (a
+    DataError, such as too few pairs, stops the study); more than
+    max_failure_fraction of failed replicates aborts it.
     """
     if reps < 2:
-        raise ValueError("need at least 2 replicates")
+        raise DataError("need at least 2 replicates")
     t0 = time.perf_counter()
     root = np.random.SeedSequence(scenario.seed)
     means_ss, *rep_ss = root.spawn(reps + 1)
@@ -168,7 +162,7 @@ def estimator_study(
             else:
                 est, _ = fit_mixture(data, theta.form, d=d)
                 estimates.append(est.theta_hat)
-        except PairvarError as exc:
+        except (DomainError, NumericalError) as exc:
             failure_types[type(exc).__name__] += 1
     failures = sum(failure_types.values())
     if failures > max_failure_fraction * reps:
@@ -247,11 +241,11 @@ def coverage_study(
     valid = {"single": {"exact", "naive"},
              "difference": {"region", "bonferroni", "naive"}}
     if mode not in valid:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise DataError(f"unknown mode {mode!r}")
     unknown = set(methods) - valid[mode]
     if unknown:
-        raise ValueError(f"methods {sorted(unknown)} not available in "
-                         f"{mode} mode")
+        raise DataError(f"methods {sorted(unknown)} not available in "
+                        f"{mode} mode")
     t1f, t2f = theta_fit.theta[:2]
     if "exact" in methods and (theta_fit.form is not VarianceForm.EXP_LINEAR
                                or t2f >= 0):
@@ -366,5 +360,4 @@ def neyman_scott_check(theta_value: float, n: int, seed: int = 0,
     sd = math.sqrt(theta_value)
     y1 = rng.normal(mus, sd)
     y2 = rng.normal(mus, sd)
-    return mle_homoscedastic(
-        PairedDataset([f"ns-{i:06d}" for i in range(n)], y1, y2))
+    return mle_homoscedastic(PairedDataset("ns-%06d", y1, y2))

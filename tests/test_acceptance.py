@@ -318,7 +318,7 @@ def test_a10_em_update_properties():
         ok = ok and abs(sum(est.pi_hat) - 1.0) < 1e-12
         w = responsibilities(data, VarianceModel(VarianceForm.EXP_LINEAR,
                                                  est.theta_hat),
-                             grid, est.pi_hat).w
+                             grid, est.pi_hat)
         ok = ok and np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-10
     assert report("A10", ok,
                   f"EM ascent (worst step {worst_drop:.2e} >= -1e-8), "

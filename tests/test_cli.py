@@ -419,6 +419,55 @@ class TestExitCodes:
     def test_missing_file_is_3(self):
         assert main(["fit-macl", "--input", "/nonexistent.csv"]) == 3
 
+    @pytest.mark.parametrize("study, text, message", [
+        ("estimator", "scenario=uniform:12,8\n", "lo < hi"),
+        ("estimator", "scenario=uniform:8,x\n", "scenario"),
+        ("estimator", "reps=1\n", "at least 2 replicates"),
+        ("estimator", "reps=ten\n", "reps"),
+        ("estimator", "method=bogus\n", "method"),
+        ("estimator", "n=2\n", "at least 3 pairs"),
+        ("coverage", "methods=exact,region\nmode=single\n", "region"),
+        ("coverage", "mode=paired\n", "unknown mode"),
+        ("coverage", "theta=5\n", "coefficients"),
+        ("power", "alpha=0.x\n", "alpha"),
+        ("power", "k_grid=0,one\n", "k_grid"),
+    ])
+    def test_bad_simulate_config_is_3(self, tmp_path, capsys, study, text,
+                                      message):
+        cfg = tmp_path / "bad.cfg"
+        small = {"reps": 5, "n": 20, "mu_grid": 9, "k_grid": 0}
+        cfg.write_text(text + "".join(f"{key}={value}\n"
+                                      for key, value in small.items()
+                                      if key + "=" not in text))
+        assert main(["simulate", "--study", study, "--config", str(cfg),
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bias-oracle", "--theta", "5,-1", "--mus", "9", "--mc-reps", "-1"],
+        ["fit-mixture", "--input", "pairs.csv", "--d", "0"],
+        ["pipeline", "--control", "c.csv", "--experiment", "e.csv", "--d",
+         "-0.25"],
+    ])
+    def test_non_positive_counts_and_spacings_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_value_error_inside_a_kernel_is_not_a_data_error(
+            self, tmp_path, monkeypatch):
+        # only DataError is a data error: a ValueError from a bug surfaces
+        def broken(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr("pairvar.cli.power_study", broken)
+        cfg = tmp_path / "power.cfg"
+        cfg.write_text("mu_grid=9\nk_grid=0\nreps=50\n")
+        with pytest.raises(ValueError, match="bug"):
+            main(["simulate", "--study", "power", "--config", str(cfg),
+                  "--quiet"])
+
 
 class TestManifest:
     def test_outputs_reproducible_with_manifest(self, tmp_path):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import lambertw, ndtri, wrightomega
 
 from pairvar.errors import DomainError, NumericalError
 from pairvar.intervals import (
     DEFAULT_GRID_RES,
     ConfidenceSet,
+    _lambert_w,
     _nu1_accepted,
     _quad_form,
     _region_radii,
@@ -261,6 +262,166 @@ class TestPivotCrossingsOracle:
                 exact_pivot_crossings(np.array([10.0, y]), 4.84, -0.927, 3.84)
 
 
+def _scipy_w(L, k, sign):
+    """The complex-valued scipy path _lambert_w replaced, kept as its oracle:
+    wrightomega for W_0(e^L), lambertw at -e^L otherwise, and for W_{-1}
+    three Newton steps on x + log(-x) = L where e^L is below the normal
+    range."""
+    L = np.asarray(L, dtype=float)
+    with np.errstate(all="ignore"):
+        if sign > 0:
+            return wrightomega(L)
+        w = lambertw(-np.exp(L), k).real
+        if k == -1:
+            tiny = L < math.log(np.finfo(float).tiny)
+            x = L[tiny] - np.log(-L[tiny])
+            for _ in range(3):
+                x -= (x + np.log(-x) - L[tiny]) / (1.0 + 1.0 / x)
+            w[tiny] = x
+    return w
+
+
+def _log_args(thetas, y, q):
+    """L = log(-t2/2) + (log q + t1 + t2 y)/2 of every theta and draw."""
+    return np.concatenate([math.log(-t2 / 2.0) + 0.5 * (np.log(q) + t1 + t2 * y)
+                           for t1, t2 in thetas])
+
+
+BRANCHES = [(0, 1.0), (0, -1.0), (-1, -1.0)]
+# Relative difference allowed from the oracle, in units of the condition
+# number max(1, 1/|1 + W|): near the branch point W = -1 a rounding of L
+# moves W by about that much. The largest measured are 1.4e-15 on the
+# oracle draws and 3.3e-15 at L = -33, where 40-digit arithmetic puts
+# wrightomega 3.4e-15 from W_0(e^L) and the kernel 5e-17.
+W_BOUND = 4e-15
+
+
+def _assert_w_close(new, old):
+    cond = np.maximum(1.0, 1.0 / np.abs(1.0 + old))
+    rel = np.abs(new - old) / np.abs(old)
+    assert np.all(rel <= W_BOUND * cond), float(np.max(rel / cond))
+
+
+class TestLambertW:
+    """The real log-space kernel against the scipy path it replaced."""
+
+    @pytest.mark.parametrize("k, sign", BRANCHES)
+    def test_matches_scipy_on_oracle_draws(self, k, sign):
+        y, q = _oracle_draws(11)
+        L = _log_args(ORACLE_THETAS, y, q)
+        if sign < 0:
+            L = L[L < -1.0]  # the two-sided rows
+        assert L.size > 9 * 10**4
+        _assert_w_close(_lambert_w(L, k, sign), _scipy_w(L, k, sign))
+
+    @pytest.mark.parametrize("k, sign", BRANCHES[1:])
+    def test_branch_point(self, k, sign):
+        delta = np.geomspace(1e-15, 1e-2, 400)
+        L = -1.0 - delta
+        new = _lambert_w(L, k, sign)
+        # scipy's k = -1 branch loses up to 8e-5 relative within 1e-8 of the
+        # branch point, so there the branch-point series is the oracle; its
+        # first omitted term is below 1e-20 in p <= 1.5e-4
+        p = np.sqrt(-2.0 * np.expm1(L + 1.0))
+        s = 1.0 if k == 0 else -1.0
+        series = -1.0 + s * p * (1.0 + s * p * (-1.0 / 3.0 + s * p * (
+            11.0 / 72.0 - s * p * 43.0 / 540.0)))
+        near = delta < 1e-8
+        _assert_w_close(new[near], series[near])
+        _assert_w_close(new[~near], _scipy_w(L[~near], k, sign))
+        # at the branch point, and above it where no real root exists
+        assert np.all(_lambert_w(np.array([-1.0, -0.5, 3.0]), k, sign) == -1.0)
+
+    @pytest.mark.parametrize("k, sign", BRANCHES)
+    def test_below_the_normal_range(self, k, sign):
+        # e^L underflows: the principal branches are +-e^L itself, and
+        # W_{-1} comes from the oracle's Newton steps
+        L = np.linspace(-800.0, math.log(np.finfo(float).tiny), 500)
+        new, old = _lambert_w(L, k, sign), _scipy_w(L, k, sign)
+        if k == 0:
+            assert np.array_equal(new, old)
+        else:
+            _assert_w_close(new, old)
+
+    @pytest.mark.parametrize("k, sign", BRANCHES)
+    def test_far_from_the_branch_point(self, k, sign):
+        L = (np.concatenate([np.linspace(-40.0, 700.0, 2000), [4.6e4, 1e5]])
+             if sign > 0 else
+             np.concatenate([np.linspace(-700.0, -1.01, 2000), [-1e4, -1e5]]))
+        new, old = _lambert_w(L, k, sign), _scipy_w(L, k, sign)
+        live = old != 0.0  # W_0(-e^L) underflows from about L = -745
+        assert np.all(np.isfinite(new)) and live.sum() > 1900
+        _assert_w_close(new[live], old[live])
+
+    def test_exact_coverage_decisions(self):
+        # Coverage of the exact set, (-inf, r1] U [l2, r2], from today's
+        # crossings and from the scipy crossings. A decision may differ only
+        # where mu lies between the two values of a crossing.
+        y, q = _oracle_draws(11)
+        mu = np.random.default_rng(13).uniform(7.3, 13.9, y.size)
+        differ = near = 0
+        for t1, t2 in ORACLE_THETAS:
+            c = exact_pivot_crossings(y, t1, t2, q)
+            L = _log_args([(t1, t2)], y, q)
+            two = c.two_sided
+            old_r1 = y - 2.0 / t2 * _scipy_w(L, 0, 1.0)
+            old_r2 = old_r1.copy()
+            old_r1[two] = y[two] - 2.0 / t2 * _scipy_w(L[two], -1, -1.0)
+            old_l2 = np.full_like(y, np.nan)
+            old_l2[two] = y[two] - 2.0 / t2 * _scipy_w(L[two], 0, -1.0)
+            new_cov = (mu <= c.r1) | (two & (c.l2 <= mu) & (mu <= c.r2))
+            old_cov = (mu <= old_r1) | (two & (old_l2 <= mu) & (mu <= old_r2))
+            between = np.zeros_like(two)
+            for new, old in ((c.r1, old_r1), (c.l2, old_l2), (c.r2, old_r2)):
+                with np.errstate(invalid="ignore"):
+                    between |= ((np.minimum(new, old) <= mu)
+                                & (mu <= np.maximum(new, old)))
+                rows = slice(None) if new is c.r1 else two
+                scale = np.maximum(np.abs(old), np.abs(y))[rows]
+                assert np.all(np.abs(new - old)[rows] <= 1e-13 * scale)
+            assert np.all(between[new_cov != old_cov])
+            differ += int(np.sum(new_cov != old_cov))
+            near += int(np.sum(between))
+        # on these 1.2e5 draws no decision differs, and no mean falls
+        # between two values of a crossing
+        assert differ == near == 0
+
+
+class TestEdgeInputs:
+    """Extreme intensities and tight bounds: finite crossings or a
+    NumericalError, never a floating-point warning or a silent NaN."""
+
+    Y = np.array([-1e5, -1e3, -50.0, 0.0, 7.3, 10.0, 13.9, 50.0, 1e3, 1e5])
+
+    @pytest.mark.parametrize("theta", [(4.84, -0.927), (5.0, -0.5),
+                                       (40.0, -3.0), (-30.0, -0.01)])
+    @pytest.mark.parametrize("alpha", [1e-12, 0.05, 0.999])
+    def test_crossings_and_hulls(self, theta, alpha):
+        model = VarianceModel(VarianceForm.EXP_LINEAR, theta)
+        q = chi2_1_quantile(1.0 - alpha)
+        with np.errstate(all="raise"):
+            c = exact_pivot_crossings(self.Y, *theta, q)
+            for a, b in [(7.3, 13.9), (10.0, 10.0 + 1e-9), (-1e5, 1e5)]:
+                lo, hi, empty = bounded_hulls(self.Y, model, alpha, a, b)
+                assert np.all(np.isfinite(lo[~empty]))
+                assert np.all(np.isfinite(hi[~empty]))
+                assert np.all((a <= lo[~empty]) & (lo[~empty] <= hi[~empty])
+                              & (hi[~empty] <= b))
+        two = c.two_sided
+        assert np.all(np.isfinite(c.r1))
+        assert np.all(np.isfinite(c.l2[two]) & np.isfinite(c.r2[two]))
+        assert np.all(np.isnan(c.l2[~two]) & np.isnan(c.r2[~two]))
+
+    def test_non_finite_observation_raises(self):
+        with np.errstate(all="raise"):
+            for y in (np.nan, np.inf, -np.inf):
+                with pytest.raises(NumericalError):
+                    exact_pivot_crossings(np.array([10.0, y]), 4.84, -0.927,
+                                          3.84)
+                with pytest.raises(NumericalError):
+                    bounded_hulls(np.array([10.0, y]), POOLED, 0.05, 7.3, 13.9)
+
+
 class TestNaiveSingle:
     def test_unit_variance(self):
         m = VarianceModel(VarianceForm.EXP_LINEAR, (0.0, 0.0))
@@ -421,6 +582,26 @@ def _dense_region(y1, y2, model, alpha, bounds, grid_res=0.005,
     return ConfidenceSet.from_components(comps, 1.0 - alpha)
 
 
+def _full_recursion_radii(y1, y2, model, q, a, b, grid_res):
+    """_region_radii as it was: h at both ends of each interval, and the
+    radius followed until it stops shrinking (at most 100 rounds)."""
+    ys = np.stack(np.broadcast_arrays(np.atleast_1d(y1).astype(float),
+                                      np.atleast_1d(y2).astype(float)))
+    r = np.full(ys.shape[1], math.sqrt(2.0 * q * float(model(
+        np.array([a, b])).max())))
+    live = np.arange(ys.shape[1])
+    for _ in range(100):
+        y, r_live = ys[:, live], r[live]
+        h = model(np.clip(np.stack([y - r_live, y + r_live]), a, b))
+        r_next = np.sqrt(q * h.max(axis=0).sum(axis=0))
+        shrinks = r_next < r_live
+        live = live[shrinks]
+        if live.size == 0:
+            break
+        r[live] = r_next[shrinks]
+    return r * (1.0 + 1e-9) + 2.0 * grid_res
+
+
 WINDOW_MODELS = {
     "pooled": POOLED,
     "large-variance": VarianceModel(VarianceForm.EXP_LINEAR, (5.0, -0.5)),
@@ -499,6 +680,23 @@ class TestRegionWindow:
         gd, gs, _, quad = _quad_form(y1, y2, model, mu1 - mu2, mu1 + mu2)
         floor = np.maximum(gd * gd, gs * gs)
         assert np.all(quad >= floor * (1.0 - 1e-12))
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_MODELS))
+    def test_early_stop_never_undercuts_the_full_recursion(self, name):
+        # every iterate of the recursion bounds the accepted points, so the
+        # early-stopped radius is never below the recursion's limit
+        model = WINDOW_MODELS[name]
+        a, b = BOUNDS
+        q = chi2_2_quantile(0.95)
+        y1, y2 = np.array(_window_pairs(sum(map(ord, name)) + 2, 300)).T
+        limit = _region_radii(y1, y2, model, q, a, b, 0.0)
+        for grid_res in (0.005, 0.01, 0.02):
+            r = _region_radii(y1, y2, model, q, a, b, grid_res)
+            full = _full_recursion_radii(y1, y2, model, q, a, b, grid_res)
+            assert np.all(r >= limit + 2.0 * grid_res)
+            assert np.all(r >= full)
+        assert np.array_equal(limit, _full_recursion_radii(y1, y2, model, q,
+                                                           a, b, 0.0))
 
     def test_pair_outside_the_bounds_still_raises(self):
         for y1, y2 in [(20.0, 20.5), (2.0, 1.5)]:

@@ -87,26 +87,26 @@ class TestResponsibilities:
     def test_single_component_all_one(self):
         ds = dataset_from_arrays([8.0, 9.0, 10.0], [8.5, 9.5, 10.5])
         grid = SupportGrid(points=(9.0,), spacing_d=0.25)
-        w = responsibilities(ds, exp_linear(0.0, 0.0), grid, [1.0]).w
+        w = responsibilities(ds, exp_linear(0.0, 0.0), grid, [1.0])
         assert np.allclose(w, 1.0)
 
     def test_equidistant_symmetric_split(self):
         ds = dataset_from_arrays([10.0], [10.0 + 1e-9])
         grid = SupportGrid(points=(9.0, 11.0), spacing_d=1.0)
-        w = responsibilities(ds, exp_linear(0.0, 0.0), grid, [0.5, 0.5]).w
+        w = responsibilities(ds, exp_linear(0.0, 0.0), grid, [0.5, 0.5])
         assert np.allclose(w, 0.5, atol=1e-6)
 
     def test_rows_sum_to_one(self):
         ds = simulate_dataset(100, (5.0, -1.0), seed=1)
         grid = build_support(exp_linear(5.0, -1.0), 7.3, 13.9, 0.5)
         pi = np.full(grid.J, 1.0 / grid.J)
-        w = responsibilities(ds, exp_linear(5.0, -1.0), grid, pi).w
+        w = responsibilities(ds, exp_linear(5.0, -1.0), grid, pi)
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-10
 
     def test_zero_weight_columns_are_zero(self):
         ds = simulate_dataset(20, (5.0, -1.0), seed=2)
         grid = SupportGrid(points=(9.0, 10.0, 11.0), spacing_d=1.0)
-        w = responsibilities(ds, exp_linear(5.0, -1.0), grid, [0.5, 0.0, 0.5]).w
+        w = responsibilities(ds, exp_linear(5.0, -1.0), grid, [0.5, 0.0, 0.5])
         assert w.shape == (20, 3)
         assert np.all(w[:, 1] == 0.0)
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-10
@@ -485,7 +485,7 @@ class TestEmFit:
             assert np.all(np.diff(path) >= -1e-8)
             assert abs(sum(est.pi_hat) - 1.0) < 1e-12
             w = responsibilities(ds, exp_linear(*est.theta_hat), grid,
-                                 est.pi_hat).w
+                                 est.pi_hat)
             assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-10
 
     def test_deterministic(self):
@@ -517,7 +517,7 @@ class TestEmFit:
 
     def test_counts_mstep_fallbacks(self, monkeypatch):
         # a non-finite Jacobian leaves the M-step solver no Newton
-        # direction, so every M-step takes gradient steps
+        # direction, so every M-step takes Fisher-scoring steps
         real = macl._evaluate
 
         def nan_jacobian(*args):

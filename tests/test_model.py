@@ -203,6 +203,16 @@ class TestPairedDataset:
         assert d.y1.shape == d.ybar.shape == (0,)
         assert build_dataset([]).n == 0
 
+    def test_id_pattern_names_pairs_when_asked(self):
+        d = PairedDataset("sim-%06d", [8.0, 9.0, 10.0], [8.5, 9.5, 10.5])
+        assert d.n == 3
+        assert d.ids() == ["sim-000000", "sim-000001", "sim-000002"]
+        with pytest.raises(DataError, match=r"non-finite intensities for "
+                                            r"'sim-000001': \("):
+            PairedDataset("sim-%06d", [8.0, math.nan], [8.5, 9.5])
+        with pytest.raises(DataError, match="one length"):
+            PairedDataset("sim-%06d", [8.0, 9.0], [8.5])
+
     def test_identity_equality(self):
         a = PairedDataset(["a"], [8.0], [9.0])
         b = PairedDataset(["a"], [8.0], [9.0])

@@ -5,7 +5,7 @@ import pytest
 
 from pairvar.errors import ConvergenceError, DomainError, NumericalError, StudyError
 from pairvar.intervals import _quad_form, chi2_2_quantile
-from pairvar.model import VarianceForm, VarianceModel
+from pairvar.model import PairedDataset, VarianceForm, VarianceModel
 from pairvar.simulate import (
     _region_covers_zero,
     EstimatorMethod,
@@ -85,6 +85,19 @@ class TestGenerateDataset:
         assert ds.bounds == oracle_bounds
         assert np.array_equal(ds.y1.view(np.int64), y1.view(np.int64))
         assert np.array_equal(ds.y2.view(np.int64), y2.view(np.int64))
+
+    def test_ids_are_built_only_when_asked_for(self, monkeypatch):
+        # neither generating a dataset nor fitting one builds pair names
+        def refuse(self):
+            raise AssertionError("pair ids built")
+
+        monkeypatch.setattr(PairedDataset, "ids", refuse)
+        ds = generate_dataset(uniform_scenario(50, seed=4), EXP51)
+        estimator_study(uniform_scenario(200, seed=4), EXP51, reps=3)
+        estimator_study(uniform_scenario(60, seed=4), EXP51, reps=2,
+                        method=EstimatorMethod.MIXTURE)
+        monkeypatch.undo()
+        assert ds.ids()[49] == "sim-000049"
 
     def test_deterministic_for_fixed_seed(self):
         sc = uniform_scenario(100, seed=7)
@@ -327,6 +340,18 @@ class TestRegionCoversZero:
             slow = _full_grid_covers_zero(ties[::4], ties[::4], model, 0.05,
                                           (a, b))
         assert np.array_equal(alone, slow)
+
+
+    @pytest.mark.parametrize("model", [EXP51, EXP505])
+    def test_equals_full_grid_scan_on_the_study_means(self, model):
+        # null pairs at the coverage study's means, as it draws them
+        for mu in (7.5, 9.0, 11.0, 13.0):
+            rng = np.random.default_rng(int(10 * mu))
+            sd = np.sqrt(float(model(mu)))
+            y1, y2 = rng.normal(mu, sd, (2, 10_000))
+            fast = _region_covers_zero(y1, y2, model, 0.05, (7.3, 13.9))
+            slow = _full_grid_covers_zero(y1, y2, model, 0.05, (7.3, 13.9))
+            assert np.array_equal(fast, slow), mu
 
 
 class TestPowerStudy:
