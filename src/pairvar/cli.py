@@ -128,15 +128,22 @@ def _parse_theta(text: str) -> tuple[float, ...]:
             f"theta must be comma-separated reals, got {text!r}") from None
 
 
-def _positive(cast):
-    """An argparse type: text through cast, rejected unless above 0."""
+def _checked(cast, accept, what: str):
+    """An argparse type: text through cast, rejected unless accept(value)."""
     def parse(text: str):
         value = cast(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
         return value
     parse.__name__ = cast.__name__  # argparse names the type in errors
     return parse
+
+
+def _positive(cast):
+    return _checked(cast, lambda v: v > 0, "positive")
+
+
+_level = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
 def _check_bounds(form: VarianceForm, a: float) -> None:
@@ -422,7 +429,7 @@ def _cmd_simulate(args) -> int:
         return VarianceModel(form, _floats(text))
 
     theta = get("theta", "5,-1", model)
-    alpha = get("alpha", DEFAULTS["alpha"])
+    alpha = get("alpha", DEFAULTS["alpha"], _level)
     bounds = (get("a", DEFAULTS["a"]), get("b", DEFAULTS["b"]))
     _check_bounds(form, bounds[0])
 
@@ -446,7 +453,7 @@ def _cmd_simulate(args) -> int:
         report = power_study(
             theta, get("mu_grid", "8,10,12", _floats),
             get("k_grid", "0,1,2,3", _floats),
-            get("reps", 10_000, _positive(int)), beta=get("beta", 1e-3),
+            get("reps", 10_000, _positive(int)), beta=get("beta", 1e-3, _level),
             alpha=alpha, bounds=bounds, seed=seed)
     else:
         raise DataError(f"unknown study {args.study!r}")
@@ -589,6 +596,11 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = argparse.ArgumentParser(add_help=False)  # the mean support
     bounds.add_argument("--a", type=float, default=DEFAULTS["a"])
     bounds.add_argument("--b", type=float, default=DEFAULTS["b"])
+    # argparse takes "-45,6.5" after a space for an option
+    theta = argparse.ArgumentParser(add_help=False)
+    theta.add_argument("--theta", type=_parse_theta, required=True,
+                       help="comma-separated coefficients; write a negative "
+                            "first one as --theta=-45,6.5")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -623,18 +635,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true")
     p.set_defaults(func=_cmd_fit_mixture)
 
-    p = sub.add_parser("ci", parents=[per_pair, bounds],
+    p = sub.add_parser("ci", parents=[per_pair, bounds, theta],
                        help="confidence sets for a mean or a difference")
-    p.add_argument("--theta", type=_parse_theta, required=True)
     p.add_argument("--form", default="exp-linear", choices=FORMS)
     p.add_argument("--y1", type=float, default=None)
     p.add_argument("--y2", type=float, default=None)
     p.add_argument("--input", default=None,
                    help="batch mode over a pairs CSV (exact uses y1)")
-    p.add_argument("--alpha", type=float, default=DEFAULTS["alpha"])
+    p.add_argument("--alpha", type=_level, default=DEFAULTS["alpha"])
     p.add_argument("--method", required=True,
                    choices=["exact", "naive", "region", "bonferroni"])
-    p.add_argument("--grid-res", type=float, default=DEFAULTS["grid_res"])
+    p.add_argument("--grid-res", type=_positive(float),
+                   default=DEFAULTS["grid_res"])
     p.add_argument("--no-refine", action="store_true",
                    help="report region endpoints at the accepted grid "
                         "extremes instead of the refined boundary")
@@ -642,16 +654,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true")
     p.set_defaults(func=_cmd_ci)
 
-    p = sub.add_parser("pvalue", parents=[per_pair, bounds],
+    p = sub.add_parser("pvalue", parents=[per_pair, bounds, theta],
                        help="equal-means p-values for measurement pairs")
-    p.add_argument("--theta", type=_parse_theta, required=True)
     p.add_argument("--form", default="exp-linear", choices=FORMS)
     p.add_argument("--input", default=None)
     p.add_argument("--y1", type=float, default=None)
     p.add_argument("--y2", type=float, default=None)
     p.add_argument("--method", required=True,
                    choices=[m.value for m in TestMethod])
-    p.add_argument("--beta", type=float, default=DEFAULTS["beta"])
+    p.add_argument("--beta", type=_level, default=DEFAULTS["beta"])
     p.add_argument("--cbeta-pivot", choices=["mean", "pair"], default="mean",
                    help="nuisance-set pivot for the Berger-Boos method")
     p.add_argument("--bonferroni", action="store_true",
@@ -667,13 +678,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flat key=value configuration file")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("bias-oracle", parents=[common],
+    p = sub.add_parser("bias-oracle", parents=[common, theta],
                        help="analytic bias of the exp-linear estimating "
                             "equations at the true coefficients")
-    p.add_argument("--theta", type=_parse_theta, required=True)
     p.add_argument("--mus", type=_parse_theta, required=True)
-    p.add_argument("--mc-reps", type=_positive(int), default=None,
-                   help="optionally cross-check by Monte Carlo")
+    p.add_argument("--mc-reps", type=_checked(int, lambda v: v >= 2,
+                                              "at least 2"), default=None,
+                   help="optionally cross-check by Monte Carlo with this "
+                        "many replicates (at least 2)")
     p.set_defaults(func=_cmd_bias_oracle)
 
     p = sub.add_parser("pipeline", parents=[common, bounds],
@@ -682,10 +694,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control", required=True)
     p.add_argument("--experiment", required=True)
     p.add_argument("--form", default="exp-linear", choices=FORMS)
-    p.add_argument("--alpha", type=float, default=DEFAULTS["alpha"])
-    p.add_argument("--beta", type=float, default=DEFAULTS["beta"])
+    p.add_argument("--alpha", type=_level, default=DEFAULTS["alpha"])
+    p.add_argument("--beta", type=_level, default=DEFAULTS["beta"])
     p.add_argument("--d", type=_positive(float), default=DEFAULTS["d"])
-    p.add_argument("--grid-res", type=float, default=DEFAULTS["grid_res"])
+    p.add_argument("--grid-res", type=_positive(float),
+                   default=DEFAULTS["grid_res"])
     p.add_argument("--raw", action="store_true")
     p.set_defaults(func=_cmd_pipeline)
 

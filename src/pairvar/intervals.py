@@ -9,11 +9,13 @@ negative slope, from real Lambert W branches computed in float64 from the
 log of their argument, and on one 20001-point grid over the bounds for
 every other form. bounded_hulls, the batch kernel for bounded hulls,
 serves Bonferroni intervals, coverage studies and Berger-Boos p-values.
-For a pair (Y1, Y2) the reparametrization
-(nu1, nu2) = (mu1 - mu2, mu1 + mu2) gives correlated standardized residuals
-whose quadratic form is chi-squared with two degrees of freedom; scanning
-that region and projecting onto nu1 yields a conservative set for the
-difference. Plug-in ("naive") intervals are provided for comparison.
+For a pair (Y1, Y2) the two-term form (Y1 - mu1)^2/h(mu1) +
+(Y2 - mu2)^2/h(mu2) is chi-squared with two degrees of freedom. Scanning
+its region in (nu1, nu2) = (mu1 - mu2, mu1 + mu2) on the grid nu2 =
+2a + k * grid_res, which holds every row's edge points, inside a square
+the Engel form of Cauchy-Schwarz bounds (_region_radii), and projecting
+onto nu1 yields a conservative set for the difference. Plug-in ("naive")
+intervals are provided for comparison.
 """
 
 from __future__ import annotations
@@ -276,38 +278,34 @@ def ci_mu_naive(y: float, model: VarianceModel, alpha: float) -> tuple[float, fl
     return (y - half, y + half)
 
 
-def _quad_form(y1, y2, model, nu1, nu2):
-    """Standardized residuals, their correlation and quadratic form at
-    (nu1, nu2). Floats stay floats (math.sqrt is correctly rounded, as
-    np.sqrt); a float division by zero is redone on numpy scalars."""
-    h1, h2 = model((nu2 + nu1) / 2.0), model((nu2 - nu1) / 2.0)
-    s = h1 + h2
-    root = math.sqrt(s) if type(s) is float else np.sqrt(s)
+def _region_form(y1, y2, model, nu1, nu2):
+    """The chi-squared(2) form (y1 - mu1)^2/h(mu1) + (y2 - mu2)^2/h(mu2) at
+    mu1, mu2 = (nu2 +- nu1)/2. Floats stay floats; a float division by zero
+    is redone on numpy scalars."""
+    mu1, mu2 = (nu2 + nu1) / 2.0, (nu2 - nu1) / 2.0
+    d1, d2 = y1 - mu1, y2 - mu2
     try:
-        gd = (y1 - y2 - nu1) / root
-        gs = (y1 + y2 - nu2) / root
-        rho = (h1 - h2) / s
-        quad = (gd * gd - 2.0 * rho * gd * gs + gs * gs) / (1.0 - rho * rho)
+        return d1 * d1 / model(mu1) + d2 * d2 / model(mu2)
     except ZeroDivisionError:
-        return _quad_form(y1, y2, model, np.float64(nu1), np.float64(nu2))
-    return gd, gs, rho, quad
+        return _region_form(y1, y2, model, np.float64(nu1), np.float64(nu2))
 
 
 def _region_radii(y1, y2, model, q, a, b, grid_res) -> np.ndarray:
     """Half-widths of squares around (y1 - y2, y1 + y2) holding every accepted point.
 
-    Vectorized over pairs. Minimising the form over one standardized
-    residual leaves the square of the other, so quad >= max(g_diff^2,
-    g_sum^2): an accepted (nu1, nu2) lies within sqrt(q*s) of (y1 - y2,
-    y1 + y2) in each coordinate, s = h(mu1) + h(mu2), and so does each
-    |mu_i - y_i|. Every form is monotone on [a, b], so |mu_i - y_i| <= r
-    bounds s by the sum of h at the ends of [y_i - r, y_i + r], clipped to
-    [a, b], on the side where h is larger. From r = sqrt(2q max(h(a),
-    h(b))) this gives a shrinking sequence of radii, each a valid bound, so
-    stopping early is always safe: a pair stops once a round shrinks its
-    radius by less than grid_res / 8 (at grid_res 0.01, 7 rounds at most
-    where the limit takes 43 at theta = (5, -1), 41 where it takes 100 at
-    (5, -0.5)), and at grid_res = 0 once it stops shrinking.
+    Vectorized over pairs. With d_i = y_i - mu_i and h_i = h(mu_i), the
+    Engel form of Cauchy-Schwarz gives d1^2/h1 + d2^2/h2 >= (d1 +- d2)^2 /
+    s, s = h1 + h2, where d1 - d2 = y1 - y2 - nu1 and d1 + d2 = y1 + y2 -
+    nu2: an accepted (nu1, nu2) lies within sqrt(q*s) of (y1 - y2, y1 + y2)
+    in each coordinate, and so does each |mu_i - y_i|. Every form is
+    monotone on [a, b], so |mu_i - y_i| <= r bounds s by the sum of h at
+    the ends of [y_i - r, y_i + r], clipped to [a, b], on the side where h
+    is larger. From r = sqrt(2q max(h(a), h(b))) this gives a shrinking
+    sequence of radii, each a valid bound, so stopping early is always
+    safe: a pair stops once a round shrinks its radius by less than
+    grid_res / 8 (at grid_res 0.01, 7 rounds at most where the limit takes
+    43 at theta = (5, -1), 41 where it takes 100 at (5, -0.5)), and at
+    grid_res = 0 once it stops shrinking.
     The result is padded by a relative 1e-9 and by two grid steps; it is
     infinite, so nothing is excluded, where h is not finite and monotone.
     """
@@ -334,10 +332,39 @@ def _region_radii(y1, y2, model, q, a, b, grid_res) -> np.ndarray:
     return r * (1.0 + 1e-9) + 2.0 * grid_res
 
 
-def _within(grid: np.ndarray, lo: float, hi: float) -> slice:
-    """Slice of a sorted grid holding its points in [lo, hi]."""
-    return slice(int(np.searchsorted(grid, lo, "left")),
-                 int(np.searchsorted(grid, hi, "right")))
+def _region_scan(y1, y2, model, q, nu1, a, b, grid_res):
+    """Per row of the broadcast (y1, y2, nu1), whether a point of the grid
+    nu2 = 2a + grid_res * k in the parallelogram [2a + |nu1|, 2b - |nu1|]
+    (1e-12 slack for rounding; every row's edge points are on the grid)
+    puts the form at or under q; and the pairs' radii. A row scores only
+    points within its radius of y1 + y2 (see _region_radii), and none if
+    nu1 is farther than that from y1 - y2. Rows go in blocks sorted by
+    window start, of about 2^14 form values each (see README); a block
+    scores the union of its windows, masked to each row's parallelogram
+    where that is narrower. A scalar y1, y2 or nu1 stays scalar.
+    """
+    nu2 = 2.0 * a + grid_res * np.arange(round(2.0 * (b - a) / grid_res) + 1)
+    radius = _region_radii(y1, y2, model, q, a, b, grid_res)
+    d, c, edge = y1 - y2, y1 + y2, np.abs(nu1)
+    first = np.searchsorted(nu2, 2.0 * a + edge - 1e-12)
+    last = np.searchsorted(nu2, 2.0 * b - edge + 1e-12, "right")
+    start = np.maximum(np.searchsorted(nu2, c - radius), first)
+    stop = np.minimum(np.searchsorted(nu2, c + radius, "right"), last)
+    live = (start < stop) & (nu1 >= d - radius) & (nu1 <= d + radius)
+    order = np.flatnonzero(live)[np.argsort(start[live], kind="stable")]
+    step = max(2**14 // np.max(stop[order] - start[order], initial=1), 1)
+    accepted = np.zeros(live.shape, dtype=bool)
+    for k in range(0, order.size, step):
+        rows = order[k:k + step]
+        take = lambda v: v[rows, None] if np.ndim(v) else v  # noqa: E731
+        cols = np.arange(start[rows[0]], stop[rows].max())
+        hit = _region_form(take(y1), take(y2), model, take(nu1),
+                           nu2[cols]) <= q
+        lo, hi = take(first), take(last)
+        if np.max(lo) > cols[0] or np.min(hi) <= cols[-1]:
+            hit &= (cols >= lo) & (cols < hi)
+        accepted[rows] = hit.any(axis=1)
+    return accepted, radius
 
 
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
@@ -359,18 +386,18 @@ def _nu1_accepted(y1, y2, model, nu1, q, a, b, grid_res, nu2_lo, nu2_hi):
         return False, 0
     n = max(int(math.ceil((hi - lo) / grid_res)) + 1, 2)
     nu2 = np.linspace(lo, hi, n)
-    window = _within(nu2, nu2_lo, nu2_hi)
+    window = slice(int(np.searchsorted(nu2, nu2_lo)),
+                   int(np.searchsorted(nu2, nu2_hi, "right")))
     if window.start == window.stop:
         return False, 0
-    with np.errstate(invalid="ignore"):
-        _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2[window])
+    quad = _region_form(y1, y2, model, nu1, nu2[window])
     k = window.start + int(np.argmin(quad))
     best = float(quad[k - window.start])
     if best <= q:
         return True, 1
 
     def form(x):
-        return float(_quad_form(y1, y2, model, nu1, x)[3])
+        return float(_region_form(y1, y2, model, nu1, x))
 
     left, right = float(nu2[max(k - 1, 0)]), float(nu2[min(k + 1, n - 1)])
     c = right - _GOLDEN_RATIO * (right - left)
@@ -391,8 +418,7 @@ def _nu1_accepted(y1, y2, model, nu1, q, a, b, grid_res, nu2_lo, nu2_hi):
     # The polish counts only around the minimum of the whole grid. Outside
     # the window the form is over q, but it can still undercut the window's
     # grid values, so check that the whole grid has its minimum at k.
-    with np.errstate(invalid="ignore"):
-        _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
+    quad = _region_form(y1, y2, model, nu1, nu2)
     return int(np.argmin(quad)) == k, 64
 
 
@@ -432,11 +458,10 @@ def ci_diff_region(
     the accepted grid extremes (inside it by at most one step).
     Conservative for nu1 by the projection property.
 
-    Every accepted point lies in a square around (y1 - y2, y1 + y2) (see
-    _region_radii). The scan and each bisection step evaluate the form only
-    inside it, and the result is the same as scanning the whole
-    parallelogram. The set's diagnostics count the bisection decisions,
-    the golden-section polishes among them and their form evaluations.
+    The scan and each bisection step evaluate the form only inside a square
+    around (y1 - y2, y1 + y2) that holds every accepted point, with the
+    result of scanning the whole parallelogram. The set's diagnostics count
+    the bisection decisions, their golden-section polishes and form values.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
@@ -450,24 +475,9 @@ def ci_diff_region(
     span = b - a
     n1 = int(round(2.0 * span / grid_res)) + 1
     nu1_grid = np.linspace(-span, span, n1)
-    nu2_master = np.arange(2.0 * a, 2.0 * b + grid_res / 2.0, grid_res)
-    radius = float(_region_radii(y1, y2, model, q, a, b, grid_res)[0])
-    nu2_lo, nu2_hi = y1 + y2 - radius, y1 + y2 + radius
-    rows = _within(nu1_grid, y1 - y2 - radius, y1 - y2 + radius)
-    nu2 = nu2_master[None, _within(nu2_master, nu2_lo, nu2_hi)]
-
-    accepted = np.zeros(n1, dtype=bool)
-    chunk = 256
-    with np.errstate(invalid="ignore"):
-        for start in range(rows.start, rows.stop, chunk):
-            stop = min(start + chunk, rows.stop)
-            nu1 = nu1_grid[start:stop, None]
-            lo = 2.0 * a + np.abs(nu1)
-            hi = 2.0 * b - np.abs(nu1)
-            _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
-            quad = np.where((nu2 >= lo - 1e-12) & (nu2 <= hi + 1e-12),
-                            quad, np.inf)
-            accepted[start:stop] = (quad <= q).any(axis=1)
+    accepted, radius = _region_scan(y1, y2, model, q, nu1_grid, a, b,
+                                    grid_res)
+    nu2_lo, nu2_hi = y1 + y2 - float(radius[0]), y1 + y2 + float(radius[0])
     runs = _runs(accepted)
     if not runs:
         raise NumericalError(

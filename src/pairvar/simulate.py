@@ -24,8 +24,7 @@ from .intervals import (
     chi2_2_quantile,
     exact_pivot_crossings,
     normal_quantile,
-    _quad_form,
-    _region_radii,
+    _region_scan,
 )
 from .macl import macl_fit, mle_homoscedastic
 from .mixture_em import fit_mixture
@@ -190,32 +189,6 @@ def estimator_study(
     )
 
 
-def _region_covers_zero(y1, y2, model, alpha, bounds, grid_res=0.01):
-    """Membership of 0 in the projected difference set, vectorized over pairs.
-
-    Zero belongs to the projection exactly when some nuisance sum keeps the
-    quadratic form under the quantile at nu1 = 0. Only grid points within
-    the pair's region radius of y1 + y2 can, so pairs go in chunks sorted
-    by where that window starts and each chunk scores its windows' union.
-    """
-    a, b = bounds
-    q = chi2_2_quantile(1.0 - alpha)
-    nu2 = np.arange(2.0 * a, 2.0 * b + grid_res / 2.0, grid_res)
-    radius = _region_radii(y1, y2, model, q, a, b, grid_res)
-    start = np.searchsorted(nu2, y1 + y2 - radius, "left")
-    stop = np.searchsorted(nu2, y1 + y2 + radius, "right")
-    order = np.argsort(start, kind="stable")
-    covered = np.zeros(y1.shape, dtype=bool)
-    chunk = 500
-    for first in range(0, order.size, chunk):
-        rows = order[first:first + chunk]
-        cols = slice(start[rows[0]], stop[rows].max())
-        _, _, _, quad = _quad_form(y1[rows, None], y2[rows, None], model,
-                                   0.0, nu2[None, cols])
-        covered[rows] = (quad <= q).any(axis=1)
-    return covered
-
-
 def coverage_study(
     theta_true: VarianceModel,
     theta_fit: VarianceModel,
@@ -276,8 +249,9 @@ def coverage_study(
             y2 = rng.normal(mu, sd, reps)
             for m in methods:
                 if m == "region":
-                    covered = _region_covers_zero(y1, y2, theta_fit, alpha,
-                                                  bounds, grid_res)
+                    covered, _ = _region_scan(
+                        y1, y2, theta_fit, chi2_2_quantile(1.0 - alpha), 0.0,
+                        *bounds, grid_res)
                 elif m == "bonferroni":
                     lo1, hi1, e1 = bounded_hulls(y1, theta_fit, alpha / 2.0,
                                                  *bounds)

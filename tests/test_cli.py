@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,18 @@ class TestCiCommand:
         rec = json.loads(capsys.readouterr().out)
         assert rec["lo"] == pytest.approx(0.41, abs=0.01)
         assert rec["hi"] == pytest.approx(0.76, abs=0.01)
+
+    def test_region_with_a_steep_variance_is_whole_and_quiet(self, capsys):
+        # h(mu1)/h(mu2) passes 2^53 in this region; the set is all of
+        # [a - b, b - a], found without a RuntimeWarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["ci", "--method", "region", "--theta=-45,6.5",
+                         "--y1", "7.5", "--y2", "13.5", "--quiet"]) == 0
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        rec = json.loads(capsys.readouterr().out)
+        assert not rec["disconnected"]
+        assert (rec["lo"], rec["hi"]) == pytest.approx((-6.6, 6.6), abs=1e-12)
 
     def test_batch_appends_columns(self, tmp_path, capsys):
         inp = tmp_path / "pairs.csv"
@@ -430,6 +443,10 @@ class TestExitCodes:
         ("coverage", "mode=paired\n", "unknown mode"),
         ("coverage", "theta=5\n", "coefficients"),
         ("power", "alpha=0.x\n", "alpha"),
+        ("power", "alpha=1.5\n", "alpha"),
+        ("power", "beta=0\n", "beta"),
+        ("coverage", "alpha=-0.5\nmode=difference\nmethods=region\n",
+         "alpha"),
         ("power", "k_grid=0,one\n", "k_grid"),
     ])
     def test_bad_simulate_config_is_3(self, tmp_path, capsys, study, text,
@@ -446,9 +463,26 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["bias-oracle", "--theta", "5,-1", "--mus", "9", "--mc-reps", "-1"],
+        ["bias-oracle", "--theta", "5,-1", "--mus", "9", "--mc-reps", "1"],
         ["fit-mixture", "--input", "pairs.csv", "--d", "0"],
         ["pipeline", "--control", "c.csv", "--experiment", "e.csv", "--d",
          "-0.25"],
+        ["ci", "--theta", "4.84,-0.927", "--y1", "10", "--y2", "10.5",
+         "--method", "region", "--grid-res", "0"],
+        ["ci", "--theta", "4.84,-0.927", "--y1", "10", "--y2", "10.5",
+         "--method", "region", "--alpha", "1"],
+        ["ci", "--theta", "4.84,-0.927", "--input", "pairs.csv",
+         "--method", "naive", "--alpha", "0"],
+        ["pvalue", "--theta", "4.84,-0.927", "--input", "pairs.csv",
+         "--method", "berger-boos", "--beta", "0"],
+        ["pvalue", "--theta", "4.84,-0.927", "--y1", "10", "--y2", "10.5",
+         "--method", "berger-boos", "--beta", "1.5"],
+        ["pipeline", "--control", "c.csv", "--experiment", "e.csv",
+         "--grid-res", "-0.005"],
+        ["pipeline", "--control", "c.csv", "--experiment", "e.csv",
+         "--alpha", "1.5"],
+        ["pipeline", "--control", "c.csv", "--experiment", "e.csv",
+         "--beta", "nan"],
     ])
     def test_non_positive_counts_and_spacings_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import lambertw, ndtri, wrightomega
 
 from pairvar.errors import DomainError, NumericalError
@@ -10,7 +11,7 @@ from pairvar.intervals import (
     ConfidenceSet,
     _lambert_w,
     _nu1_accepted,
-    _quad_form,
+    _region_form,
     _region_radii,
     _runs,
     chi2_1_quantile,
@@ -475,17 +476,6 @@ class TestDifferenceRegion:
         assert abs(coarse.hull[0] - fine.hull[0]) < 2 * 0.02
         assert abs(coarse.hull[1] - fine.hull[1]) < 2 * 0.02
 
-    def test_rho_zero_at_equal_means(self):
-        _, _, rho, quad = _quad_form(10.0, 11.0, POOLED, 0.0, 20.0)
-        assert rho == 0.0
-        assert quad >= 0.0
-
-    def test_rho_formula(self):
-        _, _, rho, _ = _quad_form(10.0, 11.0, POOLED, 1.0, 21.0)
-        h1 = float(POOLED(11.0))
-        h2 = float(POOLED(10.0))
-        assert rho == pytest.approx((h1 - h2) / (h1 + h2), rel=1e-12)
-
     def test_joint_region_is_exact_at_true_parameters(self):
         # the quadratic form at the true (difference, sum) is chi-squared
         # with 2 df, so the region covers the truth at exactly its level
@@ -494,10 +484,46 @@ class TestDifferenceRegion:
         mu1, mu2 = 9.0, 10.5
         y1 = rng.normal(mu1, np.sqrt(float(POOLED(mu1))), n)
         y2 = rng.normal(mu2, np.sqrt(float(POOLED(mu2))), n)
-        from pairvar.intervals import _quad_form
-        _, _, _, quad = _quad_form(y1, y2, POOLED, mu1 - mu2, mu1 + mu2)
+        quad = _region_form(y1, y2, POOLED, mu1 - mu2, mu1 + mu2)
         coverage = np.mean(quad <= chi2_2_quantile(0.95))
         assert coverage == pytest.approx(0.95, abs=0.006)
+
+    def test_steep_variance_ratio_gives_the_whole_range(self):
+        # h(mu1)/h(mu2) reaches e^42.9 > 2^53 here, where the correlated
+        # form's 1 - rho^2 rounds to 0; the two-term form at nu1 = +-6.6 is
+        # 3.3, under q = 5.99, so every difference is accepted
+        steep = VarianceModel(VarianceForm.EXP_LINEAR, (-45.0, 6.5))
+        cs = ci_diff_region(7.5, 13.5, steep, 0.05, BOUNDS)
+        assert len(cs.components) == 1
+        assert cs.hull == pytest.approx((-6.6, 6.6), abs=1e-12)
+
+    @pytest.mark.parametrize("theta, y1, y2, hull", [
+        ((-40.0, 5.5), 7.5, 13.5, (-6.6, 6.306924588605)),
+        ((4.84, -0.927), 13.93, 11.0, (2.78388863110854, 3.0301505983744947)),
+    ])
+    def test_ends_on_the_projection_boundary(self, theta, y1, y2, hull):
+        # the ends found by brentq on the bounded minimum of the two-term
+        # form over nu2 (the bounds included); the minimum sits on the
+        # mu1 = b edge, which the scan's grid must hold at the default
+        # grid_res
+        model = VarianceModel(VarianceForm.EXP_LINEAR, theta)
+        a, b = BOUNDS
+        q = chi2_2_quantile(0.95)
+
+        def excess(nu1):
+            ends = (2.0 * a + abs(nu1), 2.0 * b - abs(nu1))
+            form = lambda nu2: _region_form(y1, y2, model, nu1, nu2)
+            res = minimize_scalar(form, bounds=ends, method="bounded",
+                                  options={"xatol": 1e-13})
+            return min(res.fun, *map(form, ends)) - q
+
+        cs = ci_diff_region(y1, y2, model, 0.05, BOUNDS)
+        assert len(cs.components) == 1
+        for end in cs.hull:
+            if abs(end) < b - a - 1e-9:
+                root = brentq(excess, end - 0.01, end + 0.01, xtol=1e-14)
+                assert end == pytest.approx(root, abs=1e-8)
+        assert cs.hull == pytest.approx(hull, abs=1e-8)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -514,8 +540,7 @@ def _dense_min_quad(y1, y2, model, nu1, a, b, grid_res):
         return math.inf
     n = max(int(math.ceil((hi - lo) / grid_res)) + 1, 2)
     nu2 = np.linspace(lo, hi, n)
-    with np.errstate(invalid="ignore"):
-        _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
+    quad = _region_form(y1, y2, model, nu1, nu2)
     k = int(np.argmin(quad))
     best = float(quad[k])
     golden = (math.sqrt(5.0) - 1.0) / 2.0
@@ -524,8 +549,8 @@ def _dense_min_quad(y1, y2, model, nu1, a, b, grid_res):
     c = right - golden * (right - left)
     d = left + golden * (right - left)
     for _ in range(60):
-        qc = float(_quad_form(y1, y2, model, nu1, c)[3])
-        qd = float(_quad_form(y1, y2, model, nu1, d)[3])
+        qc = float(_region_form(y1, y2, model, nu1, c))
+        qd = float(_region_form(y1, y2, model, nu1, d))
         if qc <= qd:
             right, d = d, c
             c = right - golden * (right - left)
@@ -533,7 +558,7 @@ def _dense_min_quad(y1, y2, model, nu1, a, b, grid_res):
             left, c = c, d
             d = left + golden * (right - left)
     mid = 0.5 * (left + right)
-    return min(best, float(_quad_form(y1, y2, model, nu1, mid)[3]))
+    return min(best, float(_region_form(y1, y2, model, nu1, mid)))
 
 
 def _dense_region(y1, y2, model, alpha, bounds, grid_res=0.005,
@@ -544,17 +569,15 @@ def _dense_region(y1, y2, model, alpha, bounds, grid_res=0.005,
     span = b - a
     n1 = int(round(2.0 * span / grid_res)) + 1
     nu1_grid = np.linspace(-span, span, n1)
-    nu2 = np.arange(2.0 * a, 2.0 * b + grid_res / 2.0, grid_res)[None, :]
+    nu2 = 2.0 * a + grid_res * np.arange(n1)[None, :]
     accepted = np.zeros(n1, dtype=bool)
-    with np.errstate(invalid="ignore"):
-        for start in range(0, n1, 256):
-            nu1 = nu1_grid[start:start + 256, None]
-            lo = 2.0 * a + np.abs(nu1)
-            hi = 2.0 * b - np.abs(nu1)
-            _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
-            quad = np.where((nu2 >= lo - 1e-12) & (nu2 <= hi + 1e-12),
-                            quad, np.inf)
-            accepted[start:start + 256] = (quad <= q).any(axis=1)
+    for start in range(0, n1, 256):
+        nu1 = nu1_grid[start:start + 256, None]
+        lo = 2.0 * a + np.abs(nu1)
+        hi = 2.0 * b - np.abs(nu1)
+        quad = np.where((nu2 >= lo - 1e-12) & (nu2 <= hi + 1e-12),
+                        _region_form(y1, y2, model, nu1, nu2), np.inf)
+        accepted[start:start + 256] = (quad <= q).any(axis=1)
     runs = _runs(accepted)
     if not runs:
         raise NumericalError("projected confidence set is empty")
@@ -665,7 +688,7 @@ class TestRegionWindow:
         for y1, y2 in _window_pairs(sum(map(ord, name)) + 1, 6):
             radius = _region_radii(y1, y2, model, q, a, b, 0.0)[0]
             assert math.isfinite(radius)
-            _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
+            quad = _region_form(y1, y2, model, nu1, nu2)
             hit = inside & (quad <= q)
             d1 = np.abs(np.broadcast_to(nu1, hit.shape)[hit] - (y1 - y2))
             d2 = np.abs(np.broadcast_to(nu2, hit.shape)[hit] - (y1 + y2))
@@ -673,11 +696,16 @@ class TestRegionWindow:
 
     @pytest.mark.parametrize("name", sorted(WINDOW_MODELS))
     def test_form_at_least_each_residual_square(self, name):
+        # Engel's form of Cauchy-Schwarz: d1^2/h1 + d2^2/h2 is at least
+        # (d1 -+ d2)^2 / (h1 + h2), the square of each standardized residual
         model = WINDOW_MODELS[name]
         rng = np.random.default_rng(7)
         y1, y2 = rng.uniform(7.3, 13.9, (2, 5000))
         mu1, mu2 = rng.uniform(7.3, 13.9, (2, 5000))
-        gd, gs, _, quad = _quad_form(y1, y2, model, mu1 - mu2, mu1 + mu2)
+        root = np.sqrt(model(mu1) + model(mu2))
+        gd = (y1 - y2 - (mu1 - mu2)) / root
+        gs = (y1 + y2 - (mu1 + mu2)) / root
+        quad = _region_form(y1, y2, model, mu1 - mu2, mu1 + mu2)
         floor = np.maximum(gd * gd, gs * gs)
         assert np.all(quad >= floor * (1.0 - 1e-12))
 
@@ -732,8 +760,7 @@ def _nu1_accepted_121(y1, y2, model, nu1, q, a, b, grid_res, nu2_lo, nu2_hi,
     if start == stop:
         return done(False)
     calls["window"] += 1
-    with np.errstate(invalid="ignore"):
-        _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2[start:stop])
+    quad = _region_form(y1, y2, model, nu1, nu2[start:stop])
     k = start + int(np.argmin(quad))
     best = float(quad[k - start])
     if best <= q:
@@ -744,8 +771,8 @@ def _nu1_accepted_121(y1, y2, model, nu1, q, a, b, grid_res, nu2_lo, nu2_hi,
     c = right - golden * (right - left)
     d = left + golden * (right - left)
     for _ in range(60):
-        qc = float(_quad_form(y1, y2, model, nu1, c)[3])
-        qd = float(_quad_form(y1, y2, model, nu1, d)[3])
+        qc = float(_region_form(y1, y2, model, nu1, c))
+        qd = float(_region_form(y1, y2, model, nu1, d))
         calls["polish"] += 2
         if qc <= qd:
             right, d = d, c
@@ -755,11 +782,10 @@ def _nu1_accepted_121(y1, y2, model, nu1, q, a, b, grid_res, nu2_lo, nu2_hi,
             d = left + golden * (right - left)
     mid = 0.5 * (left + right)
     calls["polish"] += 1
-    if not min(best, float(_quad_form(y1, y2, model, nu1, mid)[3])) <= q:
+    if not min(best, float(_region_form(y1, y2, model, nu1, mid))) <= q:
         return done(False)
     calls["grid"] += 1
-    with np.errstate(invalid="ignore"):
-        _, _, _, quad = _quad_form(y1, y2, model, nu1, nu2)
+    quad = _region_form(y1, y2, model, nu1, nu2)
     return done(int(np.argmin(quad)) == k)
 
 
@@ -837,24 +863,56 @@ class TestBoundaryPolish:
         nu1 = rng.uniform(-6.6, 6.6, 2000)
         nu2 = rng.uniform(14.6, 27.8, 2000)
         for name, model in sorted(WINDOW_MODELS.items()):
-            arrays = np.stack(_quad_form(y1, y2, model, nu1, nu2))
-            floats = np.array([_quad_form(*map(float, p), model, u, v)
+            arrays = _region_form(y1, y2, model, nu1, nu2)
+            floats = np.array([_region_form(*map(float, p), model, u, v)
                                for p, u, v in zip(zip(y1, y2), nu1.tolist(),
-                                                  nu2.tolist())]).T
+                                                  nu2.tolist())])
             assert np.array_equal(arrays.view(np.int64),
                                   floats.view(np.int64)), name
 
     def test_float_division_by_zero_follows_numpy(self):
-        # h(mu2) / h(mu1) < 2^-53 puts rho at 1; both h underflow for the
-        # second point. numpy scalars give inf or nan there, not an error.
+        # h(mu2) underflows to 0 for the first point, both h for the second,
+        # where y1 = mu1. numpy scalars give inf and nan there, not an error.
         steep = VarianceModel(VarianceForm.EXP_LINEAR, (0.0, -12.0))
-        for args in [(10.0, 7.0, 3.2, 17.0), (80.0, 81.0, 0.0, 161.0)]:
+        for args in [(10.0, 71.0, -60.0, 80.0), (80.5, 81.0, 0.0, 161.0)]:
             with np.errstate(all="ignore"):
-                want = _quad_form(*map(np.float64, args[:2]), steep,
-                                  *map(np.float64, args[2:]))
-                got = _quad_form(*args[:2], steep, *args[2:])
-            assert np.array_equal(np.array(got), np.array(want),
-                                  equal_nan=True)
+                want = _region_form(*map(np.float64, args[:2]), steep,
+                                    *map(np.float64, args[2:]))
+                got = _region_form(*args[:2], steep, *args[2:])
+            assert type(got) is np.float64
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+def _correlated_form(y1, y2, model, nu1, nu2):
+    """The region's form as it was written before: the standardized
+    residuals gd, gs of the difference and the sum, their correlation rho,
+    and (gd^2 - 2 rho gd gs + gs^2) / (1 - rho^2)."""
+    h1, h2 = model((nu2 + nu1) / 2.0), model((nu2 - nu1) / 2.0)
+    root = np.sqrt(h1 + h2)
+    gd = (y1 - y2 - nu1) / root
+    gs = (y1 + y2 - nu2) / root
+    rho = (h1 - h2) / (h1 + h2)
+    return (gd * gd - 2.0 * rho * gd * gs + gs * gs) / (1.0 - rho * rho)
+
+
+class TestRegionForm:
+    def test_equals_the_correlated_form(self):
+        # where h(mu1)/h(mu2) is in [1e-4, 1e4]. The oracle subtracts terms
+        # up to 1/(1 - |rho|) ~ 5e3 times its result there; measured on 10^6
+        # draws under (-45, 6.5) it is 1.5e-12 off at most, hence 2e-12
+        steep = [VarianceModel(VarianceForm.EXP_LINEAR, t)
+                 for t in ((-40.0, 5.5), (-45.0, 6.5), (0.0, -12.0))]
+        rng = np.random.default_rng(3)
+        for model in list(WINDOW_MODELS.values()) + steep:
+            y1, y2, mu1, mu2 = rng.uniform(7.3, 13.9, (4, 20000))
+            ratio = model(mu1) / model(mu2)
+            keep = (ratio >= 1e-4) & (ratio <= 1e4)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = _correlated_form(y1, y2, model, mu1 - mu2, mu1 + mu2)
+            got = _region_form(y1, y2, model, mu1 - mu2, mu1 + mu2)
+            assert keep.sum() > 4000
+            np.testing.assert_allclose(got[keep], want[keep], rtol=2e-12,
+                                       atol=0.0)
 
 
 class TestDifferenceBonferroni:

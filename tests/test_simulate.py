@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from pairvar.errors import ConvergenceError, DomainError, NumericalError, StudyError
-from pairvar.intervals import _quad_form, chi2_2_quantile
+from pairvar.intervals import _region_form, _region_scan, chi2_2_quantile
 from pairvar.model import PairedDataset, VarianceForm, VarianceModel
 from pairvar.simulate import (
-    _region_covers_zero,
     EstimatorMethod,
     Scenario,
     ScenarioKind,
@@ -273,16 +272,21 @@ class TestCoverageStudy:
                            mode="bogus")
 
 
+def _region_covers_zero(y1, y2, model, alpha, bounds, grid_res=0.01):
+    """The difference-mode coverage study's region decision."""
+    q = chi2_2_quantile(1.0 - alpha)
+    return _region_scan(y1, y2, model, q, 0.0, *bounds, grid_res)[0]
+
+
 def _full_grid_covers_zero(y1, y2, model, alpha, bounds, grid_res=0.01):
     """Reference: score the form at nu1 = 0 on the whole nu2 grid."""
     a, b = bounds
     q = chi2_2_quantile(1.0 - alpha)
-    nu2 = np.arange(2.0 * a, 2.0 * b + grid_res / 2.0, grid_res)
+    nu2 = 2.0 * a + grid_res * np.arange(round(2.0 * (b - a) / grid_res) + 1)
     covered = np.zeros(y1.shape, dtype=bool)
     for start in range(0, y1.size, 2000):
         s = slice(start, start + 2000)
-        _, _, _, quad = _quad_form(y1[s, None], y2[s, None], model,
-                                   0.0, nu2[None, :])
+        quad = _region_form(y1[s, None], y2[s, None], model, 0.0, nu2)
         covered[s] = (quad <= q).any(axis=1)
     return covered
 
