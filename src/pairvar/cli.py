@@ -15,18 +15,22 @@ import hashlib
 import io
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from . import __version__
+import numpy as np
+
+from . import __version__, macl, mixture_em
 from .errors import DataError, DomainError, NumericalError, PairvarError
 from .intervals import (
+    DEFAULT_GRID_RES,
+    bounded_hulls,
     ci_diff_bonferroni,
     ci_diff_naive,
     ci_diff_region,
-    ci_mu_exact,
     ci_mu_naive,
     ratio_scale,
 )
@@ -40,11 +44,14 @@ from .model import (
     load_csv,
 )
 from .pvalues import (
+    DEFAULT_BETA_ANALYSIS,
+    DEFAULT_BETA_POWER,
     TestMethod,
-    pvalue_berger_boos,
-    pvalue_conservative,
-    pvalue_naive,
+    pvalue_kernel,
 )
+# bench/tracing.py wraps pairvar.cli.pvalue_*; keep the names here.
+from .pvalues import pvalue_berger_boos, pvalue_conservative  # noqa: F401
+from .pvalues import pvalue_naive  # noqa: F401
 from .simulate import (
     RNG_ID,
     EstimatorMethod,
@@ -55,14 +62,7 @@ from .simulate import (
     power_study,
 )
 
-DEFAULTS = {
-    "a": DEFAULT_BOUNDS[0],
-    "b": DEFAULT_BOUNDS[1],
-    "d": 0.25,
-    "alpha": 0.05,
-    "beta": 1e-6,
-    "grid_res": 0.005,
-}
+DEFAULT_ALPHA = 0.05
 FORMS = [f.value for f in VarianceForm]
 
 
@@ -120,12 +120,12 @@ def _emit(args, text: str, manifest: RunManifest) -> None:
         sys.stdout.write(text)
 
 
-def _parse_theta(text: str) -> tuple[float, ...]:
+def _reals(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"theta must be comma-separated reals, got {text!r}") from None
+            f"must be comma-separated reals, got {text!r}") from None
 
 
 def _checked(cast, accept, what: str):
@@ -144,6 +144,7 @@ def _positive(cast):
 
 
 _level = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+_finite = _checked(float, math.isfinite, "finite")
 
 
 def _check_bounds(form: VarianceForm, a: float) -> None:
@@ -177,9 +178,40 @@ def _record_text(records: list[dict], fmt: str) -> str:
     return buf.getvalue()
 
 
-def _pairs(data):
-    """(id, y1, y2) per pair, as Python floats so that rows echo them exactly."""
-    return zip(data.ids(), data.y1.tolist(), data.y2.tolist())
+def _read_pairs(args, bounds, need_y2: bool):
+    """ids, y1 and y2 of --input's pairs, or of the one --y1/--y2 pair as
+    arrays of length one (ids None, y2 None without --y2)."""
+    if args.input is None:
+        if args.y1 is None or need_y2 and args.y2 is None:
+            raise DataError(f"provide --y1{' and --y2' if need_y2 else ''} "
+                            "or --input")
+        return None, np.array([args.y1]), (None if args.y2 is None
+                                           else np.array([args.y2]))
+    data = load_csv(args.input, bounds=bounds, raw=args.raw, drop_ties=False)
+    if data.n == 0:
+        raise DataError(f"input file {args.input} has no pairs")
+    return data.ids(), data.y1, data.y2
+
+
+def _pair_rows(ids, y1, y2, columns: dict) -> list[dict]:
+    """One record per pair: id, y1 and y2 echoed exactly, then the columns."""
+    return [{"id": pid, "y1": a, "y2": b, **dict(zip(columns, values))}
+            for pid, a, b, *values in zip(ids, y1.tolist(), y2.tolist(),
+                                          *columns.values())]
+
+
+def _emit_pairs(args, config, ids, y1, y2, columns: dict, record: dict) -> int:
+    """Write record for the one --y1/--y2 pair (jsonl by default), or the
+    columns as --input's rows (csv by default)."""
+    if ids is None:
+        _emit(args, _record_text([record], args.format or "jsonl"),
+              _build_manifest(args, config, []))
+        return 0
+    config["input"] = str(args.input)
+    _emit(args, _record_text(_pair_rows(ids, y1, y2, columns),
+                             args.format or "csv"),
+          _build_manifest(args, config, [args.input]))
+    return 0
 
 
 # ---------------------------------------------------------------- fit-macl
@@ -249,33 +281,32 @@ def _cmd_fit_mixture(args) -> int:
 # --------------------------------------------------------------------- ci
 
 
-def _ci_single(args, model, y1, y2, bounds):
+def _ci_columns(args, model, y1, y2, bounds) -> dict:
+    """The lo, hi and disconnected columns, each from one array call; region
+    calls ci_diff_region once per pair, as it has no batch form."""
     method = args.method
+    disconnected = [False] * y1.size
     if method == "exact":
-        cs = ci_mu_exact(y1, model, args.alpha, bounds)
-        lo, hi = cs.hull
-        disconnected = cs.disconnected
+        lo, hi, parts = bounded_hulls(y1, model, args.alpha, *bounds)
+        if (parts == 0).any():
+            raise NumericalError("confidence set empty after bounding to "
+                                 f"[{bounds[0]}, {bounds[1]}]")
+        disconnected = (parts > 1).tolist()
     elif method == "region":
-        if y2 is None:
-            raise DataError("method region needs --y2")
-        cs = ci_diff_region(y1, y2, model, args.alpha, bounds, args.grid_res,
-                            refine_boundaries=not args.no_refine)
-        lo, hi = cs.hull
-        disconnected = cs.disconnected
+        sets = [ci_diff_region(a, b, model, args.alpha, bounds, args.grid_res,
+                               refine_boundaries=not args.no_refine)
+                for a, b in zip(y1.tolist(), y2.tolist())]
+        lo, hi = np.array([cs.hull for cs in sets]).T
+        disconnected = [cs.disconnected for cs in sets]
     elif method == "bonferroni":
-        if y2 is None:
-            raise DataError("method bonferroni needs --y2")
         lo, hi = ci_diff_bonferroni(y1, y2, model, args.alpha, bounds)
-        disconnected = False
-    else:  # naive: single-mean without --y2, difference with it
-        if y2 is None:
-            lo, hi = ci_mu_naive(y1, model, args.alpha)
-        else:
-            lo, hi = ci_diff_naive(y1, y2, model, args.alpha)
-        disconnected = False
-    if args.scale == "ratio":
-        lo, hi = ratio_scale((lo, hi))
-    return lo, hi, disconnected
+    elif y2 is None:  # naive: single-mean without --y2, difference with it
+        lo, hi = ci_mu_naive(y1, model, args.alpha)
+    else:
+        lo, hi = ci_diff_naive(y1, y2, model, args.alpha)
+    lo, hi = (ratio_scale((lo, hi)) if args.scale == "ratio"
+              else (lo.tolist(), hi.tolist()))
+    return {"lo": lo, "hi": hi, "disconnected": disconnected}
 
 
 def _cmd_ci(args) -> int:
@@ -285,43 +316,16 @@ def _cmd_ci(args) -> int:
               "method": args.method, "alpha": args.alpha, "a": args.a,
               "b": args.b, "grid_res": args.grid_res,
               "refine": not args.no_refine, "scale": args.scale}
-    if args.input is None:
-        if args.y1 is None:
-            raise DataError("provide --y1 (and optionally --y2) or --input")
-        lo, hi, disc = _ci_single(args, model, args.y1, args.y2, bounds)
-        record = {"method": args.method, "level": 1 - args.alpha,
-                  "lo": lo, "hi": hi, "disconnected": disc,
-                  "scale": args.scale}
-        _emit(args, _record_text([record], args.format or "jsonl"),
-              _build_manifest(args, config, []))
-        return 0
-
-    data = load_csv(args.input, bounds=bounds, raw=args.raw,
-                    drop_ties=False)
-    config["input"] = str(args.input)
-
-    rows = []
-    for pid, y1, y2 in _pairs(data):
-        lo, hi, disc = _ci_single(args, model, y1,
-                                  None if args.method == "exact" else y2,
-                                  bounds)
-        rows.append({"id": pid, "y1": y1, "y2": y2, "lo": lo, "hi": hi,
-                     "disconnected": disc, "method": args.method})
-    _emit(args, _record_text(rows, args.format or "csv"),
-          _build_manifest(args, config, [args.input]))
-    return 0
+    ids, y1, y2 = _read_pairs(
+        args, bounds, need_y2=args.method in ("region", "bonferroni"))
+    columns = _ci_columns(args, model, y1, y2, bounds)
+    record = {"method": args.method, "level": 1 - args.alpha,
+              **{k: v[0] for k, v in columns.items()}, "scale": args.scale}
+    return _emit_pairs(args, config, ids, y1, y2,
+                       dict(columns, method=[args.method] * y1.size), record)
 
 
 # ------------------------------------------------------------------ pvalue
-
-
-def _pvalue_one(args, model, bounds, y1, y2):
-    if args.method == "naive":
-        return pvalue_naive(y1, y2, model)
-    if args.method == "conservative":
-        return pvalue_conservative(y1, y2, model, bounds)
-    return pvalue_berger_boos(y1, y2, model, bounds, args.beta,
-                              cbeta_pivot=args.cbeta_pivot)
 
 
 def _cmd_pvalue(args) -> int:
@@ -331,36 +335,22 @@ def _cmd_pvalue(args) -> int:
               "method": args.method, "beta": args.beta, "a": args.a,
               "b": args.b, "cbeta_pivot": args.cbeta_pivot,
               "bonferroni": args.bonferroni}
-    if args.input is None:
-        if args.y1 is None or args.y2 is None:
-            raise DataError("provide --y1 and --y2, or --input")
-        r = _pvalue_one(args, model, bounds, args.y1, args.y2)
-        record = {"method": args.method, "statistic": r.statistic,
-                  "p_value": r.p_value, "mu_sup": r.mu_sup}
-        _emit(args, _record_text([record], args.format or "jsonl"),
-              _build_manifest(args, config, []))
-        return 0
-
-    data = load_csv(args.input, bounds=bounds, raw=args.raw,
-                    drop_ties=False)
-    config["input"] = str(args.input)
-    cutoff = 0.05 / data.n
-    rows = []
-    for pid, y1, y2 in _pairs(data):
-        r = _pvalue_one(args, model, bounds, y1, y2)
-        row = {"id": pid, "y1": y1, "y2": y2,
-               "statistic": r.statistic, "p_value": r.p_value,
-               "mu_sup": r.mu_sup}
-        if args.bonferroni:
-            row["significant_bonferroni"] = r.p_value <= cutoff
-        rows.append(row)
-    if args.bonferroni and not args.quiet:
-        count = sum(1 for r in rows if r["p_value"] <= cutoff)
-        print(f"{count} of {data.n} p-values below 0.05/N = {cutoff:.3g}",
-              file=sys.stderr)
-    _emit(args, _record_text(rows, args.format or "csv"),
-          _build_manifest(args, config, [args.input]))
-    return 0
+    ids, y1, y2 = _read_pairs(args, bounds, need_y2=True)
+    p, mu, _, stat = pvalue_kernel(
+        y1, y2, model, TestMethod(args.method), bounds, args.beta,
+        args.cbeta_pivot)
+    columns = {"statistic": [None] * p.size if stat is None else stat.tolist(),
+               "p_value": p.tolist(),
+               "mu_sup": [None if math.isnan(m) else m for m in mu.tolist()]}
+    record = {"method": args.method, **{k: v[0] for k, v in columns.items()}}
+    cutoff = 0.05 / p.size
+    if args.bonferroni and ids is not None:
+        columns["significant_bonferroni"] = significant = [
+            v <= cutoff for v in columns["p_value"]]
+        if not args.quiet:
+            print(f"{sum(significant)} of {p.size} p-values below "
+                  f"0.05/N = {cutoff:.3g}", file=sys.stderr)
+    return _emit_pairs(args, config, ids, y1, y2, columns, record)
 
 
 # ---------------------------------------------------------------- simulate
@@ -429,8 +419,11 @@ def _cmd_simulate(args) -> int:
         return VarianceModel(form, _floats(text))
 
     theta = get("theta", "5,-1", model)
-    alpha = get("alpha", DEFAULTS["alpha"], _level)
-    bounds = (get("a", DEFAULTS["a"]), get("b", DEFAULTS["b"]))
+    alpha = get("alpha", DEFAULT_ALPHA, _level)
+    bounds = (get("a", DEFAULT_BOUNDS[0], _finite),
+              get("b", DEFAULT_BOUNDS[1], _finite))
+    if not bounds[0] < bounds[1]:
+        raise DataError(f"the bounds need a < b, got a, b = {bounds}")
     _check_bounds(form, bounds[0])
 
     if args.study == "estimator":
@@ -440,7 +433,8 @@ def _cmd_simulate(args) -> int:
             get("scenario", "uniform:8,12", lambda t: _scenario(t, n, seed)),
             theta, get("reps", 200 if method is EstimatorMethod.MIXTURE
                        else 1000, int), method,
-            d=get("d", DEFAULTS["d"], _positive(float)), bounds=bounds)
+            d=get("d", mixture_em.DEFAULT_SPACING, _positive(float)),
+            bounds=bounds)
     elif args.study == "coverage":
         methods = cfg.get("methods", "exact,naive").split(",")
         report = coverage_study(
@@ -453,7 +447,8 @@ def _cmd_simulate(args) -> int:
         report = power_study(
             theta, get("mu_grid", "8,10,12", _floats),
             get("k_grid", "0,1,2,3", _floats),
-            get("reps", 10_000, _positive(int)), beta=get("beta", 1e-3, _level),
+            get("reps", 10_000, _positive(int)),
+            beta=get("beta", DEFAULT_BETA_POWER, _level),
             alpha=alpha, bounds=bounds, seed=seed)
     else:
         raise DataError(f"unknown study {args.study!r}")
@@ -478,8 +473,6 @@ def _cmd_bias_oracle(args) -> int:
     record = {"theta": list(args.theta), "mus": list(args.mus),
               "first": first, "second": second}
     if args.mc_reps:
-        import numpy as np
-
         rng = np.random.default_rng(args.seed or 0)
         t1, t2 = args.theta
         mus = np.asarray(args.mus)
@@ -516,27 +509,21 @@ def _cmd_pipeline(args) -> int:
         raise DataError(f"experiment file {args.experiment} has no usable pairs")
     est, grid = fit_mixture(control, form, d=args.d)
     model = VarianceModel(form, est.theta_hat)
-
-    def one(pid, y1, y2):
-        region = ci_diff_region(y1, y2, model, args.alpha, bounds,
-                                args.grid_res)
-        ratio_lo, ratio_hi = ratio_scale(region.hull)
-        naive_lo, naive_hi = ratio_scale(ci_diff_naive(y1, y2, model, args.alpha))
-        berger_boos = pvalue_berger_boos(y1, y2, model, bounds, args.beta)
-        return {
-            "id": pid, "y1": y1, "y2": y2,
-            "ratio_lo": ratio_lo, "ratio_hi": ratio_hi,
-            "ci_disconnected": region.disconnected,
-            "ratio_naive_lo": naive_lo, "ratio_naive_hi": naive_hi,
-            "p_naive": pvalue_naive(y1, y2, model).p_value,
-            "p_conservative": pvalue_conservative(y1, y2, model, bounds).p_value,
-            "p_berger_boos": berger_boos.p_value,
-        }, berger_boos.degenerate, region.diagnostics
-
-    results = [one(*pair) for pair in _pairs(experiment)]
-    rows = [row for row, _, _ in results]
+    y1, y2 = experiment.y1, experiment.y2
+    regions = [ci_diff_region(a, b, model, args.alpha, bounds, args.grid_res)
+               for a, b in zip(y1.tolist(), y2.tolist())]
+    ratio_lo, ratio_hi = ratio_scale(list(zip(*(r.hull for r in regions))))
+    naive_lo, naive_hi = ratio_scale(ci_diff_naive(y1, y2, model, args.alpha))
+    tests = {f"p_{m.name.lower()}": pvalue_kernel(y1, y2, model, m, bounds,
+                                                  args.beta)
+             for m in TestMethod}
+    columns = {"ratio_lo": ratio_lo, "ratio_hi": ratio_hi,
+               "ci_disconnected": [r.disconnected for r in regions],
+               "ratio_naive_lo": naive_lo, "ratio_naive_hi": naive_hi,
+               **{name: t[0].tolist() for name, t in tests.items()}}
+    rows = _pair_rows(experiment.ids(), y1, y2, columns)
     cutoff = 0.05 / experiment.n
-    counts = {m: sum(1 for r in rows if r[m] <= cutoff)
+    counts = {m: sum(1 for p in columns[m] if p <= cutoff)
               for m in ("p_naive", "p_berger_boos", "p_conservative")}
     config = {"control": str(args.control), "experiment": str(args.experiment),
               "form": args.form, "alpha": args.alpha, "beta": args.beta,
@@ -546,10 +533,11 @@ def _cmd_pipeline(args) -> int:
               "bonferroni_cutoff": cutoff,
               "significant_counts": counts}
     diagnostics = {
-        "region_disconnected": sum(r["ci_disconnected"] for r in rows),
-        "berger_boos_degenerate": sum(deg for _, deg, _ in results),
+        "region_disconnected": sum(r.disconnected for r in regions),
+        "berger_boos_degenerate": int(np.count_nonzero(
+            tests["p_berger_boos"][2])),
         "mixture": _mixture_diagnostics(est),
-        "region": {key: sum(counts[key] for _, _, counts in results)
+        "region": {key: sum(r.diagnostics[key] for r in regions)
                    for key in ("decisions", "polishes", "evaluations")}}
     _emit(args, _record_text(rows, "csv"),
           _build_manifest(args, config, [args.control, args.experiment],
@@ -590,84 +578,80 @@ def build_parser() -> argparse.ArgumentParser:
                     "paired-replicate log intensities.")
     parser.add_argument("--version", action="version", version=__version__)
     common = _common_options("jsonl")
-    # ci and pvalue write a jsonl record for one pair and csv rows for
-    # --input unless --format is given
+    # ci and pvalue take one pair or a pairs CSV, and write a jsonl record
+    # for one pair and csv rows for --input unless --format is given
     per_pair = _common_options(None)
+    per_pair.add_argument("--y1", type=_finite, default=None)
+    per_pair.add_argument("--y2", type=_finite, default=None)
+    per_pair.add_argument("--input", default=None,
+                          help="a pairs CSV (exact uses its y1)")
+    data = argparse.ArgumentParser(add_help=False)  # how pairs are modelled
+    data.add_argument("--form", default="exp-linear", choices=FORMS)
+    data.add_argument("--raw", action="store_true",
+                      help="input intensities are raw; take natural logs")
     bounds = argparse.ArgumentParser(add_help=False)  # the mean support
-    bounds.add_argument("--a", type=float, default=DEFAULTS["a"])
-    bounds.add_argument("--b", type=float, default=DEFAULTS["b"])
+    bounds.add_argument("--a", type=_finite, default=DEFAULT_BOUNDS[0])
+    bounds.add_argument("--b", type=_finite, default=DEFAULT_BOUNDS[1])
     # argparse takes "-45,6.5" after a space for an option
     theta = argparse.ArgumentParser(add_help=False)
-    theta.add_argument("--theta", type=_parse_theta, required=True,
+    theta.add_argument("--theta", type=_reals, required=True,
                        help="comma-separated coefficients; write a negative "
                             "first one as --theta=-45,6.5")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit-macl", parents=[common],
+    p = sub.add_parser("fit-macl", parents=[common, data],
                        help="fit the variance function by approximate "
                             "conditional likelihood")
     p.add_argument("--input", required=True)
-    p.add_argument("--form", default="exp-linear", choices=FORMS)
-    p.add_argument("--init", type=_parse_theta, default=None)
-    p.add_argument("--tol", type=_positive(float), default=1e-9)
-    p.add_argument("--max-iter", type=_positive(int), default=200)
-    p.add_argument("--raw", action="store_true",
-                   help="input intensities are raw; take natural logs")
+    p.add_argument("--init", type=_reals, default=None)
+    p.add_argument("--tol", type=_positive(float), default=macl.DEFAULT_TOL)
+    p.add_argument("--max-iter", type=_positive(int),
+                   default=macl.DEFAULT_MAX_ITER)
     p.set_defaults(func=_cmd_fit_macl)
 
-    p = sub.add_parser("fit-mixture", parents=[common, bounds],
+    spacing = {"type": _positive(float), "default": mixture_em.DEFAULT_SPACING}
+    p = sub.add_parser("fit-mixture", parents=[common, data, bounds],
                        help="fit the latent-mean mixture model")
     p.add_argument("--input", required=True)
-    p.add_argument("--form", default="exp-linear", choices=FORMS)
-    p.add_argument("--d", type=_positive(float), default=DEFAULTS["d"],
+    p.add_argument("--d", **spacing,
                    help="support spacing in estimated standard deviations")
-    p.add_argument("--tol", type=_positive(float), default=1e-8,
+    p.add_argument("--tol", type=_positive(float),
+                   default=mixture_em.DEFAULT_TOL,
                    help="bound on the final KKT gap of the weights and on "
                         "the last theta step; the gap has a rounding floor "
                         "(~4e-12 on 100 pairs), and a bound below it "
                         "cannot be met")
-    p.add_argument("--max-iter", type=_positive(int), default=2000,
+    p.add_argument("--max-iter", type=_positive(int),
+                   default=mixture_em.DEFAULT_MAX_ITER,
                    help="cap on outer iterations (weight solve + theta step)")
-    p.add_argument("--init", type=_parse_theta, default=None)
+    p.add_argument("--init", type=_reals, default=None)
     p.add_argument("--no-weights", action="store_true",
                    help="omit the fitted mixing weights from the output")
-    p.add_argument("--raw", action="store_true")
     p.set_defaults(func=_cmd_fit_mixture)
 
-    p = sub.add_parser("ci", parents=[per_pair, bounds, theta],
+    p = sub.add_parser("ci", parents=[per_pair, data, bounds, theta],
                        help="confidence sets for a mean or a difference")
-    p.add_argument("--form", default="exp-linear", choices=FORMS)
-    p.add_argument("--y1", type=float, default=None)
-    p.add_argument("--y2", type=float, default=None)
-    p.add_argument("--input", default=None,
-                   help="batch mode over a pairs CSV (exact uses y1)")
-    p.add_argument("--alpha", type=_level, default=DEFAULTS["alpha"])
+    p.add_argument("--alpha", type=_level, default=DEFAULT_ALPHA)
     p.add_argument("--method", required=True,
                    choices=["exact", "naive", "region", "bonferroni"])
     p.add_argument("--grid-res", type=_positive(float),
-                   default=DEFAULTS["grid_res"])
+                   default=DEFAULT_GRID_RES)
     p.add_argument("--no-refine", action="store_true",
                    help="report region endpoints at the accepted grid "
                         "extremes instead of the refined boundary")
     p.add_argument("--scale", choices=["log", "ratio"], default="log")
-    p.add_argument("--raw", action="store_true")
     p.set_defaults(func=_cmd_ci)
 
-    p = sub.add_parser("pvalue", parents=[per_pair, bounds, theta],
+    p = sub.add_parser("pvalue", parents=[per_pair, data, bounds, theta],
                        help="equal-means p-values for measurement pairs")
-    p.add_argument("--form", default="exp-linear", choices=FORMS)
-    p.add_argument("--input", default=None)
-    p.add_argument("--y1", type=float, default=None)
-    p.add_argument("--y2", type=float, default=None)
     p.add_argument("--method", required=True,
                    choices=[m.value for m in TestMethod])
-    p.add_argument("--beta", type=_level, default=DEFAULTS["beta"])
+    p.add_argument("--beta", type=_level, default=DEFAULT_BETA_ANALYSIS)
     p.add_argument("--cbeta-pivot", choices=["mean", "pair"], default="mean",
                    help="nuisance-set pivot for the Berger-Boos method")
     p.add_argument("--bonferroni", action="store_true",
                    help="also report significance against 0.05/N")
-    p.add_argument("--raw", action="store_true")
     p.set_defaults(func=_cmd_pvalue)
 
     p = sub.add_parser("simulate", parents=[common],
@@ -681,32 +665,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bias-oracle", parents=[common, theta],
                        help="analytic bias of the exp-linear estimating "
                             "equations at the true coefficients")
-    p.add_argument("--mus", type=_parse_theta, required=True)
+    p.add_argument("--mus", type=_reals, required=True)
     p.add_argument("--mc-reps", type=_checked(int, lambda v: v >= 2,
                                               "at least 2"), default=None,
                    help="optionally cross-check by Monte Carlo with this "
                         "many replicates (at least 2)")
     p.set_defaults(func=_cmd_bias_oracle)
 
-    p = sub.add_parser("pipeline", parents=[common, bounds],
+    p = sub.add_parser("pipeline", parents=[common, data, bounds],
                        help="fit on control data, then per-peptide intervals "
                             "and p-values on experiment data")
     p.add_argument("--control", required=True)
     p.add_argument("--experiment", required=True)
-    p.add_argument("--form", default="exp-linear", choices=FORMS)
-    p.add_argument("--alpha", type=_level, default=DEFAULTS["alpha"])
-    p.add_argument("--beta", type=_level, default=DEFAULTS["beta"])
-    p.add_argument("--d", type=_positive(float), default=DEFAULTS["d"])
+    p.add_argument("--alpha", type=_level, default=DEFAULT_ALPHA)
+    p.add_argument("--beta", type=_level, default=DEFAULT_BETA_ANALYSIS)
+    p.add_argument("--d", **spacing)
     p.add_argument("--grid-res", type=_positive(float),
-                   default=DEFAULTS["grid_res"])
-    p.add_argument("--raw", action="store_true")
+                   default=DEFAULT_GRID_RES)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "a" in args and not args.a < args.b:
+        parser.error(f"the bounds need a < b, got --a {args.a} --b {args.b}")
     if args.quiet:
         logging.basicConfig(level=logging.ERROR)
     else:

@@ -7,8 +7,9 @@ intervals, depending on where the pivot's interior local maximum sits
 relative to the quantile: in closed form for the exp-linear form with a
 negative slope, from real Lambert W branches computed in float64 from the
 log of their argument, and on one 20001-point grid over the bounds for
-every other form. bounded_hulls, the batch kernel for bounded hulls,
-serves Bonferroni intervals, coverage studies and Berger-Boos p-values.
+every other form. bounded_hulls, the batch kernel for bounded hulls and
+their component counts, serves exact and Bonferroni intervals over many
+observations, coverage studies and Berger-Boos p-values.
 For a pair (Y1, Y2) the two-term form (Y1 - mu1)^2/h(mu1) +
 (Y2 - mu2)^2/h(mu2) is chi-squared with two degrees of freedom. Scanning
 its region in (nu1, nu2) = (mu1 - mu2, mu1 + mu2) on the grid nu2 =
@@ -216,13 +217,14 @@ def _grid_accepted(ys, model: VarianceModel, q, a: float, b: float):
 
 
 def _grid_hulls(ys, model: VarianceModel, q, a: float, b: float):
-    """Hulls (lo, hi, empty) of the grid-inverted sets, 64 rows at a time."""
+    """Hulls (lo, hi) and accepted-run counts of the grid-inverted sets, 16
+    rows (2.5 MB of scores) at a time; 64 were slower (see README)."""
     parts = []
-    for s in range(0, max(np.size(ys[0]), 1), 64):
-        grid, acc = _grid_accepted([y[s:s + 64] for y in ys], model, q, a, b)
+    for s in range(0, max(np.size(ys[0]), 1), 16):
+        grid, acc = _grid_accepted([y[s:s + 16] for y in ys], model, q, a, b)
         parts.append((grid[np.argmax(acc, axis=1)],
                       grid[::-1][np.argmax(acc[:, ::-1], axis=1)],
-                      ~acc.any(axis=1)))
+                      acc[:, 0] + (acc[:, 1:] > acc[:, :-1]).sum(axis=1)))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -269,13 +271,19 @@ def ci_mu_exact(y: float, model: VarianceModel, alpha: float,
     return cs
 
 
-def ci_mu_naive(y: float, model: VarianceModel, alpha: float) -> tuple[float, float]:
+def _floats_for_scalar(y, *columns):
+    """The columns as Python floats when y is a scalar, else as they are:
+    the plug-in and Bonferroni intervals take arrays as well as floats."""
+    return tuple(c.item() for c in columns) if np.ndim(y) == 0 else columns
+
+
+def ci_mu_naive(y, model: VarianceModel, alpha: float):
     """Plug-in interval y +- z * sqrt(h(theta, y))."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     z = normal_quantile(1.0 - alpha / 2.0)
-    half = z * math.sqrt(float(_positive_h(model, y)))
-    return (y - half, y + half)
+    half = z * np.sqrt(_positive_h(model, y))
+    return _floats_for_scalar(y, y - half, y + half)
 
 
 def _region_form(y1, y2, model, nu1, nu2):
@@ -497,43 +505,47 @@ def ci_diff_region(
                    diagnostics=dict(counts))
 
 
-def ci_diff_bonferroni(y1: float, y2: float, model: VarianceModel, alpha: float,
-                       bounds: tuple[float, float]) -> tuple[float, float]:
+def ci_diff_bonferroni(y1, y2, model: VarianceModel, alpha: float,
+                       bounds: tuple[float, float]):
     """Difference interval from two exact half-alpha sets, via their hulls."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
-    lo, hi, empty = bounded_hulls(np.array([y1, y2], dtype=float), model,
-                                  alpha / 2.0, *bounds)
-    if empty.any():
+    n = np.size(y1)
+    lo, hi, parts = bounded_hulls(np.append(y1, y2), model, alpha / 2.0,
+                                  *bounds)
+    if (parts == 0).any():
         raise NumericalError(
             f"confidence set empty after bounding to [{bounds[0]}, {bounds[1]}]")
-    return (float(lo[0] - hi[1]), float(hi[0] - lo[1]))
+    return _floats_for_scalar(y1, lo[:n] - hi[n:], hi[:n] - lo[n:])
 
 
-def ci_diff_naive(y1: float, y2: float, model: VarianceModel,
-                  alpha: float) -> tuple[float, float]:
+def ci_diff_naive(y1, y2, model: VarianceModel, alpha: float):
     """Plug-in interval for the difference of two means."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     z = normal_quantile(1.0 - alpha / 2.0)
-    half = z * math.sqrt(float(_positive_h(model, y1))
-                         + float(_positive_h(model, y2)))
-    d = y1 - y2
-    return (d - half, d + half)
+    half = z * np.sqrt(_positive_h(model, y1) + _positive_h(model, y2))
+    d = np.subtract(y1, y2)
+    return _floats_for_scalar(d, d - half, d + half)
 
 
-def ratio_scale(interval: tuple[float, float]) -> tuple[float, float]:
-    """Map a log-scale interval to the ratio (natural) scale."""
-    return (math.exp(interval[0]), math.exp(interval[1]))
+def ratio_scale(interval):
+    """Map a log-scale interval, or columns (lo, hi) of them, to the ratio
+    (natural) scale. math.exp, not np.exp: they differ in the last bit on
+    ~5% of values."""
+    if np.ndim(interval[0]) == 0:
+        return (math.exp(interval[0]), math.exp(interval[1]))
+    return tuple([math.exp(v) for v in c] for c in interval)
 
 
 def bounded_hulls(y, model: VarianceModel, alpha, a: float, b: float):
     """Vectorized hulls of bounded exact sets, for batch constructions.
 
-    Returns (lo, hi, empty): per-element hull endpoints of the exact pivot
-    set intersected with [a, b], and a mask of elements whose bounded set is
-    empty. Lambert-W crossings for exp-linear with a negative slope; every
-    other form uses ci_mu_exact's 20001-point grid, so hulls are equal.
+    Returns (lo, hi, parts): per element, the hull of the exact pivot set
+    intersected with [a, b] and its number of components as ci_mu_exact
+    counts them (0: empty, 2: disconnected). Lambert-W crossings for
+    exp-linear with a negative slope; every other form uses ci_mu_exact's
+    20001-point grid, so hulls are equal.
     """
     q = chi2_1_quantile(1.0 - alpha)
     if model.form is not VarianceForm.EXP_LINEAR or model.theta[1] >= 0:
@@ -547,7 +559,6 @@ def bounded_hulls(y, model: VarianceModel, alpha, a: float, b: float):
     lo2 = np.maximum(c.l2, a)
     hi2 = np.minimum(c.r2, b)
     has2 = c.two_sided & (lo2 <= hi2)
-    empty = ~(has1 | has2)
     lo = np.where(has1, a, lo2)
     hi = np.where(has2, hi2, np.minimum(c.r1, b))
-    return lo, hi, empty
+    return lo, hi, has1 + has2.astype(int)

@@ -11,8 +11,8 @@ complementary probability.
 The tail probability grows with h, and every variance form is monotone on
 the bounds [a, b], so the supremum over an interval [lo, hi] inside them
 sits at an end: at lo when h(a) >= h(b), at hi otherwise. One array kernel
-computes every method for every form; the scalar tests run it on a batch
-of one, and batch_pvalues returns its p-values.
+(pvalue_kernel) computes every method for every form; the scalar tests
+run it on a batch of one, and batch_pvalues returns its p-values.
 """
 
 from __future__ import annotations
@@ -68,16 +68,17 @@ class TestResult:
             raise ValueError(f"p-value {self.p_value} outside [0,1]")
 
 
-def _kernel(y1, y2, model: VarianceModel, method: TestMethod,
-            bounds: tuple[float, float], beta: float | None,
-            cbeta_pivot: str = "mean"):
+def pvalue_kernel(y1, y2, model: VarianceModel, method: TestMethod,
+                  bounds: tuple[float, float] = DEFAULT_BOUNDS,
+                  beta: float = DEFAULT_BETA_ANALYSIS, cbeta_pivot="mean"):
     """One method's p-values over arrays of pairs.
 
     Returns per pair the p-value, the nuisance mean attaining the supremum
     (NaN where degenerate), whether the Berger-Boos set missed [a, b], and
-    the plug-in statistic (naive only, else None). DomainError unless h is
-    finite and positive where the method evaluates it: at the pair means
-    for the naive test, at a and b (with a > 0 for the power form) else.
+    the plug-in statistic (naive only, else None). Degenerate pairs are
+    logged once per call, with their count. DomainError unless h is finite
+    and positive where the method evaluates it: at the pair means for the
+    naive test, at a and b (with a > 0 for the power form) else.
     """
     y1, y2 = (np.atleast_1d(np.asarray(y, dtype=float)) for y in (y1, y2))
     ybar = (y1 + y2) / 2.0
@@ -96,26 +97,32 @@ def _kernel(y1, y2, model: VarianceModel, method: TestMethod,
         raise DomainError(f"the power form needs bounds with a > 0, got a = {a}")
     h_a, h_b = _positive_h(model, np.array([a, b], dtype=float))
     if method is TestMethod.CONSERVATIVE:
-        lo, hi, empty = a, b, np.zeros(ybar.shape, dtype=bool)
+        lo, hi, parts = a, b, np.ones(ybar.shape, dtype=int)
     elif cbeta_pivot == "mean":
         # Under H0 the pair average is N(mu, h(mu)/2): the one-observation
         # pivot with the variance halved.
-        lo, hi, empty = bounded_hulls(ybar, model.scaled(0.5), beta, a, b)
+        lo, hi, parts = bounded_hulls(ybar, model.scaled(0.5), beta, a, b)
     else:
         # The two-observation pivot, chi-squared with 2 df: quantile -2 log beta.
-        lo, hi, empty = _grid_hulls([y1, y2], model, -2.0 * math.log(beta),
+        lo, hi, parts = _grid_hulls([y1, y2], model, -2.0 * math.log(beta),
                                     a, b)
+    empty = parts == 0
     mu = np.where(empty, a, lo if h_a >= h_b else hi)
     p = chi2_1_sf((y1 - y2) ** 2 / (2.0 * model(mu)))
     if method is TestMethod.BERGER_BOOS:
         p = np.where(empty, beta, np.minimum(p + beta, 1.0))
+        if empty.any():
+            logger.warning(
+                "Berger-Boos confidence set for the mean misses [%g, %g] for "
+                "%d of %d pairs; returning p = beta = %g there", a, b,
+                np.count_nonzero(empty), empty.size, beta)
     return p, np.where(empty, np.nan, mu), empty, None
 
 
 def _one(y1, y2, model, method, bounds=DEFAULT_BOUNDS, beta=None,
          cbeta_pivot="mean") -> TestResult:
-    p, mu, degenerate, stat = _kernel(y1, y2, model, method, bounds, beta,
-                                      cbeta_pivot)
+    p, mu, degenerate, stat = pvalue_kernel(y1, y2, model, method, bounds,
+                                            beta, cbeta_pivot)
     return TestResult(p_value=float(p[0]), method=method,
                       statistic=None if stat is None else float(stat[0]),
                       beta=beta, mu_sup=None if degenerate[0] else float(mu[0]),
@@ -144,16 +151,12 @@ def pvalue_berger_boos(y1: float, y2: float, model: VarianceModel,
     the two-observation chi-squared(2 df) variant for sensitivity analysis.
     The result exceeds beta by construction and is capped at 1.
     """
-    r = _one(y1, y2, model, TestMethod.BERGER_BOOS, bounds, beta, cbeta_pivot)
-    if r.degenerate:
-        logger.warning(
-            "Berger-Boos confidence set for the mean misses [%g, %g]; "
-            "returning p = beta = %g", bounds[0], bounds[1], beta)
-    return r
+    return _one(y1, y2, model, TestMethod.BERGER_BOOS, bounds, beta,
+                cbeta_pivot)
 
 
 def batch_pvalues(y1, y2, model: VarianceModel, method: TestMethod,
                   bounds: tuple[float, float] = DEFAULT_BOUNDS,
                   beta: float = DEFAULT_BETA_POWER) -> np.ndarray:
     """Vectorized p-values over arrays of pairs, for every method and form."""
-    return _kernel(y1, y2, model, method, bounds, beta)[0]
+    return pvalue_kernel(y1, y2, model, method, bounds, beta)[0]

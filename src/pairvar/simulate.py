@@ -29,7 +29,7 @@ from .intervals import (
 from .macl import macl_fit, mle_homoscedastic
 from .mixture_em import fit_mixture
 from .model import DEFAULT_BOUNDS, PairedDataset, VarianceForm, VarianceModel
-from .pvalues import TestMethod, batch_pvalues
+from .pvalues import DEFAULT_BETA_POWER, TestMethod, batch_pvalues
 
 RNG_ID = "numpy-pcg64/seedseq-spawn"
 
@@ -253,11 +253,11 @@ def coverage_study(
                         y1, y2, theta_fit, chi2_2_quantile(1.0 - alpha), 0.0,
                         *bounds, grid_res)
                 elif m == "bonferroni":
-                    lo1, hi1, e1 = bounded_hulls(y1, theta_fit, alpha / 2.0,
+                    lo1, hi1, n1 = bounded_hulls(y1, theta_fit, alpha / 2.0,
                                                  *bounds)
-                    lo2, hi2, e2 = bounded_hulls(y2, theta_fit, alpha / 2.0,
+                    lo2, hi2, n2 = bounded_hulls(y2, theta_fit, alpha / 2.0,
                                                  *bounds)
-                    covered = (~e1 & ~e2
+                    covered = ((n1 > 0) & (n2 > 0)
                                & (lo1 - hi2 <= 0.0) & (0.0 <= hi1 - lo2))
                 else:
                     covered = (np.abs(y1 - y2)
@@ -286,7 +286,7 @@ def power_study(
     mu_grid: Sequence[float],
     k_grid: Sequence[float],
     reps: int,
-    beta: float = 1e-3,
+    beta: float = DEFAULT_BETA_POWER,
     alpha: float = 0.05,
     bounds=DEFAULT_BOUNDS,
     seed: int = 0,

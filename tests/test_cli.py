@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -9,10 +10,20 @@ import numpy as np
 import pytest
 
 from pairvar.cli import main
-from pairvar.intervals import ci_diff_region
+from pairvar.intervals import (
+    ci_diff_region,
+    ci_mu_exact,
+    normal_quantile,
+    ratio_scale,
+)
 from pairvar.mixture_em import fit_mixture
 from pairvar.model import load_csv
 from pairvar.model import VarianceForm, VarianceModel
+from pairvar.pvalues import (
+    pvalue_berger_boos,
+    pvalue_conservative,
+    pvalue_naive,
+)
 from pairvar.simulate import Scenario, ScenarioKind, generate_dataset
 
 EXP51 = VarianceModel(VarianceForm.EXP_LINEAR, (5.0, -1.0))
@@ -352,6 +363,183 @@ class TestPipeline:
                      "--experiment", str(experiment), "--quiet"]) == 3
 
 
+# The per-pair path the CLI took before its array calls, kept as the oracle:
+# ci_mu_exact for exact sets and Bonferroni hulls, the plug-in formulas on
+# Python floats, one ci_diff_region call and one scalar test per pair.
+ORACLE_FORMS = {
+    "exp-linear": "5,-1",
+    "power": "3.9,-3",
+    "exp-linear-const": "5,-1,-4",
+}
+
+
+def _model(form, theta):
+    return VarianceModel(VarianceForm.from_name(form),
+                         [float(t) for t in theta.split(",")])
+
+
+def _ci_oracle(method, model, y1, y2, alpha, bounds, scale, grid_res=0.02):
+    z = normal_quantile(1.0 - alpha / 2.0)
+    disconnected = False
+    if method == "exact":
+        cs = ci_mu_exact(y1, model, alpha, bounds)
+        (lo, hi), disconnected = cs.hull, cs.disconnected
+    elif method == "region":
+        cs = ci_diff_region(y1, y2, model, alpha, bounds, grid_res)
+        (lo, hi), disconnected = cs.hull, cs.disconnected
+    elif method == "bonferroni":
+        lo1, hi1 = ci_mu_exact(y1, model, alpha / 2.0, bounds).hull
+        lo2, hi2 = ci_mu_exact(y2, model, alpha / 2.0, bounds).hull
+        lo, hi = lo1 - hi2, hi1 - lo2
+    elif y2 is None:
+        half = z * math.sqrt(float(model(y1)))
+        lo, hi = y1 - half, y1 + half
+    else:
+        half = z * math.sqrt(float(model(y1)) + float(model(y2)))
+        lo, hi = y1 - y2 - half, y1 - y2 + half
+    if scale == "ratio":
+        lo, hi = ratio_scale((lo, hi))
+    return {"lo": lo, "hi": hi, "disconnected": disconnected}
+
+
+def _pvalue_oracle(method, model, y1, y2, bounds, beta, pivot):
+    if method == "naive":
+        r = pvalue_naive(y1, y2, model)
+    elif method == "conservative":
+        r = pvalue_conservative(y1, y2, model, bounds)
+    else:
+        r = pvalue_berger_boos(y1, y2, model, bounds, beta, pivot)
+    return {"statistic": r.statistic, "p_value": r.p_value,
+            "mu_sup": r.mu_sup}, r.degenerate
+
+
+def _spread_pairs(seed, count, lo, hi, extra=()):
+    rng = np.random.default_rng(seed)
+    y1 = rng.uniform(lo, hi, count)
+    y2 = y1 + rng.normal(0.0, 0.3, count)
+    return [(f"r{k}", a, b) for k, (a, b) in
+            enumerate(zip(y1.tolist(), y2.tolist()))] + list(extra)
+
+
+def _jsonl(argv, capsys):
+    assert main(argv + ["--format", "jsonl", "--quiet"]) == 0
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+class TestBatchRowsEqualPerPairOracle:
+    """--input rows, single-pair records and pipeline rows against the
+    per-pair path, bit for bit."""
+
+    @pytest.mark.parametrize("form", sorted(ORACLE_FORMS))
+    @pytest.mark.parametrize("method, bounds", [
+        ("exact", (7.3, 13.9)), ("exact", (0.5, 20.0)), ("naive", (7.3, 13.9)),
+        ("bonferroni", (7.3, 13.9)), ("bonferroni", (0.5, 20.0)),
+        ("region", (7.3, 13.9))])
+    def test_ci(self, tmp_path, capsys, form, method, bounds):
+        theta = ORACLE_FORMS[form]
+        model = _model(form, theta)
+        wide = bounds == (0.5, 20.0)
+        count = 4 if method == "region" else 60
+        pairs = _spread_pairs(sum(map(ord, form + method)) + wide, count,
+                              *((1.0, 19.0) if wide else (7.6, 13.6)),
+                              extra=[("tie", 10.0, 10.0)])
+        inp = tmp_path / "pairs.csv"
+        write_pairs_csv(inp, [(i, repr(a), repr(b)) for i, a, b in pairs])
+        base = ["ci", "--form", form, f"--theta={theta}", "--method", method,
+                "--a", repr(bounds[0]), "--b", repr(bounds[1]),
+                "--grid-res", "0.02"]
+        for scale in ("log", "ratio"):
+            recs = _jsonl(base + ["--input", str(inp), "--scale", scale],
+                          capsys)
+            expected = [{"id": i, "y1": a, "y2": b,
+                         **_ci_oracle(method, model, a,
+                                      None if method == "exact" else b,
+                                      0.05, bounds, scale),
+                         "method": method} for i, a, b in pairs]
+            assert recs == expected
+        if method == "exact" and wide:
+            assert any(r["disconnected"] for r in expected)
+        _, y1, y2 = pairs[0]
+        for single in ([y1], [y1, y2]):
+            if method in ("region", "bonferroni") and len(single) == 1:
+                continue
+            argv = base + [f"--y{k + 1}={v!r}" for k, v in enumerate(single)]
+            rec, = _jsonl(argv, capsys)
+            assert rec == {"method": method, "level": 0.95,
+                           **_ci_oracle(method, model, y1,
+                                        (single + [None])[1], 0.05, bounds,
+                                        "log"),
+                           "scale": "log"}
+
+    @pytest.mark.parametrize("form", sorted(ORACLE_FORMS))
+    @pytest.mark.parametrize("method, pivot", [
+        ("naive", "mean"), ("conservative", "mean"), ("berger-boos", "mean"),
+        ("berger-boos", "pair")])
+    def test_pvalue(self, tmp_path, capsys, form, method, pivot):
+        theta = ORACLE_FORMS[form]
+        model = _model(form, theta)
+        pairs = _spread_pairs(sum(map(ord, form + method + pivot)), 40,
+                              7.0, 14.2, extra=[("tie", 10.0, 10.0),
+                                                ("far", 25.0, 25.3)])
+        inp = tmp_path / "pairs.csv"
+        write_pairs_csv(inp, [(i, repr(a), repr(b)) for i, a, b in pairs])
+        base = ["pvalue", "--form", form, f"--theta={theta}", "--method",
+                method, "--cbeta-pivot", pivot, "--beta", "1e-3"]
+        recs = _jsonl(base + ["--input", str(inp), "--bonferroni"], capsys)
+        expected, degenerate = [], 0
+        for i, a, b in pairs:
+            columns, deg = _pvalue_oracle(method, model, a, b, (7.3, 13.9),
+                                          1e-3, pivot)
+            degenerate += deg
+            expected.append({"id": i, "y1": a, "y2": b, **columns,
+                             "significant_bonferroni":
+                                 columns["p_value"] <= 0.05 / len(pairs)})
+        assert recs == expected
+        assert (degenerate > 0) == (method == "berger-boos")
+        _, y1, y2 = pairs[-1]
+        rec, = _jsonl(base + [f"--y1={y1!r}", f"--y2={y2!r}"], capsys)
+        assert rec == {"method": method, **_pvalue_oracle(
+            method, model, y1, y2, (7.3, 13.9), 1e-3, pivot)[0]}
+
+    def test_pipeline(self, tmp_path):
+        control = tmp_path / "control.csv"
+        experiment = tmp_path / "exp.csv"
+        simulated_csv(control, 150, seed=25)
+        pairs = _spread_pairs(26, 6, 7.6, 13.6, extra=[("tie", 10.0, 10.0),
+                                                       ("edge", 7.0, 7.0)])
+        write_pairs_csv(experiment, [(i, repr(a), repr(b))
+                                     for i, a, b in pairs])
+        out = tmp_path / "report.csv"
+        assert main(["pipeline", "--control", str(control),
+                     "--experiment", str(experiment), "--out", str(out),
+                     "--grid-res", "0.02", "--beta", "0.5", "--quiet"]) == 0
+        manifest = json.loads((tmp_path / "report.csv.manifest.json")
+                              .read_text())
+        model = VarianceModel(VarianceForm.EXP_LINEAR,
+                              manifest["config"]["theta_hat"])
+        expected, degenerate = [], 0
+        for i, a, b in pairs:
+            region = _ci_oracle("region", model, a, b, 0.05, (7.3, 13.9),
+                                "ratio")
+            naive = _ci_oracle("naive", model, a, b, 0.05, (7.3, 13.9),
+                               "ratio")
+            tests = {m: _pvalue_oracle(m, model, a, b, (7.3, 13.9), 0.5,
+                                       "mean")
+                     for m in ("naive", "conservative", "berger-boos")}
+            degenerate += tests["berger-boos"][1]
+            expected.append({
+                "id": i, "y1": a, "y2": b, "ratio_lo": region["lo"],
+                "ratio_hi": region["hi"],
+                "ci_disconnected": region["disconnected"],
+                "ratio_naive_lo": naive["lo"], "ratio_naive_hi": naive["hi"],
+                **{f"p_{m.replace('-', '_')}": t[0]["p_value"]
+                   for m, t in tests.items()}})
+        assert degenerate == 1
+        assert manifest["diagnostics"]["berger_boos_degenerate"] == 1
+        assert list(csv.DictReader(out.open())) == [
+            {k: str(v) for k, v in row.items()} for row in expected]
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -432,6 +620,21 @@ class TestExitCodes:
     def test_missing_file_is_3(self):
         assert main(["fit-macl", "--input", "/nonexistent.csv"]) == 3
 
+    @pytest.mark.parametrize("command", ["ci", "pvalue"])
+    def test_input_without_pairs_is_3(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("id,y1,y2\n")
+        assert main([command, "--theta", "4.84,-0.927", "--input", str(empty),
+                     "--method", "naive", "--quiet"]) == 3
+        assert "no pairs" in capsys.readouterr().err
+
+    def test_unparseable_list_names_its_option(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bias-oracle", "--theta", "5,-1", "--mus", "8,x"])
+        err = capsys.readouterr().err
+        assert "argument --mus: must be comma-separated reals" in err
+        assert "theta" not in err.splitlines()[-1]
+
     @pytest.mark.parametrize("study, text, message", [
         ("estimator", "scenario=uniform:12,8\n", "lo < hi"),
         ("estimator", "scenario=uniform:8,x\n", "scenario"),
@@ -448,6 +651,10 @@ class TestExitCodes:
         ("coverage", "alpha=-0.5\nmode=difference\nmethods=region\n",
          "alpha"),
         ("power", "k_grid=0,one\n", "k_grid"),
+        ("power", "a=13.9\nb=7.3\n", "a < b"),
+        ("coverage", "a=nan\n", "finite"),
+        ("estimator", "b=inf\n", "finite"),
+        ("power", "a=10\nb=10\n", "a < b"),
     ])
     def test_bad_simulate_config_is_3(self, tmp_path, capsys, study, text,
                                       message):
@@ -483,6 +690,22 @@ class TestExitCodes:
          "--alpha", "1.5"],
         ["pipeline", "--control", "c.csv", "--experiment", "e.csv",
          "--beta", "nan"],
+        ["pvalue", "--theta", "4.84,-0.927", "--y1", "9", "--y2", "10",
+         "--method", "conservative", "--a", "13.9", "--b", "7.3"],
+        ["ci", "--theta", "4.84,-0.927", "--y1", "10", "--method", "exact",
+         "--a", "nan"],
+        ["ci", "--theta", "4.84,-0.927", "--y1", "10", "--y2", "10.3",
+         "--method", "region", "--a", "13.9", "--b", "7.3"],
+        ["ci", "--theta", "4.84,-0.927", "--input", "pairs.csv",
+         "--method", "naive", "--b", "inf"],
+        ["pipeline", "--control", "c.csv", "--experiment", "e.csv",
+         "--a", "10", "--b", "10"],
+        ["fit-mixture", "--input", "pairs.csv", "--a=-inf"],
+        ["ci", "--theta", "4.84,-0.927", "--y1", "nan", "--method", "exact"],
+        ["pvalue", "--theta", "4.84,-0.927", "--y1", "nan", "--y2", "10",
+         "--method", "conservative"],
+        ["ci", "--theta", "4.84,-0.927", "--y1", "10", "--y2", "inf",
+         "--method", "naive"],
     ])
     def test_non_positive_counts_and_spacings_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:

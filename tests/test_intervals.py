@@ -403,7 +403,8 @@ class TestEdgeInputs:
         with np.errstate(all="raise"):
             c = exact_pivot_crossings(self.Y, *theta, q)
             for a, b in [(7.3, 13.9), (10.0, 10.0 + 1e-9), (-1e5, 1e5)]:
-                lo, hi, empty = bounded_hulls(self.Y, model, alpha, a, b)
+                lo, hi, parts = bounded_hulls(self.Y, model, alpha, a, b)
+                empty = parts == 0
                 assert np.all(np.isfinite(lo[~empty]))
                 assert np.all(np.isfinite(hi[~empty]))
                 assert np.all((a <= lo[~empty]) & (lo[~empty] <= hi[~empty])
@@ -977,16 +978,16 @@ class TestBoundedHulls:
     def test_matches_scalar_construction(self):
         rng = np.random.default_rng(5)
         y = rng.uniform(7.5, 13.5, 100)
-        lo, hi, empty = bounded_hulls(y, POOLED, 0.05, *BOUNDS)
-        assert not np.any(empty)
+        lo, hi, parts = bounded_hulls(y, POOLED, 0.05, *BOUNDS)
+        assert not np.any(parts == 0)
         for i in range(0, 100, 9):
             cs = ci_mu_exact(float(y[i]), POOLED, 0.05, bounds=BOUNDS)
             assert cs.hull[0] == pytest.approx(lo[i], abs=1e-9)
             assert cs.hull[1] == pytest.approx(hi[i], abs=1e-9)
 
     def test_empty_detection(self):
-        _, _, empty = bounded_hulls(np.array([25.0]), POOLED, 1e-6, 7.3, 8.0)
-        assert empty[0]
+        _, _, parts = bounded_hulls(np.array([25.0]), POOLED, 1e-6, 7.3, 8.0)
+        assert parts[0] == 0
 
     @pytest.mark.parametrize("name", ["positive-slope", "power",
                                       "exp-linear-const"])
@@ -995,7 +996,8 @@ class TestBoundedHulls:
         model = WINDOW_MODELS[name]
         rng = np.random.default_rng(sum(map(ord, name)))
         y = np.concatenate([rng.uniform(6.5, 14.5, 150), [2.0, 25.0]])
-        lo, hi, empty = bounded_hulls(y, model, 0.05, *BOUNDS)
+        lo, hi, parts = bounded_hulls(y, model, 0.05, *BOUNDS)
+        empty = parts == 0
         assert empty[-2:].all() and (~empty[:150]).any()
         for i in range(y.size):
             try:
@@ -1005,6 +1007,58 @@ class TestBoundedHulls:
                 continue
             assert not empty[i]
             assert (lo[i], hi[i]) == hull
+
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_MODELS))
+    @pytest.mark.parametrize("bounds", [BOUNDS, (0.5, 20.0)])
+    def test_counts_equal_scalar_components(self, name, bounds):
+        # exact and grid paths; at (0.5, 20) about half the sets of every
+        # form but the positive slope are disconnected
+        model = WINDOW_MODELS[name]
+        rng = np.random.default_rng(sum(map(ord, name)))
+        y = np.concatenate([rng.uniform(0.5, 20.0, 120), [-5.0, 40.0]])
+        lo, hi, parts = bounded_hulls(y, model, 0.05, *bounds)
+        for i in range(y.size):
+            try:
+                cs = ci_mu_exact(float(y[i]), model, 0.05, bounds)
+            except NumericalError:
+                assert parts[i] == 0
+                continue
+            assert parts[i] == len(cs.components)
+            assert (lo[i], hi[i]) == cs.hull
+        assert (parts == 0).any() and (parts == 1).any()
+        if bounds != BOUNDS and name != "positive-slope":
+            assert (parts == 2).any()
+
+
+class TestArrayArguments:
+    """The plug-in and Bonferroni intervals take arrays; each element equals
+    the call on its floats, which still returns floats."""
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_MODELS))
+    def test_elementwise_equals_scalar_calls(self, name):
+        model = WINDOW_MODELS[name]
+        rng = np.random.default_rng(sum(map(ord, name)) + 7)
+        y1 = rng.uniform(7.5, 13.5, 50)
+        y2 = y1 + rng.normal(0.0, 0.4, 50)
+        calls = {
+            "mu": (lambda a, b: ci_mu_naive(a, model, 0.05)),
+            "diff": (lambda a, b: ci_diff_naive(a, b, model, 0.05)),
+            "bonferroni": (lambda a, b: ci_diff_bonferroni(a, b, model, 0.05,
+                                                           BOUNDS)),
+        }
+        for what, call in calls.items():
+            lo, hi = call(y1, y2)
+            assert lo.shape == hi.shape == y1.shape, what
+            for i, (a, b) in enumerate(zip(y1.tolist(), y2.tolist())):
+                scalar = call(a, b)
+                assert all(type(v) is float for v in scalar), what
+                assert scalar == (lo[i], hi[i]), what
+
+    def test_bonferroni_raises_if_any_set_is_empty(self):
+        with pytest.raises(NumericalError):
+            ci_diff_bonferroni(np.array([10.0, 25.0]), np.array([10.2, 25.1]),
+                               POOLED, 0.05, BOUNDS)
 
 
 class TestConfidenceSetType:

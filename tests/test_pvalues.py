@@ -12,6 +12,7 @@ from pairvar.pvalues import (
     batch_pvalues,
     pvalue_berger_boos,
     pvalue_conservative,
+    pvalue_kernel,
     pvalue_naive,
 )
 
@@ -106,6 +107,23 @@ class TestBergerBoos:
             r = pvalue_berger_boos(20.0, 20.2, POOLED, BOUNDS, beta=1e-6)
         assert r.degenerate
         assert r.p_value == 1e-6
+        assert len(caplog.records) == 1
+
+    def test_degenerate_pairs_logged_once_per_call_with_count(self, caplog):
+        y1 = np.array([20.0, 10.0, 25.0, 3.0])
+        with caplog.at_level("WARNING"):
+            p, mu, degenerate, stat = pvalue_kernel(
+                y1, y1 + 0.2, POOLED, TestMethod.BERGER_BOOS, BOUNDS, 1e-6)
+        assert degenerate.tolist() == [True, False, True, True]
+        assert np.isnan(mu[degenerate]).all() and stat is None
+        assert (p[degenerate] == 1e-6).all()
+        record, = caplog.records
+        assert "3 of 4 pairs" in record.getMessage()
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            pvalue_kernel(y1[1:2], y1[1:2], POOLED, TestMethod.BERGER_BOOS,
+                          BOUNDS, 1e-6)
+        assert not caplog.records
 
     def test_pair_pivot_variant_same_order_of_magnitude(self):
         # the two-observation pivot gives a different (also valid) nuisance
