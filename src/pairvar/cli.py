@@ -283,7 +283,8 @@ def _cmd_fit_mixture(args) -> int:
 
 def _ci_columns(args, model, y1, y2, bounds) -> dict:
     """The lo, hi and disconnected columns, each from one array call; region
-    calls ci_diff_region once per pair, as it has no batch form."""
+    calls ci_diff_region once per pair, as its scan and its boundary
+    search are batched over the rows of one pair."""
     method = args.method
     disconnected = [False] * y1.size
     if method == "exact":
@@ -538,7 +539,7 @@ def _cmd_pipeline(args) -> int:
             tests["p_berger_boos"][2])),
         "mixture": _mixture_diagnostics(est),
         "region": {key: sum(r.diagnostics[key] for r in regions)
-                   for key in ("decisions", "polishes", "evaluations")}}
+                   for key in ("decisions", "evaluations")}}
     _emit(args, _record_text(rows, "csv"),
           _build_manifest(args, config, [args.control, args.experiment],
                           diagnostics))

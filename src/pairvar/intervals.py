@@ -13,16 +13,16 @@ observations, coverage studies and Berger-Boos p-values.
 For a pair (Y1, Y2) the two-term form (Y1 - mu1)^2/h(mu1) +
 (Y2 - mu2)^2/h(mu2) is chi-squared with two degrees of freedom. Scanning
 its region in (nu1, nu2) = (mu1 - mu2, mu1 + mu2) on the grid nu2 =
-2a + k * grid_res, which holds every row's edge points, inside a square
-the Engel form of Cauchy-Schwarz bounds (_region_radii), and projecting
-onto nu1 yields a conservative set for the difference. Plug-in ("naive")
+2a + k * grid_res plus each row's two parallelogram edges, inside a
+square the Engel form of Cauchy-Schwarz bounds (_region_radii), and
+projecting onto nu1 yields a conservative set for the difference, whose
+ends one vectorised decision (_nu1_decisions) bisects. Plug-in ("naive")
 intervals are provided for comparison.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -288,14 +288,10 @@ def ci_mu_naive(y, model: VarianceModel, alpha: float):
 
 def _region_form(y1, y2, model, nu1, nu2):
     """The chi-squared(2) form (y1 - mu1)^2/h(mu1) + (y2 - mu2)^2/h(mu2) at
-    mu1, mu2 = (nu2 +- nu1)/2. Floats stay floats; a float division by zero
-    is redone on numpy scalars."""
+    mu1, mu2 = (nu2 +- nu1)/2."""
     mu1, mu2 = (nu2 + nu1) / 2.0, (nu2 - nu1) / 2.0
     d1, d2 = y1 - mu1, y2 - mu2
-    try:
-        return d1 * d1 / model(mu1) + d2 * d2 / model(mu2)
-    except ZeroDivisionError:
-        return _region_form(y1, y2, model, np.float64(nu1), np.float64(nu2))
+    return d1 * d1 / model(mu1) + d2 * d2 / model(mu2)
 
 
 def _region_radii(y1, y2, model, q, a, b, grid_res) -> np.ndarray:
@@ -340,18 +336,24 @@ def _region_radii(y1, y2, model, q, a, b, grid_res) -> np.ndarray:
     return r * (1.0 + 1e-9) + 2.0 * grid_res
 
 
+def _nu2_grid(a, b, grid_res):
+    """The scan's nuisance sums 2a + k * grid_res, from 2a to 2b."""
+    return 2.0 * a + grid_res * np.arange(round(2.0 * (b - a) / grid_res) + 1)
+
+
 def _region_scan(y1, y2, model, q, nu1, a, b, grid_res):
     """Per row of the broadcast (y1, y2, nu1), whether a point of the grid
     nu2 = 2a + grid_res * k in the parallelogram [2a + |nu1|, 2b - |nu1|]
-    (1e-12 slack for rounding; every row's edge points are on the grid)
-    puts the form at or under q; and the pairs' radii. A row scores only
-    points within its radius of y1 + y2 (see _region_radii), and none if
-    nu1 is farther than that from y1 - y2. Rows go in blocks sorted by
-    window start, of about 2^14 form values each (see README); a block
-    scores the union of its windows, masked to each row's parallelogram
-    where that is narrower. A scalar y1, y2 or nu1 stays scalar.
+    (1e-12 slack for rounding), or one of its two edges, puts the form at
+    or under q; and the pairs' radii. The grid holds the edges only when
+    2(b - a) / grid_res is a whole number. A row scores only grid points
+    within its radius of y1 + y2 (see _region_radii), and none if nu1 is
+    farther than that from y1 - y2. Rows go in blocks sorted by window
+    start, of about 2^14 form values each (see README); a block scores the
+    union of its windows, masked to each row's parallelogram where that is
+    narrower. A scalar y1, y2 or nu1 stays scalar.
     """
-    nu2 = 2.0 * a + grid_res * np.arange(round(2.0 * (b - a) / grid_res) + 1)
+    nu2 = _nu2_grid(a, b, grid_res)
     radius = _region_radii(y1, y2, model, q, a, b, grid_res)
     d, c, edge = y1 - y2, y1 + y2, np.abs(nu1)
     first = np.searchsorted(nu2, 2.0 * a + edge - 1e-12)
@@ -372,79 +374,56 @@ def _region_scan(y1, y2, model, q, nu1, a, b, grid_res):
         if np.max(lo) > cols[0] or np.min(hi) <= cols[-1]:
             hit &= (cols >= lo) & (cols < hi)
         accepted[rows] = hit.any(axis=1)
+    accepted |= (edge <= b - a) & (
+        (_region_form(y1, y2, model, nu1, 2.0 * a + edge) <= q)
+        | (_region_form(y1, y2, model, nu1, 2.0 * b - edge) <= q))
     return accepted, radius
 
 
-_GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+def _nu1_decisions(y1, y2, model, nu1, q, a, b, grid_res, radius):
+    """Per element of the array nu1, whether some nuisance sum in the
+    parallelogram [2a + |nu1|, 2b - |nu1|] puts the form at or under q; and
+    how many form values that took.
 
-
-def _nu1_accepted(y1, y2, model, nu1, q, a, b, grid_res, nu2_lo, nu2_hi):
-    """Whether some nuisance sum puts the quadratic form at or under q at
-    nu1, and how many form evaluations that took.
-
-    The decision is that of minimising the form over the grid
-    linspace(2a + |nu1|, 2b - |nu1|) and golden-section polishing the cell
-    around the grid minimum, evaluating only the grid points in [nu2_lo,
-    nu2_hi], which hold every accepted point. A grid value at or under q
-    settles it without the polish, which keeps the value at its surviving
-    point (62 evaluations) and can only lower the minimum.
+    Scores the scan's grid nu2 = 2a + k * grid_res within radius of y1 + y2
+    (see _region_radii: no other point is accepted), clipped to each row's
+    parallelogram, and both of its edges. Where the least of these is over
+    q, four levels re-grid the two cells around the argmin, clipped to the
+    parallelogram, with 64 points each: the step falls from grid_res to
+    (2/63)^4 grid_res, about 1e-6 grid_res. Every point scored is in the
+    parallelogram, so a value at or under q is a real witness.
     """
-    lo, hi = 2.0 * a + abs(nu1), 2.0 * b - abs(nu1)
-    if hi < lo:
-        return False, 0
-    n = max(int(math.ceil((hi - lo) / grid_res)) + 1, 2)
-    nu2 = np.linspace(lo, hi, n)
-    window = slice(int(np.searchsorted(nu2, nu2_lo)),
-                   int(np.searchsorted(nu2, nu2_hi, "right")))
-    if window.start == window.stop:
-        return False, 0
-    quad = _region_form(y1, y2, model, nu1, nu2[window])
-    k = window.start + int(np.argmin(quad))
-    best = float(quad[k - window.start])
-    if best <= q:
-        return True, 1
-
-    def form(x):
-        return float(_region_form(y1, y2, model, nu1, x))
-
-    left, right = float(nu2[max(k - 1, 0)]), float(nu2[min(k + 1, n - 1)])
-    c = right - _GOLDEN_RATIO * (right - left)
-    d = left + _GOLDEN_RATIO * (right - left)
-    qc, qd = form(c), form(d)
-    for _ in range(59):
-        if qc <= qd:
-            right, d, qd = d, c, qc
-            c = right - _GOLDEN_RATIO * (right - left)
-            qc = form(c)
-        else:
-            left, c, qc = c, d, qd
-            d = left + _GOLDEN_RATIO * (right - left)
-            qd = form(d)
-    left, right = (left, d) if qc <= qd else (c, right)
-    if not min(best, form(0.5 * (left + right))) <= q:
-        return False, 63
-    # The polish counts only around the minimum of the whole grid. Outside
-    # the window the form is over q, but it can still undercut the window's
-    # grid values, so check that the whole grid has its minimum at k.
-    quad = _region_form(y1, y2, model, nu1, nu2)
-    return int(np.argmin(quad)) == k, 64
-
-
-def _refine_boundary(y1, y2, model, inside, outside, q, a, b, grid_res,
-                     nu2_lo, nu2_hi):
-    """Bisect the nu1 membership boundary between an accepted and a rejected
-    point; return it and the decisions, polishes and evaluations spent."""
-    inside, outside = float(inside), float(outside)
-    counts = Counter()
-    for _ in range(60):
-        mid = 0.5 * (inside + outside)
-        accepted, spent = _nu1_accepted(y1, y2, model, mid, q, a, b, grid_res,
-                                        nu2_lo, nu2_hi)
-        counts.update(decisions=1, polishes=int(spent > 1), evaluations=spent)
-        inside, outside = (mid, outside) if accepted else (inside, mid)
-        if abs(inside - outside) < 1e-10:
-            break
-    return inside, counts
+    nu1 = np.asarray(nu1, dtype=float)[:, None]
+    lo, hi = 2.0 * a + np.abs(nu1), 2.0 * b - np.abs(nu1)
+    sums = _nu2_grid(a, b, grid_res)
+    c = y1 + y2
+    sums = sums[np.searchsorted(sums, c - radius):
+                np.searchsorted(sums, c + radius, "right")]
+    nu2 = np.hstack([lo, hi, np.clip(sums, lo, hi)])
+    form = _region_form(y1, y2, model, nu1, nu2)
+    rows = np.arange(nu1.shape[0])
+    k = np.argmin(form, axis=1)
+    best, x = form[rows, k], nu2[rows, k, None]
+    zoom = np.flatnonzero(~(best <= q))
+    x, step, z = x[zoom], grid_res, np.arange(zoom.size)
+    # A grid of step s around an interior minimum misses it by about
+    # f'' s^2 / 8, f'' the form's curvature in nu2: at the last step (5e-9
+    # at the default grid_res) that is f'' * 3e-18. Moving nu1 by the 1e-10
+    # at which the bisection stops moves the minimum by about
+    # 1e-10 * sqrt(q f''), 8e7 / sqrt(f'') times more. f'' is about
+    # 1/(2 h(mu1)) + 1/(2 h(mu2)): 3e3 at most under the pooled theta on
+    # the default bounds, where the ratio is still 1e6.
+    for _ in range(4):
+        left = np.maximum(x - step, lo[zoom])
+        right = np.minimum(x + step, hi[zoom])
+        step = (right - left) / 63.0
+        pts = np.minimum(left + step * np.arange(64), right)
+        f = _region_form(y1, y2, model, nu1[zoom], pts)
+        j = np.argmin(f, axis=1)
+        x = pts[z, j, None]
+        best[zoom] = np.fmin(best[zoom], f[z, j])
+    return ((best <= q) & (lo[:, 0] <= hi[:, 0]),
+            form.size + 4 * 64 * zoom.size)
 
 
 def ci_diff_region(
@@ -466,10 +445,12 @@ def ci_diff_region(
     the accepted grid extremes (inside it by at most one step).
     Conservative for nu1 by the projection property.
 
-    The scan and each bisection step evaluate the form only inside a square
+    The scan and the bisection evaluate the form only inside a square
     around (y1 - y2, y1 + y2) that holds every accepted point, with the
-    result of scanning the whole parallelogram. The set's diagnostics count
-    the bisection decisions, their golden-section polishes and form values.
+    result of scanning the whole parallelogram. All ends bisect together,
+    one _nu1_decisions call a step, each stopping on its own. The set's
+    diagnostics count the bisection's row decisions and the form values
+    they took.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
@@ -485,24 +466,33 @@ def ci_diff_region(
     nu1_grid = np.linspace(-span, span, n1)
     accepted, radius = _region_scan(y1, y2, model, q, nu1_grid, a, b,
                                     grid_res)
-    nu2_lo, nu2_hi = y1 + y2 - float(radius[0]), y1 + y2 + float(radius[0])
     runs = _runs(accepted)
     if not runs:
-        raise NumericalError(
-            "projected confidence set is empty; the observed pair maps "
-            "outside the bounded parameter region")
-    comps, counts = [], Counter(decisions=0, polishes=0, evaluations=0)
-    for i, j in runs:
-        ends = [nu1_grid[i], nu1_grid[j]]
-        for e, out in enumerate((i - 1, j + 1)):
-            if refine_boundaries and 0 <= out < n1:
-                ends[e], spent = _refine_boundary(
-                    y1, y2, model, ends[e], nu1_grid[out], q, a, b, grid_res,
-                    nu2_lo, nu2_hi)
-                counts.update(spent)
-        comps.append(tuple(ends))
-    return replace(ConfidenceSet.from_components(comps, 1.0 - alpha),
-                   diagnostics=dict(counts))
+        # the form is 0 at (y1 - y2, y1 + y2), in the parallelogram when
+        # a <= y1, y2 <= b: only a coarse grid misses it there
+        cause = (f"grid_res {grid_res} is too coarse to find the observed "
+                 "difference" if a <= min(y1, y2) and max(y1, y2) <= b else
+                 "the observed pair maps outside the bounded parameter region")
+        raise NumericalError(f"projected confidence set is empty; {cause}")
+    runs = np.array(runs)
+    ends, outs = nu1_grid[runs], runs + [-1, 1]
+    todo = refine_boundaries & (outs >= 0) & (outs < n1)
+    inside, outside = ends[todo], nu1_grid[outs[todo]]
+    live, decisions, evaluations = np.arange(inside.size), 0, 0
+    for _ in range(60):
+        if live.size == 0:
+            break
+        mid = 0.5 * (inside[live] + outside[live])
+        hit, spent = _nu1_decisions(y1, y2, model, mid, q, a, b, grid_res,
+                                    radius[0])
+        decisions, evaluations = decisions + mid.size, evaluations + spent
+        inside[live] = np.where(hit, mid, inside[live])
+        outside[live] = np.where(hit, outside[live], mid)
+        live = live[np.abs(inside[live] - outside[live]) >= 1e-10]
+    ends[todo] = inside
+    return replace(ConfidenceSet.from_components(ends.tolist(), 1.0 - alpha),
+                   diagnostics={"decisions": decisions,
+                                "evaluations": evaluations})
 
 
 def ci_diff_bonferroni(y1, y2, model: VarianceModel, alpha: float,

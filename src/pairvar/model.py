@@ -68,15 +68,12 @@ class VarianceModel:
             raise DataError(f"non-finite coefficients: {theta}")
 
     def __call__(self, mu):
-        """Evaluate h(theta, mu); accepts scalars or arrays. For the exp forms
-        a Python float gives a float with the array path's bits."""
+        """Evaluate h(theta, mu); accepts scalars or arrays."""
         t = self.theta
+        mu = np.asarray(mu, dtype=float)
         if self.form is VarianceForm.POWER:
-            return np.exp(t[0]) * np.asarray(mu, dtype=float) ** t[1]
-        if type(mu) is float:  # np.exp runs the array loop on one double
-            h = float(np.exp(t[0] + t[1] * mu))
-        else:
-            h = np.exp(t[0] + t[1] * np.asarray(mu, dtype=float))
+            return np.exp(t[0]) * mu ** t[1]
+        h = np.exp(t[0] + t[1] * mu)
         if self.form is VarianceForm.EXP_LINEAR:
             return h
         return h + (math.exp(t[2]) if t[2] <= _EXP_MAX else math.inf)

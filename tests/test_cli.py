@@ -127,6 +127,20 @@ class TestCiCommand:
         assert not rec["disconnected"]
         assert (rec["lo"], rec["hi"]) == pytest.approx((-6.6, 6.6), abs=1e-12)
 
+    @pytest.mark.parametrize("y1, y2, grid_res, message", [
+        # inside the bounds the set holds y1 - y2, but a 0.5 grid misses it
+        ("11.4443", "11.4162", "0.5", "grid_res 0.5 is too coarse"),
+        ("20.0", "20.5", "0.5", "maps outside the bounded parameter region"),
+        ("20.0", "20.5", "0.005", "maps outside the bounded parameter region"),
+    ])
+    def test_empty_region_names_its_cause(self, capsys, y1, y2, grid_res,
+                                          message):
+        assert main(["ci", "--theta", "4.84,-0.927", "--y1", y1, "--y2", y2,
+                     "--method", "region", "--grid-res", grid_res]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("pairvar: numerical failure: ")
+        assert message in err
+
     def test_batch_appends_columns(self, tmp_path, capsys):
         inp = tmp_path / "pairs.csv"
         write_pairs_csv(inp, [("a", 10.21, 10.78), ("b", 11.45, 13.36)])
@@ -312,12 +326,12 @@ class TestPipeline:
         assert len(manifest["input_digests"]) == 2
         est, _ = fit_mixture(load_csv(control))
         model = VarianceModel(VarianceForm.EXP_LINEAR, est.theta_hat)
-        region = dict.fromkeys(("decisions", "polishes", "evaluations"), 0)
+        region = dict.fromkeys(("decisions", "evaluations"), 0)
         for _, y1, y2 in pairs:
             counts = ci_diff_region(y1, y2, model, 0.05, (7.3, 13.9),
                                     0.02).diagnostics
             region = {key: region[key] + counts[key] for key in region}
-        assert region["polishes"] > 0
+        assert region["evaluations"] > region["decisions"] > 0
         assert manifest["diagnostics"] == {
             "region_disconnected": sum(r["ci_disconnected"] == "True"
                                        for r in rows),
@@ -764,10 +778,14 @@ class TestConsoleScript:
         assert res.returncode == 0
 
     def test_import_leaves_scipy_optimize_and_linalg_unloaded(self):
+        # nor does a one-shot region interval load them
         code = ("import sys, pairvar.cli; pairvar.cli.build_parser(); "
+                "assert pairvar.cli.main(['ci', '--method', 'region', "
+                "'--theta', '4.84,-0.927', '--y1', '10.21', '--y2', '10.78', "
+                "'--quiet']) == 0; "
                 "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') "
                 "if m in sys.modules))")
         res = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "[]"
+        assert res.stdout.splitlines()[-1] == "[]"

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from pairvar.intervals import (
     DEFAULT_GRID_RES,
     ConfidenceSet,
     _lambert_w,
-    _nu1_accepted,
+    _nu1_decisions,
+    _nu2_grid,
     _region_form,
     _region_radii,
+    _region_scan,
     _runs,
     chi2_1_quantile,
     chi2_1_sf,
@@ -498,17 +501,28 @@ class TestDifferenceRegion:
         assert len(cs.components) == 1
         assert cs.hull == pytest.approx((-6.6, 6.6), abs=1e-12)
 
-    @pytest.mark.parametrize("theta, y1, y2, hull", [
-        ((-40.0, 5.5), 7.5, 13.5, (-6.6, 6.306924588605)),
-        ((4.84, -0.927), 13.93, 11.0, (2.78388863110854, 3.0301505983744947)),
+    @pytest.mark.parametrize("theta, y1, y2, bounds, grid_res, hull", [
+        ((-40.0, 5.5), 7.5, 13.5, BOUNDS, DEFAULT_GRID_RES,
+         (-6.6, 6.306924588605)),
+        ((4.84, -0.927), 13.93, 11.0, BOUNDS, DEFAULT_GRID_RES,
+         (2.78388863110854, 3.0301505983744947)),
+        ((4.84, -0.927), 13.93, 11.0, BOUNDS, 0.007,
+         (2.78388863110854, 3.0301505983744947)),
+        ((4.84, -0.927), 13.93, 11.0, BOUNDS, 0.013,
+         (2.78388863110854, 3.0301505983744947)),
+        ((4.84, -0.927), 13.92, 11.0, (7.3, 13.903), DEFAULT_GRID_RES,
+         (2.7581750811559487, 3.0703738051380833)),
+        ((4.84, -0.927), 7.25, 9.5, (7.3, 13.903), DEFAULT_GRID_RES,
+         (-2.4935834781924067, -1.4422026780861565)),
     ])
-    def test_ends_on_the_projection_boundary(self, theta, y1, y2, hull):
+    def test_ends_on_the_projection_boundary(self, theta, y1, y2, bounds,
+                                             grid_res, hull):
         # the ends found by brentq on the bounded minimum of the two-term
         # form over nu2 (the bounds included); the minimum sits on the
-        # mu1 = b edge, which the scan's grid must hold at the default
-        # grid_res
+        # mu1 = b or mu2 = a edge, which the scan's grid holds only when
+        # 2(b - a) / grid_res is a whole number
         model = VarianceModel(VarianceForm.EXP_LINEAR, theta)
-        a, b = BOUNDS
+        a, b = bounds
         q = chi2_2_quantile(0.95)
 
         def excess(nu1):
@@ -518,13 +532,25 @@ class TestDifferenceRegion:
                                   options={"xatol": 1e-13})
             return min(res.fun, *map(form, ends)) - q
 
-        cs = ci_diff_region(y1, y2, model, 0.05, BOUNDS)
+        cs = ci_diff_region(y1, y2, model, 0.05, bounds, grid_res)
         assert len(cs.components) == 1
         for end in cs.hull:
             if abs(end) < b - a - 1e-9:
                 root = brentq(excess, end - 0.01, end + 0.01, xtol=1e-14)
                 assert end == pytest.approx(root, abs=1e-8)
         assert cs.hull == pytest.approx(hull, abs=1e-8)
+
+    def test_scan_scores_the_edges_off_the_grid(self):
+        # 2b = 27.806 is not on the grid 2a + 0.01 k; at nu1 = 0 the form
+        # is under q only near mu1 = mu2 = b, above the last grid sum 27.8
+        a, b = 7.3, 13.903
+        q = chi2_2_quantile(0.95)
+        y = np.array([13.9325])
+        grid = 2.0 * a + 0.01 * np.arange(1321)
+        assert np.all(_region_form(y, y, POOLED, 0.0, grid) > q)
+        assert _region_form(y, y, POOLED, 0.0, 2.0 * b)[0] <= q
+        accepted, _ = _region_scan(y, y, POOLED, q, 0.0, a, b, 0.01)
+        assert accepted.tolist() == [True]
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -735,59 +761,101 @@ class TestRegionWindow:
                 _dense_region(y1, y2, POOLED, 0.05, BOUNDS, 0.01)
 
 
-def _nu1_accepted_121(y1, y2, model, nu1, q, a, b, grid_res, nu2_lo, nu2_hi,
-                     log=None):
-    """The boundary decision as it was before the polish carried its
-    surviving point: 121 form evaluations per polish, on numpy scalars.
+_GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
-    Returns the decision and its form evaluations; appends
-    (polished, window calls, whole-grid calls) to log when one is given.
+
+def _nu1_accepted(y1, y2, model, nu1, q, a, b, grid_res, nu2_lo, nu2_hi):
+    """The boundary decision as it was before the zoom on the scan's grid:
+    whether some nuisance sum puts the quadratic form at or under q at
+    nu1, and how many form evaluations that took.
+
+    The decision is that of minimising the form over the grid
+    linspace(2a + |nu1|, 2b - |nu1|) and golden-section polishing the cell
+    around the grid minimum, evaluating only the grid points in [nu2_lo,
+    nu2_hi], which hold every accepted point. A grid value at or under q
+    settles it without the polish, which keeps the value at its surviving
+    point (62 evaluations) and can only lower the minimum.
     """
-    calls = {"window": 0, "polish": 0, "grid": 0}
-
-    def done(accepted):
-        if log is not None:
-            log.append((calls["polish"] > 0, calls["window"], calls["grid"]))
-        return accepted, sum(calls.values())
-
-    lo = 2.0 * a + abs(nu1)
-    hi = 2.0 * b - abs(nu1)
+    lo, hi = 2.0 * a + abs(nu1), 2.0 * b - abs(nu1)
     if hi < lo:
-        return done(False)
+        return False, 0
     n = max(int(math.ceil((hi - lo) / grid_res)) + 1, 2)
     nu2 = np.linspace(lo, hi, n)
-    start = int(np.searchsorted(nu2, nu2_lo, "left"))
-    stop = int(np.searchsorted(nu2, nu2_hi, "right"))
-    if start == stop:
-        return done(False)
-    calls["window"] += 1
-    quad = _region_form(y1, y2, model, nu1, nu2[start:stop])
-    k = start + int(np.argmin(quad))
-    best = float(quad[k - start])
+    window = slice(int(np.searchsorted(nu2, nu2_lo)),
+                   int(np.searchsorted(nu2, nu2_hi, "right")))
+    if window.start == window.stop:
+        return False, 0
+    quad = _region_form(y1, y2, model, nu1, nu2[window])
+    k = window.start + int(np.argmin(quad))
+    best = float(quad[k - window.start])
     if best <= q:
-        return done(True)
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    left = nu2[max(k - 1, 0)]
-    right = nu2[min(k + 1, n - 1)]
-    c = right - golden * (right - left)
-    d = left + golden * (right - left)
-    for _ in range(60):
-        qc = float(_region_form(y1, y2, model, nu1, c))
-        qd = float(_region_form(y1, y2, model, nu1, d))
-        calls["polish"] += 2
+        return True, 1
+
+    def form(x):
+        return float(_region_form(y1, y2, model, nu1, x))
+
+    left, right = float(nu2[max(k - 1, 0)]), float(nu2[min(k + 1, n - 1)])
+    c = right - _GOLDEN_RATIO * (right - left)
+    d = left + _GOLDEN_RATIO * (right - left)
+    qc, qd = form(c), form(d)
+    for _ in range(59):
         if qc <= qd:
-            right, d = d, c
-            c = right - golden * (right - left)
+            right, d, qd = d, c, qc
+            c = right - _GOLDEN_RATIO * (right - left)
+            qc = form(c)
         else:
-            left, c = c, d
-            d = left + golden * (right - left)
-    mid = 0.5 * (left + right)
-    calls["polish"] += 1
-    if not min(best, float(_region_form(y1, y2, model, nu1, mid))) <= q:
-        return done(False)
-    calls["grid"] += 1
+            left, c, qc = c, d, qd
+            d = left + _GOLDEN_RATIO * (right - left)
+            qd = form(d)
+    left, right = (left, d) if qc <= qd else (c, right)
+    if not min(best, form(0.5 * (left + right))) <= q:
+        return False, 63
+    # The polish counts only around the minimum of the whole grid. Outside
+    # the window the form is over q, but it can still undercut the window's
+    # grid values, so check that the whole grid has its minimum at k.
     quad = _region_form(y1, y2, model, nu1, nu2)
-    return done(int(np.argmin(quad)) == k)
+    return int(np.argmin(quad)) == k, 64
+
+
+def _refine_boundary(y1, y2, model, inside, outside, q, a, b, grid_res,
+                     nu2_lo, nu2_hi):
+    """Bisect the nu1 membership boundary between an accepted and a rejected
+    point; return it and the decisions, polishes and evaluations spent."""
+    inside, outside = float(inside), float(outside)
+    counts = Counter()
+    for _ in range(60):
+        mid = 0.5 * (inside + outside)
+        accepted, spent = _nu1_accepted(y1, y2, model, mid, q, a, b, grid_res,
+                                        nu2_lo, nu2_hi)
+        counts.update(decisions=1, polishes=int(spent > 1), evaluations=spent)
+        inside, outside = (mid, outside) if accepted else (inside, mid)
+        if abs(inside - outside) < 1e-10:
+            break
+    return inside, counts
+
+
+def _oracle_region(y1, y2, model, alpha, bounds=BOUNDS,
+                   grid_res=DEFAULT_GRID_RES):
+    """ci_diff_region's components as they were before the zoom: each end
+    bisected on its own with _nu1_accepted; and the oracle's counts."""
+    a, b = bounds
+    q = chi2_2_quantile(1.0 - alpha)
+    n1 = int(round(2.0 * (b - a) / grid_res)) + 1
+    nu1_grid = np.linspace(-(b - a), b - a, n1)
+    accepted, radius = _region_scan(y1, y2, model, q, nu1_grid, a, b,
+                                    grid_res)
+    window = (y1 + y2 - float(radius[0]), y1 + y2 + float(radius[0]))
+    comps, counts = [], Counter()
+    for i, j in _runs(accepted):
+        ends = [nu1_grid[i], nu1_grid[j]]
+        for e, out in enumerate((i - 1, j + 1)):
+            if 0 <= out < n1:
+                ends[e], spent = _refine_boundary(
+                    y1, y2, model, ends[e], nu1_grid[out], q, a, b, grid_res,
+                    *window)
+                counts.update(spent)
+        comps.append(tuple(ends))
+    return ConfidenceSet.from_components(comps, 1.0 - alpha).components, counts
 
 
 def _boundary_points(y1, y2, model, rng, count):
@@ -801,47 +869,92 @@ def _boundary_points(y1, y2, model, rng, count):
     spread = rng.uniform(y1 - y2 - radius, y1 - y2 + radius, count // 2)
     near = (rng.choice(ends, count - spread.size)
             + rng.uniform(-1e-9, 1e-9, count - spread.size))
-    return (q, a, b, y1 + y2 - radius, y1 + y2 + radius,
-            np.concatenate([spread, near]).tolist())
+    return (q, a, b, radius, np.concatenate([spread, near]).tolist())
+
+
+def _window_sums(y1, y2, radius, grid_res=DEFAULT_GRID_RES):
+    """How many of the scan's sums 2a + k * grid_res lie within radius of
+    y1 + y2: the grid points _nu1_decisions scores besides the edges."""
+    sums = _nu2_grid(*BOUNDS, grid_res)
+    return int(np.count_nonzero(np.abs(sums - (y1 + y2)) <= radius))
+
+
+NULL_AND_SHIFTED_MODELS = {
+    "exp-linear": POOLED,
+    "power": WINDOW_MODELS["power"],
+    "exp-linear-const": WINDOW_MODELS["exp-linear-const"],
+}
 
 
 class TestBoundaryPolish:
-    """The boundary decision that carries the golden-section point it keeps,
-    on Python floats, against the 121-evaluation one it replaces."""
+    """The vectorised boundary decision, which zooms on the scan's grid,
+    against the golden-section polish with a whole-grid re-check it
+    replaces."""
 
     @pytest.mark.parametrize("name", sorted(WINDOW_MODELS))
     def test_decisions_equal_oracle(self, name):
         model = WINDOW_MODELS[name]
         rng = np.random.default_rng(sum(map(ord, name)) + 11)
-        checked = polished = accepted = 0
+        checked = polished = accepted = zoomed = 0
         for y1, y2 in _window_pairs(sum(map(ord, name)) + 2, 1)[:4]:
-            q, a, b, lo, hi, points = _boundary_points(y1, y2, model, rng, 520)
-            for nu1 in points:
-                args = (y1, y2, model, nu1, q, a, b, DEFAULT_GRID_RES, lo, hi)
-                fast, spent = _nu1_accepted(*args)
-                slow, slow_spent = _nu1_accepted_121(*args)
-                assert fast == slow, (y1, y2, nu1)
-                assert spent == slow_spent - 59 * (slow_spent > 1)
-                checked += 1
-                polished += spent > 1
-                accepted += fast
+            q, a, b, radius, points = _boundary_points(y1, y2, model, rng, 520)
+            fast, spent = _nu1_decisions(y1, y2, model, np.array(points), q,
+                                         a, b, DEFAULT_GRID_RES, radius)
+            slow = [_nu1_accepted(y1, y2, model, nu1, q, a, b,
+                                  DEFAULT_GRID_RES, y1 + y2 - radius,
+                                  y1 + y2 + radius) for nu1 in points]
+            assert fast.tolist() == [s for s, _ in slow], (y1, y2)
+            base = len(points) * (_window_sums(y1, y2, radius) + 2)
+            assert (spent - base) % 256 == 0
+            zoomed += (spent - base) // 256
+            checked += len(points)
+            polished += sum(e > 1 for _, e in slow)
+            accepted += int(fast.sum())
         assert checked >= 2000
-        assert polished >= 100 and 0 < accepted < checked
+        assert polished >= 100 and zoomed >= polished
+        assert 0 < accepted < checked
 
     def test_counts_match_oracle(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            hit, spent = _nu1_decisions(*args)
+            calls.append((len(args[3]), spent))
+            return hit, spent
+
+        monkeypatch.setattr("pairvar.intervals._nu1_decisions", spy)
         fast = ci_diff_region(10.21, 10.78, POOLED, 0.05, BOUNDS)
-        log = []
-        monkeypatch.setattr(
-            "pairvar.intervals._nu1_accepted",
-            lambda *args: _nu1_accepted_121(*args, log=log))
-        slow = ci_diff_region(10.21, 10.78, POOLED, 0.05, BOUNDS)
-        assert fast.components == slow.components
-        polishes = sum(p for p, _, _ in log)
-        calls = sum(w + g for _, w, g in log)
-        assert polishes > 0
-        assert fast.diagnostics == {"decisions": len(log),
-                                    "polishes": polishes,
-                                    "evaluations": 62 * polishes + calls}
+        slow, counts = _oracle_region(10.21, 10.78, POOLED, 0.05)
+        assert fast.components == slow
+        q, (a, b) = chi2_2_quantile(0.95), BOUNDS
+        radius = float(_region_radii(10.21, 10.78, POOLED, q, a, b,
+                                     DEFAULT_GRID_RES)[0])
+        width = _window_sums(10.21, 10.78, radius) + 2
+        zooms = [(spent - rows * width) / 256 for rows, spent in calls]
+        assert all(z == int(z) and 0 <= z <= rows
+                   for z, (rows, _) in zip(zooms, calls))
+        assert sum(zooms) > 0 and max(rows for rows, _ in calls) == 2
+        assert fast.diagnostics == {
+            "decisions": counts["decisions"],
+            "evaluations": sum(spent for _, spent in calls)}
+        assert sum(rows for rows, _ in calls) == counts["decisions"]
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    @pytest.mark.parametrize("name", sorted(NULL_AND_SHIFTED_MODELS))
+    def test_null_and_shifted_pairs_equal_oracle(self, name, alpha):
+        # null pairs and pairs whose second mean is 3 sd higher, with the
+        # variance of that mean; every end bit-identical to the oracle's
+        model = NULL_AND_SHIFTED_MODELS[name]
+        rng = np.random.default_rng(sum(map(ord, name)) + int(100 * alpha))
+        mu = rng.uniform(7.4, 13.8, 8)
+        mu2 = mu + np.where(np.arange(8) < 4, 0.0, 3.0) * np.sqrt(model(mu))
+        y1 = rng.normal(mu, np.sqrt(model(mu)))
+        y2 = rng.normal(mu2, np.sqrt(model(mu2)))
+        for pair in zip(y1.tolist(), y2.tolist()):
+            fast = ci_diff_region(*pair, model, alpha, BOUNDS)
+            slow, counts = _oracle_region(*pair, model, alpha)
+            assert fast.components == slow, pair
+            assert fast.diagnostics["decisions"] == counts["decisions"]
 
     def test_numpy_scalar_inputs_give_the_same_set(self):
         for name, model in sorted(WINDOW_MODELS.items()):
@@ -857,31 +970,6 @@ class TestBoundaryPolish:
         bare = ConfidenceSet.from_components(cs.components, cs.level)
         assert cs.diagnostics["decisions"] > 0 and bare.diagnostics == {}
         assert cs == bare and hash(cs) == hash(bare)
-
-    def test_float_form_matches_array_form(self):
-        rng = np.random.default_rng(5)
-        y1, y2 = rng.uniform(7.3, 13.9, (2, 2000))
-        nu1 = rng.uniform(-6.6, 6.6, 2000)
-        nu2 = rng.uniform(14.6, 27.8, 2000)
-        for name, model in sorted(WINDOW_MODELS.items()):
-            arrays = _region_form(y1, y2, model, nu1, nu2)
-            floats = np.array([_region_form(*map(float, p), model, u, v)
-                               for p, u, v in zip(zip(y1, y2), nu1.tolist(),
-                                                  nu2.tolist())])
-            assert np.array_equal(arrays.view(np.int64),
-                                  floats.view(np.int64)), name
-
-    def test_float_division_by_zero_follows_numpy(self):
-        # h(mu2) underflows to 0 for the first point, both h for the second,
-        # where y1 = mu1. numpy scalars give inf and nan there, not an error.
-        steep = VarianceModel(VarianceForm.EXP_LINEAR, (0.0, -12.0))
-        for args in [(10.0, 71.0, -60.0, 80.0), (80.5, 81.0, 0.0, 161.0)]:
-            with np.errstate(all="ignore"):
-                want = _region_form(*map(np.float64, args[:2]), steep,
-                                    *map(np.float64, args[2:]))
-                got = _region_form(*args[:2], steep, *args[2:])
-            assert type(got) is np.float64
-            assert np.array_equal(got, want, equal_nan=True)
 
 
 def _correlated_form(y1, y2, model, nu1, nu2):
