@@ -343,21 +343,21 @@ def _nu2_grid(a, b, grid_res):
 
 def _region_scan(y1, y2, model, q, nu1, a, b, grid_res):
     """Per row of the broadcast (y1, y2, nu1), whether a point of the grid
-    nu2 = 2a + grid_res * k in the parallelogram [2a + |nu1|, 2b - |nu1|]
-    (1e-12 slack for rounding), or one of its two edges, puts the form at
-    or under q; and the pairs' radii. The grid holds the edges only when
-    2(b - a) / grid_res is a whole number. A row scores only grid points
-    within its radius of y1 + y2 (see _region_radii), and none if nu1 is
-    farther than that from y1 - y2. Rows go in blocks sorted by window
-    start, of about 2^14 form values each (see README); a block scores the
-    union of its windows, masked to each row's parallelogram where that is
-    narrower. A scalar y1, y2 or nu1 stays scalar.
+    nu2 = 2a + grid_res * k in the parallelogram [2a + |nu1|, 2b - |nu1|],
+    or one of its two edges, puts the form at or under q; and the pairs'
+    radii. The grid holds the edges only when 2(b - a) / grid_res is a
+    whole number. A row scores only grid points within its radius of
+    y1 + y2 (see _region_radii), and none if nu1 is farther than that from
+    y1 - y2. Rows go in blocks sorted by window start, of about 2^14 form
+    values each (see README); a block scores the union of its windows,
+    masked to each row's parallelogram where that is narrower. A scalar
+    y1, y2 or nu1 stays scalar.
     """
     nu2 = _nu2_grid(a, b, grid_res)
     radius = _region_radii(y1, y2, model, q, a, b, grid_res)
     d, c, edge = y1 - y2, y1 + y2, np.abs(nu1)
-    first = np.searchsorted(nu2, 2.0 * a + edge - 1e-12)
-    last = np.searchsorted(nu2, 2.0 * b - edge + 1e-12, "right")
+    first = np.searchsorted(nu2, 2.0 * a + edge)
+    last = np.searchsorted(nu2, 2.0 * b - edge, "right")
     start = np.maximum(np.searchsorted(nu2, c - radius), first)
     stop = np.minimum(np.searchsorted(nu2, c + radius, "right"), last)
     live = (start < stop) & (nu1 >= d - radius) & (nu1 <= d + radius)
