@@ -169,12 +169,15 @@ def _setting(cfg: dict, key: str, default, cast=float):
 
 
 def _record_text(records: list[dict], fmt: str) -> str:
+    """The records as jsonl lines or csv rows; csv joins a list-valued field
+    into one comma-separated cell."""
     if fmt == "jsonl":
         return "".join(json.dumps(r) + "\n" for r in records)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(records[0].keys()))
     writer.writeheader()
-    writer.writerows(records)
+    writer.writerows({k: ",".join(map(str, v)) if isinstance(v, list) else v
+                      for k, v in r.items()} for r in records)
     return buf.getvalue()
 
 
@@ -231,10 +234,8 @@ def _cmd_fit_macl(args) -> int:
     }
     config = {"input": str(args.input), "form": args.form, "init": args.init,
               "tol": args.tol, "max_iter": args.max_iter, "raw": args.raw}
-    flat = dict(record, theta_hat=",".join(repr(t) for t in result.theta_hat))
-    text = _record_text([record if args.format == "jsonl" else flat],
-                        args.format)
-    _emit(args, text, _build_manifest(args, config, [args.input]))
+    _emit(args, _record_text([record], args.format),
+          _build_manifest(args, config, [args.input]))
     return 0
 
 
@@ -262,19 +263,14 @@ def _cmd_fit_mixture(args) -> int:
         **_mixture_diagnostics(est),
         "n": data.n,
     }
-    if not args.no_weights:
+    if not args.no_weights and args.format == "jsonl":
         record["pi_hat"] = list(est.pi_hat)
     config = {"input": str(args.input), "form": args.form, "d": args.d,
               "a": args.a, "b": args.b, "tol": args.tol,
               "max_iter": args.max_iter, "raw": args.raw,
               "init": args.init, "no_weights": args.no_weights}
-    if args.format == "csv":
-        flat = {k: v for k, v in record.items() if k != "pi_hat"}
-        flat["theta_hat"] = ",".join(repr(t) for t in est.theta_hat)
-        text = _record_text([flat], "csv")
-    else:
-        text = _record_text([record], "jsonl")
-    _emit(args, text, _build_manifest(args, config, [args.input]))
+    _emit(args, _record_text([record], args.format),
+          _build_manifest(args, config, [args.input]))
     return 0
 
 
@@ -406,10 +402,6 @@ def _read_means_file(path) -> tuple[float, ...]:
     return tuple(means)
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in str(text).split(",") if v != ""]
-
-
 def _cmd_simulate(args) -> int:
     cfg = _read_config_file(args.config)
     get = functools.partial(_setting, cfg)
@@ -417,7 +409,7 @@ def _cmd_simulate(args) -> int:
     form = get("form", "exp-linear", VarianceForm.from_name)
 
     def model(text):
-        return VarianceModel(form, _floats(text))
+        return VarianceModel(form, _reals(text))
 
     theta = get("theta", "5,-1", model)
     alpha = get("alpha", DEFAULT_ALPHA, _level)
@@ -440,14 +432,14 @@ def _cmd_simulate(args) -> int:
         methods = cfg.get("methods", "exact,naive").split(",")
         report = coverage_study(
             theta, get("theta_fit", cfg.get("theta", "5,-1"), model),
-            get("mu_grid", "7.5,9,11,13", _floats), alpha,
+            get("mu_grid", "7.5,9,11,13", _reals), alpha,
             get("reps", 100_000, _positive(int)),
             [m.strip() for m in methods], mode=cfg.get("mode", "single"),
             seed=seed, bounds=bounds)
     elif args.study == "power":
         report = power_study(
-            theta, get("mu_grid", "8,10,12", _floats),
-            get("k_grid", "0,1,2,3", _floats),
+            theta, get("mu_grid", "8,10,12", _reals),
+            get("k_grid", "0,1,2,3", _reals),
             get("reps", 10_000, _positive(int)),
             beta=get("beta", DEFAULT_BETA_POWER, _level),
             alpha=alpha, bounds=bounds, seed=seed)
@@ -556,20 +548,26 @@ def _cmd_pipeline(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _common_options(record_format: str | None) -> argparse.ArgumentParser:
-    """Options every subcommand takes; record_format is --format's default."""
+def _common_options() -> argparse.ArgumentParser:
+    """Options every subcommand takes."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="root seed for any randomized work")
     common.add_argument("--out", default=None,
                         help="output path (stdout if omitted); a manifest "
                              "JSON is written alongside")
-    common.add_argument("--format", choices=["jsonl", "csv"],
-                        default=record_format,
-                        help="record output format where applicable")
     common.add_argument("--quiet", action="store_true",
                         help="suppress informational messages")
     return common
+
+
+def _format_option(default: str | None) -> argparse.ArgumentParser:
+    """--format of the subcommands that write records; pipeline and
+    simulate always write csv and do not take it."""
+    records = argparse.ArgumentParser(add_help=False)
+    records.add_argument("--format", choices=["jsonl", "csv"],
+                         default=default, help="record output format")
+    return records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -578,10 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Variance-function estimation and inference for "
                     "paired-replicate log intensities.")
     parser.add_argument("--version", action="version", version=__version__)
-    common = _common_options("jsonl")
+    common = _common_options()
+    records = _format_option("jsonl")
     # ci and pvalue take one pair or a pairs CSV, and write a jsonl record
     # for one pair and csv rows for --input unless --format is given
-    per_pair = _common_options(None)
+    per_pair = argparse.ArgumentParser(
+        add_help=False, parents=[common, _format_option(None)])
     per_pair.add_argument("--y1", type=_finite, default=None)
     per_pair.add_argument("--y2", type=_finite, default=None)
     per_pair.add_argument("--input", default=None,
@@ -601,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit-macl", parents=[common, data],
+    p = sub.add_parser("fit-macl", parents=[common, records, data],
                        help="fit the variance function by approximate "
                             "conditional likelihood")
     p.add_argument("--input", required=True)
@@ -612,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit_macl)
 
     spacing = {"type": _positive(float), "default": mixture_em.DEFAULT_SPACING}
-    p = sub.add_parser("fit-mixture", parents=[common, data, bounds],
+    p = sub.add_parser("fit-mixture", parents=[common, records, data, bounds],
                        help="fit the latent-mean mixture model")
     p.add_argument("--input", required=True)
     p.add_argument("--d", **spacing,
@@ -663,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flat key=value configuration file")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("bias-oracle", parents=[common, theta],
+    p = sub.add_parser("bias-oracle", parents=[common, records, theta],
                        help="analytic bias of the exp-linear estimating "
                             "equations at the true coefficients")
     p.add_argument("--mus", type=_reals, required=True)

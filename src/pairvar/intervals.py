@@ -426,6 +426,7 @@ def _nu1_decisions(y1, y2, model, nu1, q, a, b, grid_res, radius):
             form.size + 4 * 64 * zoom.size)
 
 
+@np.errstate(over="ignore")  # an extreme y squares to inf: form over q
 def ci_diff_region(
     y1: float,
     y2: float,

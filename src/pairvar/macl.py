@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,8 +38,8 @@ _MIN_STEP = 2.0**-40  # smallest step fraction a line search tries
 class FitResult:
     """Solution of the estimating equations.
 
-    residual_norm is the max absolute value of the free coefficients'
-    estimating equations at theta_hat, normalized by the total weight;
+    residual_norm is the max absolute value of the estimating equations
+    (one per coefficient) at theta_hat, normalized by the total weight;
     converged implies residual_norm <= tol.
     fallback records whether some step took the Fisher-scoring direction
     because the Newton direction was not finite or did not ascend.
@@ -75,25 +75,14 @@ def _evaluate(form: VarianceForm, theta: np.ndarray, m: np.ndarray,
         return ell, f, jac / total_w
 
 
-def default_init(form: VarianceForm, m: np.ndarray, s: np.ndarray,
-                 fix: Mapping[int, float] | None = None) -> np.ndarray:
+def default_init(form: VarianceForm, m: np.ndarray,
+                 s: np.ndarray) -> np.ndarray:
     """Moment-matching starting values from a least-squares line on log s^2."""
-    fix = fix or {}
-    logs = np.log(s + _LS_EPS)
-    if form is VarianceForm.POWER:
-        x = np.log(m)
-    else:
-        x = m
-    if 1 in fix:
-        slope = fix[1]
-        intercept = float(np.mean(logs) - slope * np.mean(x))
-    else:
-        slope, intercept = np.polyfit(x, logs, 1)
+    x = np.log(m) if form is VarianceForm.POWER else m
+    slope, intercept = np.polyfit(x, np.log(s + _LS_EPS), 1)
     theta = [float(intercept), float(slope)]
     if form is VarianceForm.EXP_LINEAR_CONST:
         theta.append(math.log(0.1 * float(np.mean(s)) + _LS_EPS))
-    for idx, val in fix.items():
-        theta[idx] = val
     return np.array(theta)
 
 
@@ -105,21 +94,18 @@ def solve_weighted_equations(
     init: Sequence[float] | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    fix: Mapping[int, float] | None = None,
 ) -> FitResult:
     """Solve the (weighted) estimating equations by Newton ascent on their
     log-likelihood l (see _evaluate), whose gradient they are.
 
-    fix maps coefficient indices to frozen values; only the remaining
-    coordinates are solved for. Each step takes the Newton direction (a
-    least-squares solve, so a singular Hessian still gives a step) and is
-    halved until l does not fall by more than rounding. Where that
-    direction is not finite or does not ascend, the step takes the
-    Fisher-scoring direction (sum_i w_i g_i g_i^T)^-1 f instead, g_i the
-    gradient of log h at m_i, which ascends: that matrix is -jac with each
-    s_i at its mean h(m_i). The result records the fallback. Stops once the
-    largest equation value is within tol. Never raises on
-    non-convergence; inspect .converged.
+    Each step takes the Newton direction (a least-squares solve, so a
+    singular Hessian still gives a step) and is halved until l does not
+    fall by more than rounding. Where that direction is not finite or does
+    not ascend, the step takes the Fisher-scoring direction
+    (sum_i w_i g_i g_i^T)^-1 f instead, g_i the gradient of log h at m_i,
+    which ascends: that matrix is -jac with each s_i at its mean h(m_i).
+    The result records the fallback. Stops once the largest equation value
+    is within tol. Never raises on non-convergence; inspect .converged.
     """
     m = np.asarray(m, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -127,39 +113,29 @@ def solve_weighted_equations(
     total_w = float(w.sum())
     if total_w <= 0:
         raise NumericalError("total weight must be positive")
-    fix = dict(fix or {})
-    free = np.array([i for i in range(form.n_params) if i not in fix])
-    if free.size == 0:
-        raise ValueError("at least one coefficient must be free")
-
-    theta = np.array(default_init(form, m, s, fix) if init is None else init,
+    theta = np.array(default_init(form, m, s) if init is None else init,
                      dtype=float)
     if theta.shape != (form.n_params,):
         raise DataError(f"init must have {form.n_params} coefficients")
-    for idx, val in fix.items():
-        theta[idx] = val
 
     ell, f, jac = _evaluate(form, theta, m, s, w, total_w)
     if f is None:
-        return FitResult(tuple(theta), False, 0, math.inf)
+        return FitResult(tuple(map(float, theta)), False, 0, math.inf)
     fallback = False
     for iterations in range(max_iter + 1):
-        grad = f[free]
-        norm_inf = float(np.max(np.abs(grad)))
+        norm_inf = float(np.max(np.abs(f)))
         if norm_inf <= tol or iterations == max_iter:
             break
-        sub = jac[np.ix_(free, free)]
-        step = np.full_like(grad, np.nan)
-        if np.all(np.isfinite(sub)):
-            step = np.linalg.lstsq(sub, -grad, rcond=None)[0]
-        if not (np.all(np.isfinite(step)) and float(grad @ step) > 0.0):
-            g = VarianceModel(form, tuple(theta)).log_derivatives(m)[0][free]
-            step = np.linalg.lstsq(g * w @ g.T, total_w * grad, rcond=None)[0]
+        step = np.full_like(f, np.nan)
+        if np.all(np.isfinite(jac)):
+            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        if not (np.all(np.isfinite(step)) and float(f @ step) > 0.0):
+            g = VarianceModel(form, tuple(theta)).log_derivatives(m)[0]
+            step = np.linalg.lstsq(g * w @ g.T, total_w * f, rcond=None)[0]
             fallback = True
         alpha = 1.0
         while alpha >= _MIN_STEP:
-            cand = theta.copy()
-            cand[free] += alpha * step
+            cand = theta + alpha * step
             ell_c, f_c, jac_c = _evaluate(form, cand, m, s, w, total_w)
             if ell_c >= ell - _ROUNDING * (1.0 + abs(ell)):
                 break
@@ -167,8 +143,8 @@ def solve_weighted_equations(
         else:
             break
         theta, ell, f, jac = cand, ell_c, f_c, jac_c
-    return FitResult(tuple(theta), norm_inf <= tol, iterations, norm_inf,
-                     fallback=fallback)
+    return FitResult(tuple(map(float, theta)), norm_inf <= tol, iterations,
+                     norm_inf, fallback=fallback)
 
 
 def macl_fit(
@@ -177,28 +153,22 @@ def macl_fit(
     init: Sequence[float] | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    fix: Mapping[int, float] | None = None,
 ) -> FitResult:
-    """Fit the variance function to a paired dataset.
-
-    The homoscedastic one-parameter model is obtained with fix={1: 0.0}
-    (exp-linear with the slope frozen at zero), so one solver serves both.
+    """Fit every coefficient of the variance function to a paired dataset.
 
     Raises ConvergenceError (carrying the last iterate) on non-convergence
     and NumericalError when every pair has zero variance statistic.
     """
-    n_free = form.n_params - len(fix or {})
-    if data.n < n_free + 1:
-        raise DataError(f"need at least {n_free + 1} pairs to fit "
-                         f"{n_free} free coefficient(s), got {data.n}")
+    if data.n < form.n_params + 1:
+        raise DataError(f"need at least {form.n_params + 1} pairs to fit "
+                         f"{form.n_params} coefficients, got {data.n}")
     if form is VarianceForm.POWER and np.any(data.ybar <= 0):
         raise DomainError("power form requires all pair means to be positive")
     if not np.any(data.s2 > 0):
         raise NumericalError("degenerate data: every pair has S^2 = 0")
 
     result = solve_weighted_equations(form, data.ybar, data.s2, None,
-                                      init=init, tol=tol, max_iter=max_iter,
-                                      fix=fix)
+                                      init=init, tol=tol, max_iter=max_iter)
     if not result.converged:
         raise ConvergenceError(
             f"estimating equations not solved to tol={tol} after "
@@ -215,7 +185,9 @@ def mle_homoscedastic(data: PairedDataset) -> float:
 
     Deliberately the biased estimator N^-1 sum (y1-y2)^2/4, kept as the
     classic illustration of why profiling out per-pair means fails: its
-    expectation is half the true variance.
+    expectation is half the true variance. The consistent estimate is
+    twice it, mean(S^2): the closed-form solution of the estimating
+    equation for a constant h = exp(t1).
     """
     if data.n < 1:
         raise ValueError("need at least one pair")

@@ -68,6 +68,7 @@ class TestResult:
             raise ValueError(f"p-value {self.p_value} outside [0,1]")
 
 
+@np.errstate(over="ignore")  # an extreme y1 - y2 squares to inf: p = 0
 def pvalue_kernel(y1, y2, model: VarianceModel, method: TestMethod,
                   bounds: tuple[float, float] = DEFAULT_BOUNDS,
                   beta: float = DEFAULT_BETA_ANALYSIS, cbeta_pivot="mean"):

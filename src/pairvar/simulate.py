@@ -22,8 +22,9 @@ from .intervals import (
     bounded_hulls,
     chi2_1_quantile,
     chi2_2_quantile,
+    ci_diff_naive,
+    ci_mu_naive,
     exact_pivot_crossings,
-    normal_quantile,
     _region_scan,
 )
 from .macl import macl_fit, mle_homoscedastic
@@ -208,7 +209,8 @@ def coverage_study(
     zero difference. Data are generated under theta_true while intervals
     are built from theta_fit, mirroring the use of estimates from one
     experiment on another. The exact method needs theta_fit exp-linear with
-    a negative slope and raises DomainError otherwise.
+    a negative slope and raises DomainError otherwise; the naive methods
+    raise it where h(theta_fit, y) is not finite and positive.
     """
     methods = list(methods)
     valid = {"single": {"exact", "naive"},
@@ -227,7 +229,6 @@ def coverage_study(
     t0 = time.perf_counter()
     root = np.random.SeedSequence(seed)
     streams = root.spawn(len(mu_values))
-    z = normal_quantile(1.0 - alpha / 2.0)
 
     rows = []
     for mu, ss in zip(mu_values, streams):
@@ -242,7 +243,8 @@ def coverage_study(
                     covered = (mu <= c.r1) | (c.two_sided
                                               & (c.l2 <= mu) & (mu <= c.r2))
                 else:
-                    covered = np.abs(y - mu) <= z * np.sqrt(theta_fit(y))
+                    lo, hi = ci_mu_naive(y, theta_fit, alpha)
+                    covered = (lo <= mu) & (mu <= hi)
                 rows.append(_coverage_row(mu, m, alpha, covered))
         else:
             y1 = rng.normal(mu, sd, reps)
@@ -260,8 +262,8 @@ def coverage_study(
                     covered = ((n1 > 0) & (n2 > 0)
                                & (lo1 - hi2 <= 0.0) & (0.0 <= hi1 - lo2))
                 else:
-                    covered = (np.abs(y1 - y2)
-                               <= z * np.sqrt(theta_fit(y1) + theta_fit(y2)))
+                    lo, hi = ci_diff_naive(y1, y2, theta_fit, alpha)
+                    covered = (lo <= 0.0) & (0.0 <= hi)
                 rows.append(_coverage_row(mu, m, alpha, covered))
     return StudyReport(
         study="coverage",

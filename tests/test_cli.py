@@ -622,6 +622,42 @@ class TestExitCodes:
         assert captured.out == ""
         assert "finite and positive" in captured.err
 
+    @pytest.mark.parametrize("mode", ["single", "difference"])
+    def test_naive_coverage_outside_power_domain_is_4(self, tmp_path, capsys,
+                                                      mode):
+        # draws at mu = 1 with sd 1 fall below 0, where h is negative
+        cfg = tmp_path / "cov.cfg"
+        cfg.write_text("theta=0,-1\nform=power\na=0.5\nb=3\nmu_grid=1\n"
+                       f"reps=2000\nmethods=naive\nmode={mode}\n")
+        assert main(["simulate", "--study", "coverage", "--config", str(cfg),
+                     "--quiet"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite and positive" in captured.err
+
+    @pytest.mark.parametrize("argv, code, out", [
+        *[pytest.param(["ci", "--method", "region", "--form", form,
+                        f"--theta={theta}", "--y1=-1e300", "--y2", "11"],
+                       4, None, id=f"region-{form}")
+          for form, theta in ORACLE_FORMS.items()],
+        pytest.param(["pvalue", "--method", "naive", "--theta", "4.84,-0.927",
+                      "--y1=1e200", "--y2=-1e200"], 0, 0.0, id="naive"),
+        pytest.param(["pvalue", "--method", "conservative", "--theta",
+                      "4.84,-0.927", "--y1=1e300", "--y2", "11"], 0, 0.0,
+                     id="conservative"),
+    ])
+    def test_extreme_intensities_are_quiet(self, capsys, argv, code, out):
+        # squares of these overflow to inf, which decides the result
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        captured = capsys.readouterr()
+        if code:
+            assert "maps outside the bounded parameter region" in captured.err
+        else:
+            assert json.loads(captured.out)["p_value"] == out
+
     def test_naive_batch_outside_power_domain_is_4(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
         write_pairs_csv(pairs, [("p1", 1.0, 1.3), ("p2", -0.5, 1.0)])
@@ -665,6 +701,10 @@ class TestExitCodes:
         ("coverage", "alpha=-0.5\nmode=difference\nmethods=region\n",
          "alpha"),
         ("power", "k_grid=0,one\n", "k_grid"),
+        ("power", "k_grid=\n", "k_grid"),
+        ("power", "k_grid=0,1,\n", "k_grid"),
+        ("coverage", "mu_grid=\n", "mu_grid"),
+        ("power", "mu_grid=8,,10\n", "mu_grid"),
         ("power", "a=13.9\nb=7.3\n", "a < b"),
         ("coverage", "a=nan\n", "finite"),
         ("estimator", "b=inf\n", "finite"),
@@ -726,6 +766,18 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["pipeline", "simulate"])
+    def test_format_is_not_an_option_of_csv_only_commands(self, capsys,
+                                                          command):
+        argv = {"pipeline": ["pipeline", "--control", "c.csv",
+                             "--experiment", "e.csv"],
+                "simulate": ["simulate", "--study", "power", "--config",
+                             "power.cfg"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "jsonl"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
     def test_value_error_inside_a_kernel_is_not_a_data_error(
             self, tmp_path, monkeypatch):
         # only DataError is a data error: a ValueError from a bug surfaces
@@ -769,6 +821,29 @@ class TestManifest:
         rows = list(csv.DictReader(out.open()))
         assert float(rows[0]["y1"]) == 10.25
         assert float(rows[0]["y2"]) == 10.5
+
+    def test_record_csv_cells_parse_back_to_jsonl_values(self, tmp_path,
+                                                         capsys):
+        # a list-valued field is one cell of comma-separated reals
+        inp = tmp_path / "pairs.csv"
+        simulated_csv(inp, 150, seed=4)
+        for argv in (["fit-macl", "--input", str(inp)],
+                     ["fit-mixture", "--input", str(inp), "--quiet"],
+                     ["bias-oracle", "--theta", "5,-1", "--mus", "9,10",
+                      "--mc-reps", "20", "--seed", "1"]):
+            assert main(argv + ["--format", "jsonl"]) == 0
+            rec = json.loads(capsys.readouterr().out)
+            assert main(argv + ["--format", "csv"]) == 0
+            row, = csv.DictReader(io.StringIO(capsys.readouterr().out))
+            rec.pop("pi_hat", None)  # csv leaves the weights out
+            assert list(row) == list(rec)
+            for key, value in rec.items():
+                if isinstance(value, list):
+                    assert [float(v) for v in row[key].split(",")] == value
+                elif isinstance(value, bool):
+                    assert row[key] == str(value)
+                else:
+                    assert float(row[key]) == value
 
 
 class TestConsoleScript:

@@ -126,22 +126,10 @@ def old_solve_weighted_equations(form, m, s, weights=None, init=None,
 
 
 class TestMaclFit:
-    def test_constant_variance_closed_form(self):
-        # With the slope pinned at zero the solution is exp(t1) = mean(S^2):
-        # here S^2 = {2, 0} so the fitted constant variance is 1.
-        ds = dataset_from_arrays([0.0, 1.0], [2.0, 1.0])
-        res = macl_fit(ds, fix={1: 0.0})
-        assert res.converged
-        assert np.exp(res.theta_hat[0]) == pytest.approx(1.0, abs=1e-12)
-        assert res.theta_hat[1] == 0.0
-        # only the free coefficient's equation has to vanish
-        ds = simulate_dataset(500, (5.0, -1.0), seed=11)
-        res = macl_fit(ds, fix={1: 0.0})
-        assert np.exp(res.theta_hat[0]) == pytest.approx(np.mean(ds.s2), rel=1e-9)
-
     def test_estimating_equations_satisfied_at_solution(self):
         ds = simulate_dataset(500, (5.0, -1.0), seed=11)
         res = macl_fit(ds, tol=1e-9)
+        assert [type(t) for t in res.theta_hat] == [float, float]
         t1, t2 = res.theta_hat
         w = ds.s2 * np.exp(-t1 - t2 * ds.ybar)
         eq1 = 1.0 - np.mean(w)
