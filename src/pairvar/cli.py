@@ -1,16 +1,16 @@
 """Command-line interface: one executable, one subcommand per operation.
 
-Every run resolves its full configuration (defaults included) into a
-manifest; outputs written with --out are accompanied by <out>.manifest.json
-so results can be traced back to exact inputs and settings. Exit codes:
-0 success, 2 usage error, 3 data error, 4 numerical failure.
+With --out, every run writes <out>.manifest.json beside its output: its
+parsed options (for simulate, every setting it resolved), results, seed and
+input digests, so results can be traced back to exact inputs and settings.
+JSON holds a non-finite float as null. Exit codes: 0 success, 2 usage
+error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -18,7 +18,6 @@ import logging
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +41,7 @@ from .model import (
     VarianceModel,
     estimating_equation_bias,
     load_csv,
+    log_raw,
 )
 from .pvalues import (
     DEFAULT_BETA_ANALYSIS,
@@ -66,25 +66,6 @@ DEFAULT_ALPHA = 0.05
 FORMS = [f.value for f in VarianceForm]
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one CLI invocation's outputs.
-
-    diagnostics holds counts of special cases the run met, such as
-    disconnected sets and degenerate p-values, the path the mixture fit
-    took and the work of the region boundary search.
-    """
-
-    subcommand: str
-    config: dict
-    seed: int | None
-    version: str
-    input_digests: dict = field(default_factory=dict)
-    timestamp: str = ""
-    rng: str = RNG_ID
-    diagnostics: dict = field(default_factory=dict)
-
-
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -93,27 +74,46 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _build_manifest(args, config: dict, inputs: list,
-                    diagnostics: dict | None = None) -> RunManifest:
-    digests = {str(p): _sha256(p) for p in inputs}
-    return RunManifest(
-        subcommand=args.command,
-        config=config,
-        seed=getattr(args, "seed", None),
-        version=__version__,
-        input_digests=digests,
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        diagnostics=diagnostics or {},
-    )
+def _json(value, **kwargs) -> str:
+    """value as strict JSON: a non-finite float becomes null."""
+    def safe(v):
+        if isinstance(v, dict):
+            return {k: safe(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [safe(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps(safe(value), allow_nan=False, **kwargs)
 
 
-def _emit(args, text: str, manifest: RunManifest) -> None:
+def _build_manifest(args, results: dict | None = None,
+                    diagnostics: dict | None = None,
+                    seed: int | None = None) -> dict:
+    """Everything needed to reproduce one run's outputs: as config, every
+    parsed option but output routing, then the results the command passes
+    in; the seed the run drew from (None if it drew none) and the digest of
+    every file the config names. diagnostics holds counts of special cases
+    the run met, such as disconnected sets and degenerate p-values, the
+    path the mixture fit took and the work of the region boundary search."""
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "out", "quiet")}
+    config.update(results or {})
+    files = [config[k] for k in ("input", "control", "experiment", "config")
+             if config.get(k) is not None]
+    kind, _, means = config.get("scenario", "").partition(":")
+    if kind.endswith("-resample"):
+        files.append(means)
+    return {"subcommand": args.command, "config": config, "seed": seed,
+            "version": __version__,
+            "input_digests": {str(p): _sha256(p) for p in files},
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "rng": RNG_ID, "diagnostics": diagnostics or {}}
+
+
+def _emit(args, text: str, manifest: dict) -> None:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        manifest_path = Path(str(args.out) + ".manifest.json")
-        manifest_path.write_text(json.dumps(asdict(manifest), indent=2,
-                                            default=str) + "\n",
-                                 encoding="utf-8")
+        Path(f"{args.out}.manifest.json").write_text(
+            _json(manifest, indent=2) + "\n", encoding="utf-8")
         if not args.quiet:
             print(f"wrote {args.out} (+ manifest)", file=sys.stderr)
     else:
@@ -159,20 +159,11 @@ def _model_from_args(args) -> VarianceModel:
     return VarianceModel(form, args.theta)
 
 
-def _setting(cfg: dict, key: str, default, cast=float):
-    """cfg[key], else default, through cast; DataError if cast rejects it."""
-    value = cfg.get(key, default)
-    try:
-        return cast(value)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise DataError(f"{key} = {value!r}: {exc}") from None
-
-
 def _record_text(records: list[dict], fmt: str) -> str:
     """The records as jsonl lines or csv rows; csv joins a list-valued field
     into one comma-separated cell."""
     if fmt == "jsonl":
-        return "".join(json.dumps(r) + "\n" for r in records)
+        return "".join(_json(r) + "\n" for r in records)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(records[0].keys()))
     writer.writeheader()
@@ -183,13 +174,16 @@ def _record_text(records: list[dict], fmt: str) -> str:
 
 def _read_pairs(args, bounds, need_y2: bool):
     """ids, y1 and y2 of --input's pairs, or of the one --y1/--y2 pair as
-    arrays of length one (ids None, y2 None without --y2)."""
+    arrays of length one (ids None, y2 None without --y2); --raw takes logs
+    of either."""
     if args.input is None:
         if args.y1 is None or need_y2 and args.y2 is None:
             raise DataError(f"provide --y1{' and --y2' if need_y2 else ''} "
                             "or --input")
-        return None, np.array([args.y1]), (None if args.y2 is None
-                                           else np.array([args.y2]))
+        given = [y for y in (args.y1, args.y2) if y is not None]
+        y1, *y2 = (np.array([y]) for y in (log_raw(*given) if args.raw
+                                             else given))
+        return None, y1, (y2[0] if y2 else None)
     data = load_csv(args.input, bounds=bounds, raw=args.raw, drop_ties=False)
     if data.n == 0:
         raise DataError(f"input file {args.input} has no pairs")
@@ -203,17 +197,13 @@ def _pair_rows(ids, y1, y2, columns: dict) -> list[dict]:
                                           *columns.values())]
 
 
-def _emit_pairs(args, config, ids, y1, y2, columns: dict, record: dict) -> int:
+def _emit_pairs(args, ids, y1, y2, columns: dict, record: dict) -> int:
     """Write record for the one --y1/--y2 pair (jsonl by default), or the
     columns as --input's rows (csv by default)."""
-    if ids is None:
-        _emit(args, _record_text([record], args.format or "jsonl"),
-              _build_manifest(args, config, []))
-        return 0
-    config["input"] = str(args.input)
-    _emit(args, _record_text(_pair_rows(ids, y1, y2, columns),
-                             args.format or "csv"),
-          _build_manifest(args, config, [args.input]))
+    text = (_record_text([record], args.format or "jsonl") if ids is None
+            else _record_text(_pair_rows(ids, y1, y2, columns),
+                              args.format or "csv"))
+    _emit(args, text, _build_manifest(args))
     return 0
 
 
@@ -232,10 +222,7 @@ def _cmd_fit_macl(args) -> int:
         "fallback": result.fallback,
         "n": data.n,
     }
-    config = {"input": str(args.input), "form": args.form, "init": args.init,
-              "tol": args.tol, "max_iter": args.max_iter, "raw": args.raw}
-    _emit(args, _record_text([record], args.format),
-          _build_manifest(args, config, [args.input]))
+    _emit(args, _record_text([record], args.format), _build_manifest(args))
     return 0
 
 
@@ -265,12 +252,7 @@ def _cmd_fit_mixture(args) -> int:
     }
     if not args.no_weights and args.format == "jsonl":
         record["pi_hat"] = list(est.pi_hat)
-    config = {"input": str(args.input), "form": args.form, "d": args.d,
-              "a": args.a, "b": args.b, "tol": args.tol,
-              "max_iter": args.max_iter, "raw": args.raw,
-              "init": args.init, "no_weights": args.no_weights}
-    _emit(args, _record_text([record], args.format),
-          _build_manifest(args, config, [args.input]))
+    _emit(args, _record_text([record], args.format), _build_manifest(args))
     return 0
 
 
@@ -309,16 +291,12 @@ def _ci_columns(args, model, y1, y2, bounds) -> dict:
 def _cmd_ci(args) -> int:
     model = _model_from_args(args)
     bounds = (args.a, args.b)
-    config = {"theta": list(args.theta), "form": args.form,
-              "method": args.method, "alpha": args.alpha, "a": args.a,
-              "b": args.b, "grid_res": args.grid_res,
-              "refine": not args.no_refine, "scale": args.scale}
     ids, y1, y2 = _read_pairs(
         args, bounds, need_y2=args.method in ("region", "bonferroni"))
     columns = _ci_columns(args, model, y1, y2, bounds)
     record = {"method": args.method, "level": 1 - args.alpha,
               **{k: v[0] for k, v in columns.items()}, "scale": args.scale}
-    return _emit_pairs(args, config, ids, y1, y2,
+    return _emit_pairs(args, ids, y1, y2,
                        dict(columns, method=[args.method] * y1.size), record)
 
 
@@ -328,10 +306,6 @@ def _cmd_ci(args) -> int:
 def _cmd_pvalue(args) -> int:
     model = _model_from_args(args)
     bounds = (args.a, args.b)
-    config = {"theta": list(args.theta), "form": args.form,
-              "method": args.method, "beta": args.beta, "a": args.a,
-              "b": args.b, "cbeta_pivot": args.cbeta_pivot,
-              "bonferroni": args.bonferroni}
     ids, y1, y2 = _read_pairs(args, bounds, need_y2=True)
     p, mu, _, stat = pvalue_kernel(
         y1, y2, model, TestMethod(args.method), bounds, args.beta,
@@ -347,7 +321,7 @@ def _cmd_pvalue(args) -> int:
         if not args.quiet:
             print(f"{sum(significant)} of {p.size} p-values below "
                   f"0.05/N = {cutoff:.3g}", file=sys.stderr)
-    return _emit_pairs(args, config, ids, y1, y2, columns, record)
+    return _emit_pairs(args, ids, y1, y2, columns, record)
 
 
 # ---------------------------------------------------------------- simulate
@@ -404,7 +378,16 @@ def _read_means_file(path) -> tuple[float, ...]:
 
 def _cmd_simulate(args) -> int:
     cfg = _read_config_file(args.config)
-    get = functools.partial(_setting, cfg)
+    settings = {}  # every setting read, defaults included, for the manifest
+
+    def get(key: str, default, cast=float):
+        """cfg[key], else default, through cast; DataError if it fails."""
+        value = settings[key] = cfg.get(key, default)
+        try:
+            return cast(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise DataError(f"{key} = {value!r}: {exc}") from None
+
     seed = args.seed if args.seed is not None else get("seed", 0, int)
     form = get("form", "exp-linear", VarianceForm.from_name)
 
@@ -429,28 +412,25 @@ def _cmd_simulate(args) -> int:
             d=get("d", mixture_em.DEFAULT_SPACING, _positive(float)),
             bounds=bounds)
     elif args.study == "coverage":
-        methods = cfg.get("methods", "exact,naive").split(",")
         report = coverage_study(
             theta, get("theta_fit", cfg.get("theta", "5,-1"), model),
             get("mu_grid", "7.5,9,11,13", _reals), alpha,
             get("reps", 100_000, _positive(int)),
-            [m.strip() for m in methods], mode=cfg.get("mode", "single"),
-            seed=seed, bounds=bounds)
-    elif args.study == "power":
+            get("methods", "exact,naive",
+                lambda t: [m.strip() for m in t.split(",")]),
+            mode=get("mode", "single", str), seed=seed, bounds=bounds)
+    else:
         report = power_study(
             theta, get("mu_grid", "8,10,12", _reals),
             get("k_grid", "0,1,2,3", _reals),
             get("reps", 10_000, _positive(int)),
             beta=get("beta", DEFAULT_BETA_POWER, _level),
             alpha=alpha, bounds=bounds, seed=seed)
-    else:
-        raise DataError(f"unknown study {args.study!r}")
 
-    config = dict(cfg, study=args.study, seed=seed)
     diagnostics = {"failures": report.failures,
                    "failure_types": report.failure_types}
     _emit(args, report.to_csv(),
-          _build_manifest(args, config, [args.config], diagnostics))
+          _build_manifest(args, settings, diagnostics, seed))
     if not args.quiet:
         print(f"{args.study} study: {report.replicates} replicates, "
               f"{report.failures} failures, {report.wall_clock:.1f}s",
@@ -466,7 +446,7 @@ def _cmd_bias_oracle(args) -> int:
     record = {"theta": list(args.theta), "mus": list(args.mus),
               "first": first, "second": second}
     if args.mc_reps:
-        rng = np.random.default_rng(args.seed or 0)
+        rng = np.random.default_rng(args.seed)
         t1, t2 = args.theta
         mus = np.asarray(args.mus)
         h = np.exp(t1 + t2 * mus)
@@ -481,10 +461,8 @@ def _cmd_bias_oracle(args) -> int:
             mc_se_first=float(eq1.std(ddof=1) / np.sqrt(args.mc_reps)),
             mc_se_second=float(eq2.std(ddof=1) / np.sqrt(args.mc_reps)),
         )
-    config = {"theta": list(args.theta), "mus": list(args.mus),
-              "mc_reps": args.mc_reps}
     _emit(args, _record_text([record], args.format),
-          _build_manifest(args, config, []))
+          _build_manifest(args, seed=args.seed if args.mc_reps else None))
     return 0
 
 
@@ -518,13 +496,8 @@ def _cmd_pipeline(args) -> int:
     cutoff = 0.05 / experiment.n
     counts = {m: sum(1 for p in columns[m] if p <= cutoff)
               for m in ("p_naive", "p_berger_boos", "p_conservative")}
-    config = {"control": str(args.control), "experiment": str(args.experiment),
-              "form": args.form, "alpha": args.alpha, "beta": args.beta,
-              "a": args.a, "b": args.b, "d": args.d,
-              "grid_res": args.grid_res,
-              "theta_hat": list(est.theta_hat), "J": grid.J,
-              "bonferroni_cutoff": cutoff,
-              "significant_counts": counts}
+    results = {"theta_hat": list(est.theta_hat), "J": grid.J,
+               "bonferroni_cutoff": cutoff, "significant_counts": counts}
     diagnostics = {
         "region_disconnected": sum(r.disconnected for r in regions),
         "berger_boos_degenerate": int(np.count_nonzero(
@@ -533,8 +506,7 @@ def _cmd_pipeline(args) -> int:
         "region": {key: sum(r.diagnostics[key] for r in regions)
                    for key in ("decisions", "evaluations")}}
     _emit(args, _record_text(rows, "csv"),
-          _build_manifest(args, config, [args.control, args.experiment],
-                          diagnostics))
+          _build_manifest(args, results, diagnostics))
     if not args.quiet:
         print(f"fitted theta_hat = {tuple(round(t, 4) for t in est.theta_hat)} "
               f"on {control.n} control pairs", file=sys.stderr)
@@ -551,8 +523,6 @@ def _cmd_pipeline(args) -> int:
 def _common_options() -> argparse.ArgumentParser:
     """Options every subcommand takes."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="root seed for any randomized work")
     common.add_argument("--out", default=None,
                         help="output path (stdout if omitted); a manifest "
                              "JSON is written alongside")
@@ -661,6 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["estimator", "coverage", "power"])
     p.add_argument("--config", required=True,
                    help="flat key=value configuration file")
+    p.add_argument("--seed", type=int, default=None,
+                   help="root seed of the study, over the config's seed "
+                        "(default 0)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bias-oracle", parents=[common, records, theta],
@@ -671,6 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
                                               "at least 2"), default=None,
                    help="optionally cross-check by Monte Carlo with this "
                         "many replicates (at least 2)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the Monte Carlo cross-check")
     p.set_defaults(func=_cmd_bias_oracle)
 
     p = sub.add_parser("pipeline", parents=[common, data, bounds],
@@ -699,7 +674,7 @@ def main(argv=None) -> int:
         logging.basicConfig(level=logging.INFO)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"pairvar: data error: {exc}", file=sys.stderr)
         return 3
     except (DomainError, NumericalError) as exc:
@@ -708,9 +683,6 @@ def main(argv=None) -> int:
     except PairvarError as exc:
         print(f"pairvar: error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"pairvar: data error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

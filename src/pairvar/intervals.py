@@ -534,22 +534,31 @@ def bounded_hulls(y, model: VarianceModel, alpha, a: float, b: float):
 
     Returns (lo, hi, parts): per element, the hull of the exact pivot set
     intersected with [a, b] and its number of components as ci_mu_exact
-    counts them (0: empty, 2: disconnected). Lambert-W crossings for
-    exp-linear with a negative slope; every other form uses ci_mu_exact's
-    20001-point grid, so hulls are equal.
+    counts them (0: empty, where lo and hi mean nothing; 2: disconnected).
+    Lambert-W crossings for exp-linear with a negative slope; every other
+    form uses ci_mu_exact's 20001-point grid, so hulls are equal.
     """
     q = chi2_1_quantile(1.0 - alpha)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
     if model.form is not VarianceForm.EXP_LINEAR or model.theta[1] >= 0:
         if not (math.isfinite(a) and math.isfinite(b)):
             raise DomainError("grid inversion needs finite bounds")
-        return _grid_hulls([np.atleast_1d(y)], model, q, a, b)
-    c = exact_pivot_crossings(y, *model.theta, q)
+        return _grid_hulls([y], model, q, a, b)
+    # h decreases, so the pivot exceeds q on [a, b] for a finite y farther
+    # than r = sqrt(q h(a)) from it: that set is empty, and its crossings,
+    # which may not be finite, are not solved.
+    with np.errstate(all="ignore"):
+        r = np.sqrt(q * model(a))
+    near = ~(np.isfinite(y) & ((y < a - r) | (y > b + r)))
+    c = exact_pivot_crossings(y[near], *model.theta, q)
     # Component 1: (-inf, r1) clipped -> [a, min(r1, b)], present iff r1 >= a.
     has1 = c.r1 >= a
     # Component 2: (l2, r2) clipped, only for two-sided rows.
     lo2 = np.maximum(c.l2, a)
     hi2 = np.minimum(c.r2, b)
     has2 = c.two_sided & (lo2 <= hi2)
-    lo = np.where(has1, a, lo2)
-    hi = np.where(has2, hi2, np.minimum(c.r1, b))
-    return lo, hi, has1 + has2.astype(int)
+    hulls = np.zeros((3, *y.shape))  # lo, hi and parts; 0 on far rows
+    hulls[:, near] = (np.where(has1, a, lo2),
+                      np.where(has2, hi2, np.minimum(c.r1, b)),
+                      has1 + has2.astype(int))
+    return hulls[0], hulls[1], hulls[2].astype(int)

@@ -144,8 +144,9 @@ class PairedDataset:
         self.bounds = (float(a), float(b))
         if not (self.bounds[0] < self.bounds[1]):
             raise DataError(f"bounds must satisfy a < b, got {self.bounds}")
-        self.ybar = _readonly((self.y1 + self.y2) / 2.0)
-        self.s2 = _readonly((self.y1 - self.y2) ** 2 / 2.0)
+        with np.errstate(over="ignore"):  # an extreme pair: s2 = inf
+            self.ybar = _readonly((self.y1 + self.y2) / 2.0)
+            self.s2 = _readonly((self.y1 - self.y2) ** 2 / 2.0)
 
     @property
     def n(self) -> int:
@@ -179,6 +180,14 @@ def build_dataset(
             ids = [pid for pid, k in zip(ids, keep) if k]
             y1, y2 = y1[keep], y2[keep]
     return PairedDataset(ids, y1, y2, bounds)
+
+
+def log_raw(*values: float, row: int | None = None) -> tuple[float, ...]:
+    """Natural logs of raw intensities; DataError unless all are positive."""
+    if min(values) <= 0:
+        raise DataError("raw intensities must be positive to take logs, got "
+                        f"({', '.join(map(str, values))})", row=row)
+    return tuple(math.log(v) for v in values)
 
 
 def load_csv(
@@ -217,11 +226,7 @@ def load_csv(
             if not (math.isfinite(y1) and math.isfinite(y2)):
                 raise DataError(f"non-finite intensity ({y1}, {y2})", row=lineno)
             if raw:
-                if y1 <= 0 or y2 <= 0:
-                    raise DataError(
-                        f"raw intensities must be positive to take logs, "
-                        f"got ({y1}, {y2})", row=lineno)
-                y1, y2 = math.log(y1), math.log(y2)
+                y1, y2 = log_raw(y1, y2, row=lineno)
             rows.append((pid, y1, y2))
     return build_dataset(rows, bounds=bounds, drop_ties=drop_ties)
 

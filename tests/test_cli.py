@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,10 +7,12 @@ import subprocess
 import sys
 import warnings
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pairvar.cli import main
+from pairvar.cli import build_parser, main
 from pairvar.intervals import (
     ci_diff_region,
     ci_mu_exact,
@@ -34,6 +37,13 @@ def write_pairs_csv(path, pairs):
         w = csv.writer(fh)
         w.writerow(["id", "y1", "y2"])
         w.writerows(pairs)
+
+
+def strict_json(text):
+    """json.loads that rejects the non-standard tokens Infinity and NaN."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def simulated_csv(path, n, theta=(5.0, -1.0), seed=0):
@@ -92,6 +102,22 @@ class TestFitCommands:
 
 
 class TestCiCommand:
+    @pytest.mark.parametrize("command, method", [("ci", "naive"),
+                                                 ("pvalue", "berger-boos")])
+    def test_raw_takes_logs_of_the_one_pair(self, capsys, command, method):
+        argv = [command, "--method", method, "--theta", "4.84,-0.927"]
+        assert main(argv + ["--raw", "--y1", "20000", "--y2", "25000"]) == 0
+        raw = capsys.readouterr().out
+        assert main(argv + ["--y1", "9.903487552536127",
+                            "--y2", "10.126631103850338"]) == 0
+        assert raw == capsys.readouterr().out
+
+    @pytest.mark.parametrize("y1, y2", [("0", "25000"), ("20000", "-3")])
+    def test_raw_one_pair_needs_positive_values(self, capsys, y1, y2):
+        assert main(["ci", "--method", "naive", "--theta", "4.84,-0.927",
+                     "--raw", "--y1", y1, "--y2", y2]) == 3
+        assert "must be positive to take logs" in capsys.readouterr().err
+
     def test_naive_single_ratio_scale(self, capsys):
         assert main(["ci", "--theta", "4.84,-0.927", "--y1", "10.21",
                      "--y2", "10.78", "--method", "naive",
@@ -171,6 +197,40 @@ class TestCiCommand:
 
 
 class TestPvalueCommand:
+    def test_one_far_pair_gets_beta_and_leaves_the_others(self, tmp_path,
+                                                          capsys):
+        # its Berger-Boos set for the mean misses [a, b]; its crossings are
+        # not finite and are not solved
+        pairs = [("a", 10.21, 10.78), ("b", 9.0, 9.4)]
+        near, mixed = tmp_path / "near.csv", tmp_path / "mixed.csv"
+        write_pairs_csv(near, pairs)
+        write_pairs_csv(mixed, pairs + [("far", "1e300", "11")])
+        argv = ["pvalue", "--method", "berger-boos", "--theta", "4.84,-0.927",
+                "--quiet", "--input"]
+        assert main(argv + [str(near)]) == 0
+        expected = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + [str(mixed)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows[:2] == expected
+        assert float(rows[2]["p_value"]) == 1e-6
+        assert rows[2]["mu_sup"] == ""
+
+    def test_exact_set_of_a_far_value_is_empty(self, capsys):
+        assert main(["ci", "--method", "exact", "--theta", "4.84,-0.927",
+                     "--y1=1e300"]) == 4
+        assert "empty after bounding" in capsys.readouterr().err
+
+    def test_infinite_statistic_is_null_in_json(self, tmp_path):
+        out = tmp_path / "p.jsonl"
+        assert main(["pvalue", "--method", "naive", "--theta", "4.84,-0.927",
+                     "--y1=1e200", "--y2=-1e200", "--out", str(out),
+                     "--quiet"]) == 0
+        rec = strict_json(out.read_text())
+        assert rec["statistic"] is None and rec["p_value"] == 0.0
+        strict_json((tmp_path / "p.jsonl.manifest.json").read_text())
+
     def test_equal_pairs_all_unity(self, tmp_path, capsys):
         inp = tmp_path / "equalpairs.csv"
         write_pairs_csv(inp, [("a", 9.0, 9.0), ("b", 10.5, 10.5),
@@ -792,7 +852,127 @@ class TestExitCodes:
                   "--quiet"])
 
 
+def _declared_options(command: str) -> set:
+    """The dest of every option the subcommand's parser declares."""
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+
+
+SEEDLESS = {
+    "fit-macl": ["fit-macl", "--input", "p.csv"],
+    "fit-mixture": ["fit-mixture", "--input", "p.csv"],
+    "ci": ["ci", "--theta", "4.84,-0.927", "--method", "naive", "--y1", "9"],
+    "pvalue": ["pvalue", "--theta", "4.84,-0.927", "--method", "naive",
+               "--y1", "9", "--y2", "10"],
+    "pipeline": ["pipeline", "--control", "c.csv", "--experiment", "e.csv"],
+}
+
+
 class TestManifest:
+    @pytest.fixture
+    def files(self, tmp_path):
+        control = tmp_path / "control.csv"
+        simulated_csv(control, 150, seed=6)
+        experiment = tmp_path / "experiment.csv"
+        write_pairs_csv(experiment, [("a", 10.21, 10.78), ("b", 9.0, 9.4)])
+        means = tmp_path / "means.txt"
+        means.write_text("9\n10\n11\n")
+        study = tmp_path / "study.cfg"
+        study.write_text(f"n=40\nreps=3\nscenario=fixed-resample:{means}\n")
+        return {"control": str(control), "experiment": str(experiment),
+                "means": str(means), "study": str(study)}
+
+    @pytest.mark.parametrize("argv, seed, read", [
+        pytest.param(["fit-macl", "--input", "{control}"], None, ["control"],
+                     id="fit-macl"),
+        pytest.param(["fit-mixture", "--input", "{control}"], None,
+                     ["control"], id="fit-mixture"),
+        pytest.param(["ci", "--theta", "4.84,-0.927", "--method", "naive",
+                      "--y1", "10.2", "--y2", "10.7"], None, [], id="ci"),
+        pytest.param(["pvalue", "--theta", "4.84,-0.927", "--method",
+                      "berger-boos", "--input", "{experiment}"], None,
+                     ["experiment"], id="pvalue"),
+        pytest.param(["simulate", "--study", "estimator", "--config",
+                      "{study}"], 0, ["study", "means"], id="simulate"),
+        pytest.param(["simulate", "--study", "estimator", "--config",
+                      "{study}", "--seed", "9"], 9, ["study", "means"],
+                     id="simulate-seed"),
+        pytest.param(["bias-oracle", "--theta", "5,-1", "--mus", "9,10",
+                      "--mc-reps", "20"], 0, [], id="bias-oracle-mc"),
+        pytest.param(["bias-oracle", "--theta", "5,-1", "--mus", "9,10"],
+                     None, [], id="bias-oracle"),
+        pytest.param(["pipeline", "--control", "{control}", "--experiment",
+                      "{experiment}"], None, ["control", "experiment"],
+                     id="pipeline"),
+    ])
+    def test_manifest_records_every_option_seed_and_file(
+            self, tmp_path, files, argv, seed, read):
+        out = tmp_path / "out"
+        assert main([a.format(**files) for a in argv]
+                    + ["--out", str(out), "--quiet"]) == 0
+        manifest = strict_json((tmp_path / "out.manifest.json").read_text())
+        config = manifest["config"]
+        assert _declared_options(argv[0]) - {"out", "quiet"} <= set(config)
+        assert manifest["seed"] == seed
+        assert set(manifest["input_digests"]) == {files[k] for k in read}
+
+    def test_manifest_records_the_one_pair_and_the_results(self, tmp_path,
+                                                           files):
+        out = tmp_path / "one.jsonl"
+        assert main(["ci", "--theta", "4.84,-0.927", "--method", "region",
+                     "--raw", "--y1", "20000", "--y2", "25000", "--no-refine",
+                     "--out", str(out), "--quiet"]) == 0
+        config = strict_json(Path(f"{out}.manifest.json").read_text())[
+            "config"]
+        assert (config["y1"], config["y2"], config["raw"]) == (20000, 25000,
+                                                               True)
+        assert config["no_refine"] is True and config["input"] is None
+        out = tmp_path / "report.csv"
+        assert main(["pipeline", "--control", files["control"],
+                     "--experiment", files["experiment"], "--out", str(out),
+                     "--quiet"]) == 0
+        config = strict_json(Path(f"{out}.manifest.json").read_text())[
+            "config"]
+        assert len(config["theta_hat"]) == 2 and config["J"] >= 2
+        assert config["bonferroni_cutoff"] == 0.025
+        assert set(config["significant_counts"]) == {
+            "p_naive", "p_berger_boos", "p_conservative"}
+
+    @pytest.mark.parametrize("command", sorted(SEEDLESS))
+    def test_seed_is_a_usage_error_where_nothing_is_drawn(self, command):
+        parser = build_parser()
+        parser.parse_args(SEEDLESS[command])
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(SEEDLESS[command] + ["--seed", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("study, settings", [
+        pytest.param("power", "mu_grid=9,11\nk_grid=0,2\nreps=300\n",
+                     id="power"),
+        pytest.param("coverage",
+                     "mu_grid=9.5\nreps=300\nmethods=exact,naive\n",
+                     id="coverage"),
+    ])
+    def test_simulate_config_written_back_reproduces_the_csv(
+            self, tmp_path, monkeypatch, study, settings):
+        # every setting is recorded, defaults included: the rerun does not
+        # depend on the program's defaults
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(settings)
+        first = tmp_path / "first.csv"
+        assert main(["simulate", "--study", study, "--config", str(cfg),
+                     "--seed", "7", "--out", str(first), "--quiet"]) == 0
+        config = strict_json(Path(f"{first}.manifest.json").read_text())[
+            "config"]
+        again = tmp_path / "again.cfg"
+        again.write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+        monkeypatch.setattr("pairvar.cli.DEFAULT_ALPHA", 0.2)
+        second = tmp_path / "second.csv"
+        assert main(["simulate", "--study", study, "--config", str(again),
+                     "--out", str(second), "--quiet"]) == 0
+        assert second.read_bytes() == first.read_bytes()
+
     def test_outputs_reproducible_with_manifest(self, tmp_path):
         inp = tmp_path / "pairs.csv"
         write_pairs_csv(inp, [("a", 10.21, 10.78), ("b", 9.0, 9.4)])

@@ -1077,6 +1077,18 @@ class TestBoundedHulls:
         _, _, parts = bounded_hulls(np.array([25.0]), POOLED, 1e-6, 7.3, 8.0)
         assert parts[0] == 0
 
+    def test_far_rows_are_empty_and_leave_the_others(self):
+        # their crossings are not finite; they are not solved, as
+        # d^2 > q h(a) at distance d from [a, b] proves the set empty
+        y = np.array([10.0, 1e300, 8.0, -1e300, 25.0])
+        lo, hi, parts = bounded_hulls(y, POOLED, 0.05, *BOUNDS)
+        assert parts.tolist() == [1, 0, 1, 0, 0]
+        near = bounded_hulls(y[[0, 2]], POOLED, 0.05, *BOUNDS)
+        assert lo[[0, 2]].tolist() == near[0].tolist()
+        assert hi[[0, 2]].tolist() == near[1].tolist()
+        with pytest.raises(NumericalError):
+            ci_mu_exact(25.0, POOLED, 0.05, BOUNDS)
+
     @pytest.mark.parametrize("name", ["positive-slope", "power",
                                       "exp-linear-const"])
     def test_other_forms_equal_scalar_hull(self, name):

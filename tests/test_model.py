@@ -210,6 +210,14 @@ class TestPairedDataset:
         with pytest.raises(DataError, match="one length"):
             PairedDataset("sim-%06d", [8.0, 9.0], [8.5])
 
+    def test_extreme_pair_loads_without_a_warning(self):
+        # (y1 - y2)^2 overflows: s2 is inf, and numpy is not asked to warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d = PairedDataset(["far", "a"], [1e300, 8.0], [-1e300, 9.0])
+        assert d.s2.tolist() == [math.inf, 0.5]
+        assert d.ybar.tolist() == [0.0, 8.5]
+
     def test_identity_equality(self):
         a = PairedDataset(["a"], [8.0], [9.0])
         b = PairedDataset(["a"], [8.0], [9.0])
