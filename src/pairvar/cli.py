@@ -376,8 +376,21 @@ def _read_means_file(path) -> tuple[float, ...]:
     return tuple(means)
 
 
+# every key a study reads; study and config are in a written-back manifest
+_STUDY_KEYS = frozenset({
+    "seed", "form", "theta", "alpha", "a", "b",  # every study
+    "n", "method", "scenario", "reps", "d",  # estimator
+    "theta_fit", "mu_grid", "methods", "mode",  # coverage
+    "k_grid", "beta",  # power
+    "study", "config"})
+
+
 def _cmd_simulate(args) -> int:
     cfg = _read_config_file(args.config)
+    unknown = sorted(set(cfg) - _STUDY_KEYS)
+    if unknown:
+        raise DataError(f"config file {args.config}: unknown keys "
+                        f"{', '.join(unknown)}")
     settings = {}  # every setting read, defaults included, for the manifest
 
     def get(key: str, default, cast=float):
@@ -429,7 +442,7 @@ def _cmd_simulate(args) -> int:
 
     diagnostics = {"failures": report.failures,
                    "failure_types": report.failure_types}
-    _emit(args, report.to_csv(),
+    _emit(args, _record_text(report.rows, "csv"),
           _build_manifest(args, settings, diagnostics, seed))
     if not args.quiet:
         print(f"{args.study} study: {report.replicates} replicates, "
@@ -668,10 +681,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if "a" in args and not args.a < args.b:
         parser.error(f"the bounds need a < b, got --a {args.a} --b {args.b}")
-    if args.quiet:
-        logging.basicConfig(level=logging.ERROR)
-    else:
-        logging.basicConfig(level=logging.INFO)
+    # this call's --quiet decides; the level and handler go on return
+    logger = logging.getLogger("pairvar")
+    level, handler = logger.level, logging.StreamHandler()
+    handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+    logger.setLevel(logging.ERROR if args.quiet else logging.INFO)
+    logger.addHandler(handler)
     try:
         return args.func(args)
     except (DataError, OSError) as exc:
@@ -683,6 +698,9 @@ def main(argv=None) -> int:
     except PairvarError as exc:
         print(f"pairvar: error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

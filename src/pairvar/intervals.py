@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import erfc, ndtri
 
 from .errors import DomainError, NumericalError
-from .model import VarianceForm, VarianceModel
+from .model import MAX_GRID_POINTS, VarianceForm, VarianceModel
 
 DEFAULT_GRID_RES = 0.005
 
@@ -460,6 +460,9 @@ def ci_diff_region(
     a, b = bounds
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"region scan needs finite bounds a < b, got {bounds}")
+    if not 2.0 * (b - a) / grid_res <= MAX_GRID_POINTS:
+        raise DomainError(f"grid_res {grid_res} puts more than 10^6 points on "
+                          f"the difference grid over [{a}, {b}]")
     y1, y2 = float(y1), float(y2)
     q = chi2_2_quantile(1.0 - alpha)
     span = b - a

@@ -22,12 +22,12 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .macl import _MIN_STEP, _ROUNDING, macl_fit, solve_weighted_equations
-from .model import PairedDataset, VarianceForm, VarianceModel
+from .model import (MAX_GRID_POINTS, PairedDataset, VarianceForm,
+                    VarianceModel)
 
 DEFAULT_SPACING = 0.25
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 2000
-_MAX_GRID_POINTS = 10**6
 _ASCENT_SLACK = 1e-8
 _MAX_SQP_STEPS = 500
 # Added to the diagonal of the pi solve's Hessian (support entries >= 1
@@ -132,7 +132,7 @@ def build_support(theta_tilde: VarianceModel, a: float, b: float,
             points.append(float(a))
             break
         points.append(nxt)
-        if len(points) > _MAX_GRID_POINTS:
+        if len(points) > MAX_GRID_POINTS:
             raise NumericalError(
                 "support grid exceeded 10^6 points; increase d or tighten [a, b]")
     return SupportGrid(points=tuple(reversed(points)), spacing_d=d)

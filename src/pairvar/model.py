@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DataError, DomainError
 
 DEFAULT_BOUNDS = (7.3, 13.9)
+MAX_GRID_POINTS = 10**6  # cap on a mixture support grid and a region scan
 _EXP_MAX = 709.782712893384  # largest x with finite float64 exp(x)
 
 

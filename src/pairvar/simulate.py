@@ -3,7 +3,7 @@
 Every study is a pure function of its configuration and seed. Replicate
 randomness comes from spawned child streams of one root seed sequence, so
 reports are identical regardless of how replicates are scheduled; the
-generator family is recorded in every report.
+generator family is RNG_ID, which the CLI's --out manifest records as rng.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from .model import DEFAULT_BOUNDS, PairedDataset, VarianceForm, VarianceModel
 from .pvalues import DEFAULT_BETA_POWER, TestMethod, batch_pvalues
 
 RNG_ID = "numpy-pcg64/seedseq-spawn"
+# an estimator study aborts when more than this share of its fits fail
+MAX_FAILURE_FRACTION = 0.10
+# nuisance-sum grid step of the coverage study's region method
+COVERAGE_GRID_RES = 0.01
 
 
 class ScenarioKind(enum.Enum):
@@ -74,16 +78,12 @@ class Scenario:
 
 @dataclass(frozen=True)
 class StudyReport:
-    """Rows of study output plus everything needed to reproduce them."""
+    """Rows of study output, with the replicate count, time and failures."""
 
-    study: str
     rows: tuple[dict, ...]
     replicates: int
-    seed: int
     wall_clock: float
-    rng: str = RNG_ID
     failures: int = 0
-    config: dict = field(default_factory=dict)
     # failed replicates by exception class name; sums to failures
     failure_types: dict = field(default_factory=dict)
 
@@ -92,16 +92,6 @@ class StudyReport:
             for key in ("coverage", "non_coverage", "rejection_rate"):
                 if key in row and not 0.0 <= row[key] <= 1.0:
                     raise ValueError(f"{key}={row[key]} outside [0,1]")
-
-    def to_csv(self) -> str:
-        if not self.rows:
-            return ""
-        cols = list(self.rows[0].keys())
-        lines = [",".join(cols)]
-        for row in self.rows:
-            lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
-                                  else str(row[c]) for c in cols))
-        return "\n".join(lines) + "\n"
 
 
 def _pairs_from_means(mus: np.ndarray, theta: VarianceModel,
@@ -133,13 +123,12 @@ def estimator_study(
     method: EstimatorMethod = EstimatorMethod.MACL,
     d: float = 0.25,
     bounds=DEFAULT_BOUNDS,
-    max_failure_fraction: float = 0.10,
 ) -> StudyReport:
     """Bias and spread of the fitted coefficients over simulated datasets.
 
     Numerical and domain failures of the fits are counted and reported (a
     DataError, such as too few pairs, stops the study); more than
-    max_failure_fraction of failed replicates aborts it.
+    MAX_FAILURE_FRACTION of failed replicates aborts it.
     """
     if reps < 2:
         raise DataError("need at least 2 replicates")
@@ -165,7 +154,7 @@ def estimator_study(
         except (DomainError, NumericalError) as exc:
             failure_types[type(exc).__name__] += 1
     failures = sum(failure_types.values())
-    if failures > max_failure_fraction * reps:
+    if failures > MAX_FAILURE_FRACTION * reps:
         raise StudyError(
             f"{failures}/{reps} replicates failed to fit; study aborted")
     arr = np.asarray(estimates)
@@ -177,17 +166,8 @@ def estimator_study(
             "bias": float(np.mean(arr[:, k]) - true_k),
             "std": float(np.std(arr[:, k], ddof=1)),
         })
-    return StudyReport(
-        study=f"estimator-{method.value}",
-        rows=tuple(rows),
-        replicates=reps,
-        seed=scenario.seed,
-        wall_clock=time.perf_counter() - t0,
-        failures=failures,
-        failure_types=dict(failure_types),
-        config={"scenario": scenario.kind.value, "n": scenario.n,
-                "theta": theta.theta, "form": theta.form.value, "d": d},
-    )
+    return StudyReport(tuple(rows), reps, time.perf_counter() - t0,
+                       failures, dict(failure_types))
 
 
 def coverage_study(
@@ -200,7 +180,6 @@ def coverage_study(
     mode: str = "single",
     seed: int = 0,
     bounds=DEFAULT_BOUNDS,
-    grid_res: float = 0.01,
 ) -> StudyReport:
     """Empirical coverage of the interval constructions at each true mean.
 
@@ -208,8 +187,9 @@ def coverage_study(
     difference mode draws a null pair (both means equal) and covers the
     zero difference. Data are generated under theta_true while intervals
     are built from theta_fit, mirroring the use of estimates from one
-    experiment on another. The exact method needs theta_fit exp-linear with
-    a negative slope and raises DomainError otherwise; the naive methods
+    experiment on another. The region method scans nuisance sums at
+    COVERAGE_GRID_RES. The exact method needs theta_fit exp-linear with a
+    negative slope and raises DomainError otherwise; the naive methods
     raise it where h(theta_fit, y) is not finite and positive.
     """
     methods = list(methods)
@@ -253,7 +233,7 @@ def coverage_study(
                 if m == "region":
                     covered, _ = _region_scan(
                         y1, y2, theta_fit, chi2_2_quantile(1.0 - alpha), 0.0,
-                        *bounds, grid_res)
+                        *bounds, COVERAGE_GRID_RES)
                 elif m == "bonferroni":
                     lo1, hi1, n1 = bounded_hulls(y1, theta_fit, alpha / 2.0,
                                                  *bounds)
@@ -265,16 +245,7 @@ def coverage_study(
                     lo, hi = ci_diff_naive(y1, y2, theta_fit, alpha)
                     covered = (lo <= 0.0) & (0.0 <= hi)
                 rows.append(_coverage_row(mu, m, alpha, covered))
-    return StudyReport(
-        study="coverage",
-        rows=tuple(rows),
-        replicates=reps,
-        seed=seed,
-        wall_clock=time.perf_counter() - t0,
-        config={"mode": mode, "alpha": alpha, "methods": methods,
-                "theta_true": theta_true.theta, "theta_fit": theta_fit.theta,
-                "mu_values": list(mu_values)},
-    )
+    return StudyReport(tuple(rows), reps, time.perf_counter() - t0)
 
 
 def _coverage_row(mu, method, alpha, covered):
@@ -317,15 +288,7 @@ def power_study(
                     "mu": float(mu), "k": float(k), "method": method.value,
                     "rejection_rate": float(np.mean(p <= alpha)),
                 })
-    return StudyReport(
-        study="power",
-        rows=tuple(rows),
-        replicates=reps,
-        seed=seed,
-        wall_clock=time.perf_counter() - t0,
-        config={"theta": theta.theta, "alpha": alpha, "beta": beta,
-                "mu_grid": list(mu_grid), "k_grid": list(k_grid)},
-    )
+    return StudyReport(tuple(rows), reps, time.perf_counter() - t0)
 
 
 def neyman_scott_check(theta_value: float, n: int, seed: int = 0,

@@ -167,6 +167,14 @@ class TestCiCommand:
         assert err.startswith("pairvar: numerical failure: ")
         assert message in err
 
+    def test_grid_beyond_the_point_cap_is_a_numerical_failure(self, capsys):
+        # 2(b - a) / 1e-9 is 1.3e10 points: refused before any is allocated
+        assert main(["ci", "--theta", "4.84,-0.927", "--y1", "10.2", "--y2",
+                     "10.8", "--method", "region", "--grid-res", "1e-9"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("pairvar: numerical failure: grid_res 1e-09 ")
+        assert "10^6 points" in err
+
     def test_batch_appends_columns(self, tmp_path, capsys):
         inp = tmp_path / "pairs.csv"
         write_pairs_csv(inp, [("a", 10.21, 10.78), ("b", 11.45, 13.36)])
@@ -330,6 +338,20 @@ class TestSimulateCommand:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 6  # 1 mu x 2 k x 3 methods
         assert all(0.0 <= float(r["rejection_rate"]) <= 1.0 for r in rows)
+
+    def test_unknown_config_key_is_a_data_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        def run(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr("pairvar.cli.coverage_study", run)
+        cfg = tmp_path / "cov.cfg"
+        cfg.write_text("mu_grid=10\nrep=20\ngrid_res=0.5\nk_grid=0\n")
+        assert main(["simulate", "--study", "coverage", "--config", str(cfg),
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("pairvar: data error: ")
+        assert err.rstrip().endswith("unknown keys grid_res, rep")
 
     def test_coverage_study_with_resample_scenario(self, tmp_path, capsys):
         cfg = tmp_path / "cov.cfg"
@@ -953,6 +975,7 @@ class TestManifest:
         pytest.param("coverage",
                      "mu_grid=9.5\nreps=300\nmethods=exact,naive\n",
                      id="coverage"),
+        pytest.param("estimator", "n=60\nreps=3\n", id="estimator"),
     ])
     def test_simulate_config_written_back_reproduces_the_csv(
             self, tmp_path, monkeypatch, study, settings):
@@ -1026,11 +1049,89 @@ class TestManifest:
                     assert float(row[key]) == value
 
 
+# one pairs file serves ci, pvalue and pipeline's experiment; each simulate
+# study is run on a small config
+@pytest.mark.parametrize("argv, study", [
+    pytest.param(["ci", "--theta", "4.84,-0.927", "--method", "naive",
+                  "--input", "{pairs}"], None, id="ci"),
+    pytest.param(["pvalue", "--theta", "4.84,-0.927", "--method",
+                  "berger-boos", "--input", "{pairs}"], None, id="pvalue"),
+    pytest.param(["pipeline", "--control", "{control}", "--experiment",
+                  "{pairs}", "--grid-res", "0.02"], None, id="pipeline"),
+    pytest.param(["simulate", "--study", "estimator"], "n=60\nreps=3\n",
+                 id="estimator"),
+    pytest.param(["simulate", "--study", "coverage"],
+                 "mu_grid=9,11\nreps=200\n", id="coverage-single"),
+    pytest.param(["simulate", "--study", "coverage"],
+                 "mu_grid=9,11\nreps=200\nmode=difference\n"
+                 "methods=region,bonferroni,naive\n", id="coverage-difference"),
+    pytest.param(["simulate", "--study", "power"],
+                 "mu_grid=10\nk_grid=0,2\nreps=200\n", id="power"),
+])
+def test_every_csv_has_one_line_terminator(tmp_path, monkeypatch, argv,
+                                           study):
+    import pairvar.cli as cli
+
+    pairs, control = tmp_path / "pairs.csv", tmp_path / "control.csv"
+    write_pairs_csv(pairs, [("a", 10.21, 10.78), ("b", 9.0, 9.4)])
+    simulated_csv(control, 150, seed=6)
+    argv = [a.format(pairs=pairs, control=control) for a in argv]
+    reports = []
+    if study is not None:
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(study)
+        argv += ["--config", str(cfg)]
+        name = f"{argv[2]}_study"
+        real = getattr(cli, name)
+
+        def keep(*args, **kwargs):
+            reports.append(real(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, name, keep)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out), "--quiet"]) == 0
+    text = out.read_bytes().decode("utf-8")
+    *lines, last = text.split("\r\n")
+    assert lines and last == "" and not any("\n" in line or "\r" in line
+                                            for line in lines)
+    if reports:
+        report, = reports
+        assert list(csv.reader(lines)) == [list(report.rows[0])] + [
+            [v if isinstance(v, str) else repr(v) for v in row.values()]
+            for row in report.rows]
+
+
 class TestConsoleScript:
     def test_entry_point_version(self):
         res = subprocess.run([sys.executable, "-m", "pairvar.cli",
                               "--version"], capture_output=True, text=True)
         assert res.returncode == 0
+
+    @pytest.mark.parametrize("first, second", [
+        pytest.param("", "--quiet", id="loud-then-quiet"),
+        pytest.param("--quiet", "", id="quiet-then-loud"),
+    ])
+    def test_quiet_is_decided_by_each_call(self, first, second):
+        # two calls in one interpreter, each printing its own warnings, and
+        # neither leaving a level or a handler on the pairvar logger
+        code = (
+            "import logging, sys; from pairvar.cli import main; "
+            "argv = ['pvalue', '--method', 'berger-boos', '--theta', "
+            "'4.84,-0.927', '--y1=1e300', '--y2', '11']; "
+            f"main(argv + {[first] if first else []}); "
+            "print('--', file=sys.stderr, flush=True); "
+            f"main(argv + {[second] if second else []}); "
+            "log = logging.getLogger('pairvar'); "
+            "print(log.level, len(log.handlers), file=sys.stderr)")
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        before, after = res.stderr.split("--\n")
+        loud, quiet = (after, before) if first else (before, after)
+        assert "Berger-Boos confidence set for the mean misses" in loud
+        assert "Berger-Boos" not in quiet
+        assert res.stderr.endswith("0 0\n")
 
     def test_import_leaves_scipy_optimize_and_linalg_unloaded(self):
         # nor does a one-shot region interval load them

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from pairvar.cli import main
 from pairvar.errors import ConvergenceError, DomainError, NumericalError, StudyError
 from pairvar.intervals import _region_form, _region_scan, chi2_2_quantile
 from pairvar.model import PairedDataset, VarianceForm, VarianceModel
@@ -383,14 +384,16 @@ class TestNeymanScott:
 
 
 class TestStudyReport:
-    def test_csv_shape(self):
-        rep = power_study(EXP51, [10.0], [0.0], reps=200, seed=1)
-        csv = rep.to_csv()
-        lines = csv.strip().split("\n")
+    def test_csv_shape(self, tmp_path, capsys):
+        cfg = tmp_path / "power.cfg"
+        cfg.write_text("mu_grid=10\nk_grid=0\nreps=200\nseed=1\n")
+        assert main(["simulate", "--study", "power", "--config", str(cfg),
+                     "--quiet"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "mu,k,method,rejection_rate"
-        assert len(lines) == 1 + len(rep.rows)
+        assert len(lines) == 1 + 3  # one row per test at one (mu, k)
 
     def test_proportions_validated(self):
         with pytest.raises(ValueError):
-            StudyReport(study="power", rows=({"rejection_rate": 1.2},),
-                        replicates=1, seed=0, wall_clock=0.0)
+            StudyReport(rows=({"rejection_rate": 1.2},), replicates=1,
+                        wall_clock=0.0)
