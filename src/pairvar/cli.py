@@ -1,10 +1,12 @@
 """Command-line interface: one executable, one subcommand per operation.
 
-With --out, every run writes <out>.manifest.json beside its output: its
-parsed options (for simulate, every setting it resolved), results, seed and
-input digests, so results can be traced back to exact inputs and settings.
-JSON holds a non-finite float as null. Exit codes: 0 success, 2 usage
-error, 3 data error, 4 numerical failure.
+Every line a run writes to stderr goes through the pairvar logger as
+"pairvar: <message>", at INFO and above (ERROR under --quiet). With --out,
+every run writes <out>.manifest.json beside its output: its parsed options
+(for simulate, every setting it resolved), results, seed and input
+digests, so results can be traced back to exact inputs and settings. JSON
+holds a non-finite float as null. Exit codes: 0 success, 2 usage error,
+3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, macl, mixture_em
-from .errors import DataError, DomainError, NumericalError, PairvarError
+from .errors import DataError, DomainError, NumericalError
 from .intervals import (
     DEFAULT_GRID_RES,
     bounded_hulls,
@@ -64,6 +66,7 @@ from .simulate import (
 
 DEFAULT_ALPHA = 0.05
 FORMS = [f.value for f in VarianceForm]
+logger = logging.getLogger("pairvar.cli")  # __name__ is __main__ under -m
 
 
 def _sha256(path) -> str:
@@ -114,8 +117,7 @@ def _emit(args, text: str, manifest: dict) -> None:
         Path(args.out).write_text(text, encoding="utf-8")
         Path(f"{args.out}.manifest.json").write_text(
             _json(manifest, indent=2) + "\n", encoding="utf-8")
-        if not args.quiet:
-            print(f"wrote {args.out} (+ manifest)", file=sys.stderr)
+        logger.info("wrote %s (+ manifest)", args.out)
     else:
         sys.stdout.write(text)
 
@@ -313,14 +315,13 @@ def _cmd_pvalue(args) -> int:
     columns = {"statistic": [None] * p.size if stat is None else stat.tolist(),
                "p_value": p.tolist(),
                "mu_sup": [None if math.isnan(m) else m for m in mu.tolist()]}
-    record = {"method": args.method, **{k: v[0] for k, v in columns.items()}}
-    cutoff = 0.05 / p.size
-    if args.bonferroni and ids is not None:
+    if args.bonferroni:
+        cutoff = 0.05 / p.size
         columns["significant_bonferroni"] = significant = [
             v <= cutoff for v in columns["p_value"]]
-        if not args.quiet:
-            print(f"{sum(significant)} of {p.size} p-values below "
-                  f"0.05/N = {cutoff:.3g}", file=sys.stderr)
+        logger.info("%d of %d p-values below 0.05/N = %.3g",
+                    sum(significant), p.size, cutoff)
+    record = {"method": args.method, **{k: v[0] for k, v in columns.items()}}
     return _emit_pairs(args, ids, y1, y2, columns, record)
 
 
@@ -328,7 +329,7 @@ def _cmd_pvalue(args) -> int:
 
 
 def _read_config_file(path) -> dict:
-    cfg = {}
+    cfg, first_row = {}, {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -338,9 +339,12 @@ def _read_config_file(path) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataError(f"expected key=value in config", row=i)
-        key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
+            raise DataError("expected key=value in config", row=i)
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in cfg:
+            raise DataError(f"config key {key!r} given again (first on row "
+                            f"{first_row[key]})", row=i)
+        cfg[key], first_row[key] = value, i
     return cfg
 
 
@@ -444,10 +448,8 @@ def _cmd_simulate(args) -> int:
                    "failure_types": report.failure_types}
     _emit(args, _record_text(report.rows, "csv"),
           _build_manifest(args, settings, diagnostics, seed))
-    if not args.quiet:
-        print(f"{args.study} study: {report.replicates} replicates, "
-              f"{report.failures} failures, {report.wall_clock:.1f}s",
-              file=sys.stderr)
+    logger.info("%s study: %d replicates, %d failures, %.1fs", args.study,
+                report.replicates, report.failures, report.wall_clock)
     return 0
 
 
@@ -520,13 +522,11 @@ def _cmd_pipeline(args) -> int:
                    for key in ("decisions", "evaluations")}}
     _emit(args, _record_text(rows, "csv"),
           _build_manifest(args, results, diagnostics))
-    if not args.quiet:
-        print(f"fitted theta_hat = {tuple(round(t, 4) for t in est.theta_hat)} "
-              f"on {control.n} control pairs", file=sys.stderr)
-        print(f"significant at 0.05/N={cutoff:.3g}: "
-              f"naive {counts['p_naive']}, "
-              f"berger-boos {counts['p_berger_boos']}, "
-              f"conservative {counts['p_conservative']}", file=sys.stderr)
+    logger.info("fitted theta_hat = %s on %d control pairs",
+                tuple(round(t, 4) for t in est.theta_hat), control.n)
+    logger.info("significant at 0.05/N=%.3g: naive %d, berger-boos %d, "
+                "conservative %d", cutoff, counts["p_naive"],
+                counts["p_berger_boos"], counts["p_conservative"])
     return 0
 
 
@@ -682,25 +682,22 @@ def main(argv=None) -> int:
     if "a" in args and not args.a < args.b:
         parser.error(f"the bounds need a < b, got --a {args.a} --b {args.b}")
     # this call's --quiet decides; the level and handler go on return
-    logger = logging.getLogger("pairvar")
-    level, handler = logger.level, logging.StreamHandler()
-    handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
-    logger.setLevel(logging.ERROR if args.quiet else logging.INFO)
-    logger.addHandler(handler)
+    package = logging.getLogger("pairvar")
+    level, handler = package.level, logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("pairvar: %(message)s"))
+    package.setLevel(logging.ERROR if args.quiet else logging.INFO)
+    package.addHandler(handler)
     try:
         return args.func(args)
     except (DataError, OSError) as exc:
-        print(f"pairvar: data error: {exc}", file=sys.stderr)
+        logger.error("data error: %s", exc)
         return 3
     except (DomainError, NumericalError) as exc:
-        print(f"pairvar: numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except PairvarError as exc:
-        print(f"pairvar: error: {exc}", file=sys.stderr)
+        logger.error("numerical failure: %s", exc)
         return 4
     finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
+        package.removeHandler(handler)
+        package.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import csv
 import enum
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError, DomainError
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_BOUNDS = (7.3, 13.9)
 MAX_GRID_POINTS = 10**6  # cap on a mixture support grid and a region scan
@@ -164,10 +166,10 @@ def build_dataset(
     bounds: tuple[float, float] = DEFAULT_BOUNDS,
     drop_ties: bool = True,
 ) -> PairedDataset:
-    """Assemble a dataset, dropping exactly tied pairs with a warning.
+    """Assemble a dataset, dropping exactly tied pairs.
 
     Pairs with y1 == y2 carry no variance information under the pivot
-    constructions and are removed; the count is reported via warnings.
+    constructions and are removed, their count logged as a warning.
     """
     rows = list(rows)
     ids = [r[0] for r in rows]
@@ -176,8 +178,8 @@ def build_dataset(
         keep = y1 != y2
         ties = keep.size - int(keep.sum())
         if ties:
-            warnings.warn(f"dropped {ties} pair(s) with identical measurements",
-                          stacklevel=2)
+            logger.warning("dropped %d pair(s) with identical measurements",
+                           ties)
             ids = [pid for pid, k in zip(ids, keep) if k]
             y1, y2 = y1[keep], y2[keep]
     return PairedDataset(ids, y1, y2, bounds)

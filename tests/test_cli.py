@@ -278,6 +278,18 @@ class TestPvalueCommand:
         assert [r["p_value"] for r in recs] == [float(r["p_value"])
                                                for r in rows]
 
+    @pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["loud", "quiet"])
+    def test_bonferroni_of_the_one_pair(self, capsys, quiet):
+        # N = 1: the cutoff is 0.05 itself
+        assert main(["pvalue", "--theta", "4.84,-0.927", "--y1", "10.21",
+                     "--y2", "10.78", "--method", "naive", "--bonferroni"]
+                    + quiet) == 0
+        captured = capsys.readouterr()
+        rec = json.loads(captured.out)
+        assert rec["p_value"] < 0.05 and rec["significant_bonferroni"] is True
+        assert captured.err == ("" if quiet else
+                                "pairvar: 1 of 1 p-values below 0.05/N = 0.05\n")
+
     def test_single_pair_mode(self, capsys):
         assert main(["pvalue", "--theta", "4.84,-0.927", "--y1", "10.21",
                      "--y2", "10.78", "--method", "berger-boos",
@@ -353,7 +365,7 @@ class TestSimulateCommand:
         assert err.startswith("pairvar: data error: ")
         assert err.rstrip().endswith("unknown keys grid_res, rep")
 
-    def test_coverage_study_with_resample_scenario(self, tmp_path, capsys):
+    def test_coverage_of_the_exact_single_mean_set(self, tmp_path, capsys):
         cfg = tmp_path / "cov.cfg"
         cfg.write_text("theta=5,-1\nmu_grid=10\nreps=2000\nmethods=exact\n"
                        "mode=single\nseed=5\n")
@@ -361,6 +373,54 @@ class TestSimulateCommand:
                      "--quiet"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert float(rows[0]["coverage"]) == pytest.approx(0.95, abs=0.02)
+
+
+    def test_fixed_resample_reads_pair_means_or_a_means_file(self, tmp_path,
+                                                              capsys):
+        # a pairs CSV gives its pair means; a plain file of those means, one
+        # per line, gives the same study
+        pairs = tmp_path / "pairs.csv"
+        means = tmp_path / "means.txt"
+        simulated_csv(pairs, 40, seed=9)
+        means.write_text("".join(f"{m!r}\n" for m in
+                                 load_csv(pairs).ybar.tolist()))
+        outputs = []
+        for source in (pairs, means):
+            cfg = tmp_path / "study.cfg"
+            cfg.write_text(f"scenario=fixed-resample:{source}\nn=60\n"
+                           "reps=4\nseed=2\n")
+            assert main(["simulate", "--study", "estimator", "--config",
+                         str(cfg), "--quiet"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert [r["param"] for r in csv.DictReader(io.StringIO(
+            outputs[0]))] == ["theta1", "theta2"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("9.5\n\n10.x\n", "row 3: unparseable mean value"),
+        ("\n\n", "is empty"),
+    ], ids=["non-numeric", "empty"])
+    def test_bad_means_file_is_3(self, tmp_path, capsys, text, message):
+        means = tmp_path / "means.txt"
+        means.write_text(text)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"scenario=fixed-resample:{means}\nn=20\nreps=3\n")
+        assert main(["simulate", "--study", "estimator", "--config", str(cfg),
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("pairvar: data error: ") and message in err
+
+    def test_config_skips_comments_and_blank_lines(self, tmp_path, capsys):
+        plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+        plain.write_text("mu_grid=9\nk_grid=0\nreps=50\n")
+        commented.write_text("# a power study\n\nmu_grid=9\n  \n"
+                             "  # reps below\nk_grid=0\nreps=50\n")
+        outputs = []
+        for cfg in (plain, commented):
+            assert main(["simulate", "--study", "power", "--config", str(cfg),
+                         "--quiet"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestBiasOracle:
@@ -457,6 +517,50 @@ class TestPipeline:
         experiment.write_text("id,y1,y2\n")
         assert main(["pipeline", "--control", str(control),
                      "--experiment", str(experiment), "--quiet"]) == 3
+
+
+class TestStderr:
+    """Every stderr line a run writes comes through the pairvar logger."""
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        control = tmp_path / "control.csv"
+        experiment = tmp_path / "exp.csv"
+        ds = simulated_csv(control, 150, seed=25)
+        write_pairs_csv(control, list(zip(ds.ids(), ds.y1.tolist(),
+                                          ds.y2.tolist()))
+                        + [("tie1", 9.5, 9.5), ("tie2", 10.0, 10.0)])
+        write_pairs_csv(experiment, [("a", 10.21, 10.78), ("b", 9.0, 9.4)])
+        return ["pipeline", "--control", str(control), "--experiment",
+                str(experiment), "--grid-res", "0.02",
+                "--out", str(tmp_path / "report.csv")]
+
+    @staticmethod
+    def check_loud(err):
+        lines = err.splitlines()
+        assert lines and all(line.startswith("pairvar: ") for line in lines)
+        assert lines[0] == ("pairvar: dropped 2 pair(s) with identical "
+                            "measurements")
+        assert any(line.startswith("pairvar: fitted theta_hat = (")
+                   and line.endswith(" on 150 control pairs")
+                   for line in lines)
+        assert any(line.startswith("pairvar: significant at 0.05/N=0.025: ")
+                   for line in lines)
+
+    def test_through_main(self, argv, capsys):
+        assert main(argv) == 0
+        self.check_loud(capsys.readouterr().err)
+        assert main(argv + ["--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_through_the_module(self, argv):
+        # the cli logger is named, not __name__, which is "__main__" here
+        runs = [subprocess.run([sys.executable, "-m", "pairvar.cli", *argv,
+                                *quiet], capture_output=True, text=True)
+                for quiet in ([], ["--quiet"])]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        self.check_loud(runs[0].stderr)
+        assert runs[1].stderr == ""
 
 
 # The per-pair path the CLI took before its array calls, kept as the oracle:
@@ -791,6 +895,9 @@ class TestExitCodes:
         ("coverage", "a=nan\n", "finite"),
         ("estimator", "b=inf\n", "finite"),
         ("power", "a=10\nb=10\n", "a < b"),
+        ("power", "reps 50\n", "row 1: expected key=value in config"),
+        ("power", "reps=50\n\n# again\n reps = 70\n",
+         "row 4: config key 'reps' given again (first on row 1)"),
     ])
     def test_bad_simulate_config_is_3(self, tmp_path, capsys, study, text,
                                       message):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -290,28 +292,42 @@ class TestEstimatingEquationBias:
 
 
 class TestDatasetIngestion:
-    def test_tie_filtering_warns_and_drops(self):
+    def test_tie_filtering_warns_and_drops(self, caplog):
         rows = [("a", 1.0, 2.0), ("b", 3.0, 3.0), ("c", 4.0, 5.0)]
-        with pytest.warns(UserWarning, match="1 pair"):
+        with caplog.at_level("WARNING", logger="pairvar"):
             ds = build_dataset(rows)
+        record, = caplog.records
+        assert record.name == "pairvar.model"
+        assert record.levelname == "WARNING"
+        assert "1 pair" in record.getMessage()
         assert ds.n == 2
         assert ds.ids() == ["a", "c"]
 
-    def test_tie_dropping_keeps_order_and_values(self):
+    def test_tie_dropping_keeps_order_and_values(self, caplog):
         rows = [("a", 8.0, 9.0), ("b", 9.5, 9.5), ("c", 10.0, 10.5),
                 ("d", math.inf, math.inf), ("e", 11.0, 10.0)]
-        with pytest.warns(UserWarning) as rec:
+        with caplog.at_level("WARNING", logger="pairvar"):
             ds = build_dataset(rows, bounds=(7.0, 12.0))
-        assert [str(w.message) for w in rec] == [
+        assert caplog.messages == [
             "dropped 2 pair(s) with identical measurements"]
         assert ds.ids() == ["a", "c", "e"]
         assert ds.y1.tolist() == [8.0, 10.0, 11.0]
         assert ds.y2.tolist() == [9.0, 10.5, 10.0]
         assert ds.bounds == (7.0, 12.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="pairvar"):
             kept = build_dataset(rows[:3], drop_ties=False)
+        assert not caplog.records
         assert kept.ids() == ["a", "b", "c"]
+
+    def test_tie_drop_reaches_a_caller_with_no_logging_set_up(self):
+        # Python's last-resort handler prints warnings and above to stderr
+        code = ("from pairvar import build_dataset; "
+                "build_dataset([('a', 8.0, 8.0), ('b', 8.0, 9.0)])")
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.returncode == 0
+        assert res.stderr == "dropped 1 pair(s) with identical measurements\n"
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -361,11 +377,11 @@ class TestDatasetIngestion:
         with pytest.raises(DataError):
             load_csv(p)
 
-    def test_load_csv_ties_dropped(self, tmp_path):
+    def test_load_csv_ties_dropped(self, tmp_path, caplog):
         p = tmp_path / "pairs.csv"
         p.write_text("id,y1,y2\npep1,8.0,8.0\npep2,8.0,9.0\n")
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
+        with caplog.at_level("WARNING", logger="pairvar"):
             ds = load_csv(p)
         assert ds.n == 1
-        assert any("dropped 1" in str(w.message) for w in rec)
+        assert caplog.messages == [
+            "dropped 1 pair(s) with identical measurements"]

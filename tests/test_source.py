@@ -1,4 +1,5 @@
-"""Every name a pairvar module imports at top level is used in it."""
+"""Every name a pairvar module imports at top level is used in it, and no
+module writes to stderr but through logging."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,30 @@ def test_every_import_is_used(module):
 
 def test_allow_list_names_modules_that_exist():
     assert set(KEPT_FOR_TRACING) <= set(MODULES)
+
+
+def _stderr_channels(path) -> list:
+    """Each print call, sys.stderr reference and warnings import in path."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):  # from sys import stderr
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value,
+                                                            ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            names = [f"{node.func.id}()"]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name in ("print()", "sys.stderr")
+                  or name.partition(".")[0] == "warnings"]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_stderr_only_through_logging(path):
+    # main gives the pairvar logger its one handler, format and level
+    assert _stderr_channels(path) == []
