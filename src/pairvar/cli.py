@@ -681,12 +681,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if "a" in args and not args.a < args.b:
         parser.error(f"the bounds need a < b, got --a {args.a} --b {args.b}")
-    # this call's --quiet decides; the level and handler go on return
+    # this call's --quiet decides, and only this handler writes (not a root
+    # handler too); the level, handler and propagation go back on return
     package = logging.getLogger("pairvar")
-    level, handler = package.level, logging.StreamHandler()
+    level, propagate = package.level, package.propagate
+    handler = logging.StreamHandler()
     handler.setFormatter(logging.Formatter("pairvar: %(message)s"))
     package.setLevel(logging.ERROR if args.quiet else logging.INFO)
     package.addHandler(handler)
+    package.propagate = False
     try:
         return args.func(args)
     except (DataError, OSError) as exc:
@@ -698,6 +701,7 @@ def main(argv=None) -> int:
     finally:
         package.removeHandler(handler)
         package.setLevel(level)
+        package.propagate = propagate
 
 
 if __name__ == "__main__":

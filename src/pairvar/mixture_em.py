@@ -34,6 +34,10 @@ _MAX_SQP_STEPS = 500
 # near the optimum) so that its Cholesky factor exists when columns of L
 # coincide or vanish; the fixed point does not depend on it.
 _RIDGE = 1e-10
+# Entries of the pi solve's d = L / lp below this are set to 0 before the
+# Hessian sums their products: those products are subnormal, which sends
+# the CPU down its slow path, and ~1e-150 of the O(1) entries near them.
+_FLUSH = 1e-150
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -194,7 +198,8 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 
 def _hessian(L, lp, cols):
-    """(1/n) sum_i d_i d_i^T with d_i = L_i,cols / lp_i, plus the ridge.
+    """(1/n) sum_i d_i d_i^T with d_i = L_i,cols / lp_i, its entries below
+    _FLUSH set to 0, plus the ridge.
 
     The products over L here and in _solve_pi use einsum, not BLAS: on two
     cores OpenBLAS threads even these small products, runs them several
@@ -202,6 +207,7 @@ def _hessian(L, lp, cols):
     """
     d = L[:, cols]
     d /= lp[:, None]
+    d[d < _FLUSH] = 0.0
     hess = np.einsum("ij,ik->jk", d, d)
     hess /= L.shape[0]
     hess.flat[::cols.size + 1] += _RIDGE

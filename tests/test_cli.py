@@ -562,6 +562,27 @@ class TestStderr:
         self.check_loud(runs[0].stderr)
         assert runs[1].stderr == ""
 
+    @pytest.mark.parametrize("argv, code, err", [
+        (["pvalue", "--theta", "4.84,-0.927", "--y1", "10.21", "--y2", "10.78",
+          "--method", "naive", "--bonferroni"], 0,
+         "pairvar: 1 of 1 p-values below 0.05/N = 0.05\n"),
+        (["ci", "--method", "exact", "--theta", "4.84,-0.927", "--y1", "100"],
+         4, "pairvar: numerical failure: confidence set empty after bounding "
+            "to [7.3, 13.9]\n"),
+    ], ids=["info", "error"])
+    def test_each_line_once_under_root_logging(self, argv, code, err):
+        # a caller's root handler prints none of main's lines a second time,
+        # and the logger propagates again once main returns
+        script = ("import logging, sys; from pairvar.cli import main; "
+                  "logging.basicConfig(); code = main(sys.argv[1:]); "
+                  "print(logging.getLogger('pairvar').propagate); "
+                  "sys.exit(code)")
+        res = subprocess.run([sys.executable, "-c", script, *argv],
+                             capture_output=True, text=True)
+        assert res.returncode == code, res.stderr
+        assert res.stdout.splitlines()[-1] == "True"
+        assert res.stderr == err
+
 
 # The per-pair path the CLI took before its array calls, kept as the oracle:
 # ci_mu_exact for exact sets and Bonferroni hulls, the plug-in formulas on
@@ -1240,15 +1261,32 @@ class TestConsoleScript:
         assert "Berger-Boos" not in quiet
         assert res.stderr.endswith("0 0\n")
 
-    def test_import_leaves_scipy_optimize_and_linalg_unloaded(self):
-        # nor does a one-shot region interval load them
-        code = ("import sys, pairvar.cli; pairvar.cli.build_parser(); "
-                "assert pairvar.cli.main(['ci', '--method', 'region', "
-                "'--theta', '4.84,-0.927', '--y1', '10.21', '--y2', '10.78', "
-                "'--quiet']) == 0; "
-                "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') "
-                "if m in sys.modules))")
-        res = subprocess.run([sys.executable, "-c", code],
+    def test_start_up_and_one_shot_commands_load_no_scipy(self, tmp_path):
+        # only the mixture fit's pi solve imports scipy, and only when it runs
+        single, difference = tmp_path / "single.cfg", tmp_path / "diff.cfg"
+        single.write_text("theta=5,-1\nmu_grid=10\nreps=200\n"
+                          "methods=exact,naive\nmode=single\nseed=5\n")
+        difference.write_text("theta=5,-1\nmu_grid=10\nreps=50\n"
+                              "methods=region,bonferroni,naive\n"
+                              "mode=difference\nseed=5\n")
+        pair = ["--theta", "4.84,-0.927", "--y1", "10.21", "--y2", "10.78"]
+        runs = [["ci", "--method", "exact", *pair[:4]],
+                ["ci", "--method", "region", *pair],
+                *(["pvalue", "--method", m, *pair]
+                  for m in ("naive", "conservative", "berger-boos")),
+                *(["simulate", "--study", "coverage", "--config", str(cfg)]
+                  for cfg in (single, difference))]
+        code = "\n".join([
+            "import json, sys, pairvar.cli",
+            "def scipy():",
+            "    return [m for m in sorted(sys.modules) if m.startswith('scipy')]",
+            "pairvar.cli.build_parser()",
+            "loaded = [scipy()]",
+            "for argv in json.loads(sys.argv[1]):",
+            "    assert pairvar.cli.main(argv + ['--quiet']) == 0, argv",
+            "    loaded.append(scipy())",
+            "print(json.dumps(loaded))"])
+        res = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines()[-1] == "[]"
+        assert json.loads(res.stdout.splitlines()[-1]) == [[]] * (len(runs) + 1)

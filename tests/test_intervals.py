@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import lambertw, ndtri, wrightomega
+from scipy.special import erfc, lambertw, ndtri, wrightomega
 
 from pairvar.errors import DomainError, NumericalError
 from pairvar.intervals import (
@@ -62,10 +62,83 @@ class TestQuantiles:
 
     def test_domain_errors(self):
         for fn in (normal_quantile, chi2_1_quantile, chi2_2_quantile):
-            with pytest.raises(DomainError):
-                fn(0.0)
-            with pytest.raises(DomainError):
-                fn(1.0)
+            for p in (0.0, 1.0, -0.5, 1.5, math.nan, -math.inf, math.inf):
+                with pytest.raises(DomainError):
+                    fn(p)
+
+
+def ulps(new, old):
+    return abs(new - old) / np.spacing(abs(old))
+
+
+# the levels of the CLI's default alpha, the usual others, their Bonferroni
+# halves and the cutoffs of up to 10^4 tests at 0.05
+LEVELS = sorted({*(0.2, 0.1, 0.05, 0.025, 0.01, 0.005, 0.001, 1e-4, 1e-6),
+                 *(0.05 / n for n in (2, 3, 4, 5, 10, 20, 50, 100, 1000, 10**4)),
+                 0.1 / 2, 0.01 / 2})
+
+
+class TestScipyFreeKernels:
+    """chi2_1_sf and the quantiles against the scipy functions they replaced,
+    scipy.special's erfc and ndtri, kept as their oracle."""
+
+    @staticmethod
+    def sf_against_erfc(x):
+        new, old = chi2_1_sf(x), erfc(np.sqrt(x / 2.0))
+        assert np.array_equal(new == 0.0, old == 0.0)
+        # relative where erfc is normal, to a fraction of its last ulp below
+        tiny = np.finfo(float).tiny
+        assert np.all(np.abs(new - old) <= 1e-15 * np.maximum(old, tiny))
+
+    def test_sf_on_every_piece(self):
+        # erfc's argument over [0, 1), [1, 8) and [8, 26.5), ends included
+        a = np.concatenate([np.linspace(0.0, 26.5, 200001),
+                            np.random.default_rng(3).uniform(0.0, 26.5, 10**5),
+                            np.geomspace(1e-300, 1.0, 1000), [1.0, 8.0]])
+        self.sf_against_erfc(2.0 * a * a)
+
+    def test_sf_across_the_tail_boundary(self):
+        # erfc is subnormal from sqrt(x/2) ~ 26.55 and 0 from ~26.64 on
+        a = np.linspace(26.0, 28.0, 100001)
+        x = 2.0 * a * a
+        assert np.any(erfc(np.sqrt(x / 2.0)) == 0.0)
+        self.sf_against_erfc(x)
+
+    def test_sf_special_values(self):
+        assert np.isnan(chi2_1_sf(math.nan))
+        assert chi2_1_sf(math.inf) == 0.0
+        assert chi2_1_sf(0.0) == 1.0
+        one = chi2_1_sf(np.float64(3.0))
+        assert isinstance(one, float) and not isinstance(one, np.ndarray)
+        grid = np.array([[0.0, 1.0, math.inf], [4.0, math.nan, 1e3]])
+        many = chi2_1_sf(grid)
+        assert isinstance(many, np.ndarray) and many.shape == grid.shape
+        assert np.array_equal(many.ravel(), [chi2_1_sf(x) for x in grid.flat],
+                              equal_nan=True)
+
+    def test_sf_raises_no_floating_point_error_on_zero_to_inf(self):
+        fin = np.finfo(float)
+        x = np.concatenate([[0.0, 5e-324, fin.tiny, 1.0, 1e300, fin.max,
+                             math.inf], np.geomspace(1e-300, 1e300, 10001),
+                            np.linspace(1400.0, 1460.0, 10001)])
+        with np.errstate(all="raise"):
+            chi2_1_sf(x)
+
+    @pytest.mark.parametrize("alpha", LEVELS)
+    def test_quantiles_within_2_ulp_of_ndtri(self, alpha):
+        assert ulps(normal_quantile(1.0 - alpha / 2.0),
+                    ndtri(1.0 - alpha / 2.0)) <= 2
+        assert ulps(normal_quantile(alpha / 2.0), ndtri(alpha / 2.0)) <= 2
+        assert ulps(chi2_1_quantile(1.0 - alpha),
+                    ndtri(0.5 + (1.0 - alpha) / 2.0) ** 2) <= 2
+
+    def test_quantiles_at_the_ends_of_the_unit_interval(self):
+        below_one = math.nextafter(1.0, 0.0)
+        for p in (5e-324, 1e-300, below_one):
+            assert ulps(normal_quantile(p), ndtri(p)) <= 2
+        # 0.5 + p / 2 rounds to 1 there, where ndtri gives inf
+        assert chi2_1_quantile(below_one) == math.inf
+        assert normal_quantile(0.5) == 0.0
 
 
 class TestExactSet:

@@ -636,3 +636,45 @@ class TestGridInsensitivity:
         fine, _ = fit_mixture(ds, d=0.125)
         assert abs(coarse.theta_hat[0] - fine.theta_hat[0]) < 0.05
         assert abs(coarse.theta_hat[1] - fine.theta_hat[1]) < 0.05
+
+
+def unflushed_hessian(L, lp, cols):
+    """The pi solve's Hessian as it was before entries of d below
+    mixture_em._FLUSH were set to 0, kept as the oracle of the flush."""
+    d = L[:, cols]
+    d /= lp[:, None]
+    hess = np.einsum("ij,ik->jk", d, d)
+    hess /= L.shape[0]
+    hess.flat[::cols.size + 1] += mixture_em._RIDGE
+    return hess
+
+
+class TestFlushedHessian:
+    CASES = {
+        "control-1000": lambda: (bench_control(1000), VarianceForm.EXP_LINEAR),
+        "control-300": lambda: (bench_control(300), VarianceForm.EXP_LINEAR),
+        "power": lambda: (simulate_dataset(500, (5.0, -4.0), seed=7,
+                                           form=VarianceForm.POWER),
+                          VarianceForm.POWER),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fit_is_bit_identical_to_the_unflushed_one(self, monkeypatch,
+                                                       case):
+        ds, form = self.CASES[case]()
+        flushed = []
+
+        def counted(L, lp, cols):
+            flushed.append(np.count_nonzero(L[:, cols] / lp[:, None]
+                                            < mixture_em._FLUSH))
+            return hessian(L, lp, cols)
+
+        hessian = mixture_em._hessian
+        monkeypatch.setattr(mixture_em, "_hessian", counted)
+        new, _ = fit_mixture(ds, form)
+        monkeypatch.setattr(mixture_em, "_hessian", unflushed_hessian)
+        old, _ = fit_mixture(ds, form)
+        assert sum(flushed) > 0  # the flush acts on these fits
+        assert new.theta_hat == old.theta_hat
+        assert new.pi_hat == old.pi_hat
+        assert new.log_lik_path == old.log_lik_path

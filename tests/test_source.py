@@ -1,5 +1,6 @@
-"""Every name a pairvar module imports at top level is used in it, and no
-module writes to stderr but through logging."""
+"""Every name a pairvar module imports at top level is used in it, no
+module writes to stderr but through logging, and none imports scipy when
+it is itself imported."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,29 @@ def _stderr_channels(path) -> list:
 def test_stderr_only_through_logging(path):
     # main gives the pairvar logger its one handler, format and level
     assert _stderr_channels(path) == []
+
+
+def _import_time_scipy(path) -> list:
+    """Each scipy import in path that runs when the module is imported,
+    that is, outside every function body."""
+    found, todo = [], list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.partition(".")[0] == "scipy"]
+        todo += ast.iter_child_nodes(node)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_scipy_import_at_module_level(path):
+    # scipy.special alone took over half of every command's start-up
+    assert _import_time_scipy(path) == []
