@@ -33,6 +33,7 @@ from .intervals import (
     ci_diff_naive,
     ci_diff_region,
     ci_mu_naive,
+    inversion,
     ratio_scale,
 )
 from .macl import macl_fit
@@ -96,7 +97,7 @@ def _build_manifest(args, results: dict | None = None,
     in; the seed the run drew from (None if it drew none) and the digest of
     every file the config names. diagnostics holds counts of special cases
     the run met, such as disconnected sets and degenerate p-values, the
-    path the mixture fit took and the work of the region boundary search."""
+    pivot inversion, the mixture fit's path and the region search's work."""
     config = {k: v for k, v in vars(args).items()
               if k not in ("command", "func", "out", "quiet")}
     config.update(results or {})
@@ -199,13 +200,14 @@ def _pair_rows(ids, y1, y2, columns: dict) -> list[dict]:
                                           *columns.values())]
 
 
-def _emit_pairs(args, ids, y1, y2, columns: dict, record: dict) -> int:
+def _emit_pairs(args, ids, y1, y2, columns: dict, record: dict,
+                diagnostics: dict | None = None) -> int:
     """Write record for the one --y1/--y2 pair (jsonl by default), or the
     columns as --input's rows (csv by default)."""
     text = (_record_text([record], args.format or "jsonl") if ids is None
             else _record_text(_pair_rows(ids, y1, y2, columns),
                               args.format or "csv"))
-    _emit(args, text, _build_manifest(args))
+    _emit(args, text, _build_manifest(args, diagnostics=diagnostics))
     return 0
 
 
@@ -298,8 +300,10 @@ def _cmd_ci(args) -> int:
     columns = _ci_columns(args, model, y1, y2, bounds)
     record = {"method": args.method, "level": 1 - args.alpha,
               **{k: v[0] for k, v in columns.items()}, "scale": args.scale}
+    rows = {"exact": y1.size, "bonferroni": 2 * y1.size}.get(args.method)
     return _emit_pairs(args, ids, y1, y2,
-                       dict(columns, method=[args.method] * y1.size), record)
+                       dict(columns, method=[args.method] * y1.size), record,
+                       rows and {"inversion": {inversion(model): rows}})
 
 
 # ------------------------------------------------------------------ pvalue
@@ -322,7 +326,9 @@ def _cmd_pvalue(args) -> int:
         logger.info("%d of %d p-values below 0.05/N = %.3g",
                     sum(significant), p.size, cutoff)
     record = {"method": args.method, **{k: v[0] for k, v in columns.items()}}
-    return _emit_pairs(args, ids, y1, y2, columns, record)
+    inverted = args.method == "berger-boos" and {"inversion": {
+        inversion(model, args.cbeta_pivot == "pair"): p.size}}
+    return _emit_pairs(args, ids, y1, y2, columns, record, inverted)
 
 
 # ---------------------------------------------------------------- simulate

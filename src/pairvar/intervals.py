@@ -4,12 +4,13 @@ For one observation Y ~ N(mu, h(theta, mu)) the pivot (Y-mu)^2 / h(theta, mu)
 is chi-squared with one degree of freedom, and inverting it yields an exact
 confidence set: either a single unbounded interval or a union of two
 intervals, depending on where the pivot's interior local maximum sits
-relative to the quantile: in closed form for the exp-linear form with a
-negative slope, from real Lambert W branches computed in float64 from the
-log of their argument, and on one 20001-point grid over the bounds for
-every other form. bounded_hulls, the batch kernel for bounded hulls and
-their component counts, serves exact and Bonferroni intervals over many
-observations, coverage studies and Berger-Boos p-values.
+relative to the quantile. Its crossings are real Lambert W branches for
+the exp-linear form with a negative slope, computed in float64 from the
+log of their argument; on bounds, for every other form and for the pair
+pivot ((Y1 - mu)^2 + (Y2 - mu)^2) / h(mu), one kernel brackets and bisects
+them (_bounded_sets). bounded_hulls, the batch kernel for bounded hulls and
+their component counts, serves exact and Bonferroni intervals, coverage
+studies and both Berger-Boos pivots; ci_mu_exact is its batch of one.
 For a pair (Y1, Y2) the two-term form (Y1 - mu1)^2/h(mu1) +
 (Y2 - mu2)^2/h(mu2) is chi-squared with two degrees of freedom. Scanning
 its region in (nu1, nu2) = (mu1 - mu2, mu1 + mu2) on the grid nu2 =
@@ -147,16 +148,14 @@ def _positive_h(model: VarianceModel, mu) -> np.ndarray:
 class ConfidenceSet:
     """One or two disjoint intervals, their hull, and the confidence level.
 
-    Endpoints may be infinite before bounding. approximate marks sets built
-    by grid inversion rather than the closed-form search structure.
-    diagnostics (not compared) counts the work a construction did.
+    Endpoints may be infinite before bounding. diagnostics (not compared)
+    counts the work a construction did.
     """
 
     components: tuple[tuple[float, float], ...]
     hull: tuple[float, float]
     disconnected: bool
     level: float
-    approximate: bool = False
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -170,23 +169,14 @@ class ConfidenceSet:
                 raise ValueError("components must be disjoint and sorted")
 
     @classmethod
-    def from_components(cls, components, level, approximate=False):
+    def from_components(cls, components, level):
         comps = tuple(sorted((float(lo), float(hi)) for lo, hi in components))
         hull = (comps[0][0], comps[-1][1])
         return cls(components=comps, hull=hull, disconnected=len(comps) > 1,
-                   level=float(level), approximate=approximate)
+                   level=float(level))
 
     def contains(self, x: float) -> bool:
         return any(lo <= x <= hi for lo, hi in self.components)
-
-    def bounded(self, a: float, b: float) -> "ConfidenceSet":
-        """Intersect every component with [a, b]."""
-        kept = [(max(lo, a), min(hi, b)) for lo, hi in self.components
-                if max(lo, a) <= min(hi, b)]
-        if not kept:
-            raise NumericalError(
-                f"confidence set empty after bounding to [{a}, {b}]")
-        return ConfidenceSet.from_components(kept, self.level, self.approximate)
 
 
 @dataclass(frozen=True)
@@ -276,27 +266,92 @@ def exact_pivot_crossings(y, theta1: float, theta2: float, q) -> PivotCrossings:
     return PivotCrossings(r1=r1, l2=l2, r2=r2, two_sided=two)
 
 
-def _grid_accepted(ys, model: VarianceModel, q, a: float, b: float):
-    """The 20001-point grid on [a, b] and, per row, where the pivot is <= q.
-
-    The pivot at mu is sum_k (ys[k] - mu)^2 / h(mu), one row per element of
-    the arrays in ys.
-    """
-    grid = np.linspace(a, b, 20001)
-    stat = sum((np.asarray(y, dtype=float)[:, None] - grid) ** 2 for y in ys)
-    return grid, stat / model(grid) <= q
+def _h_slope(model: VarianceModel, mu, order: int):
+    """h' (order 1) or h'' (order 2) at mu (> 0 for the power form)."""
+    t1, t2 = model.theta[:2]
+    if model.form is VarianceForm.POWER:
+        return t2 * (t2 - 1.0) ** (order - 1) * model(mu) / mu**order
+    return t2**order * np.exp(t1 + t2 * mu)
 
 
-def _grid_hulls(ys, model: VarianceModel, q, a: float, b: float):
-    """Hulls (lo, hi) and accepted-run counts of the grid-inverted sets, 16
-    rows (2.5 MB of scores) at a time; 64 were slower (see README)."""
-    parts = []
-    for s in range(0, max(np.size(ys[0]), 1), 16):
-        grid, acc = _grid_accepted([y[s:s + 16] for y in ys], model, q, a, b)
-        parts.append((grid[np.argmax(acc, axis=1)],
-                      grid[::-1][np.argmax(acc[:, ::-1], axis=1)],
-                      acc[:, 0] + (acc[:, 1:] > acc[:, :-1]).sum(axis=1)))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+def _bisect(f, lo, hi, rows):
+    """Lockstep bisection, in place, of each [lo, hi] across which f(x, rows)
+    changes sign until lo, hi are adjacent floats; other brackets stay."""
+    up = f(lo, rows) > 0
+    live = np.flatnonzero((f(hi, rows) > 0) != up)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        inner = (lo[live] < mid) & (mid < hi[live])
+        live, mid = live[inner], mid[inner]
+        same = (f(mid, rows[live]) > 0) == up[live]
+        lo[live] = np.where(same, mid, lo[live])
+        hi[live] = np.where(same, hi[live], mid)
+    return lo, hi
+
+
+def inversion(model: VarianceModel, pair: bool = False) -> str:
+    """The path bounded_hulls takes for model and pivot (see _bounded_sets)."""
+    return ("lambert-w" if not pair and model.form is VarianceForm.EXP_LINEAR
+            and model.theta[1] < 0 else "bracketed")
+
+
+def _bounded_sets(y, model: VarianceModel, q: float, a: float, b: float,
+                  y2=None) -> np.ndarray:
+    """Rows lo1, hi1, lo2, hi2: per element, the ends of the components of
+    {mu in [a, b] : pivot <= q}, NaN where absent. The pivot, (y - mu)^2 /
+    h(mu) or ((y - mu)^2 + (y2 - mu)^2) / h(mu), is <= q where r(mu) =
+    k (c - mu)^2 + s - q h(mu) <= 0. h is monotone on [a, b], so a finite c
+    farther than sqrt((q max(h(a), h(b)) - s) / k) has an empty set, not
+    solved. r'' = 2k - q h'' is monotone there too: r' is monotone on each
+    side of some m, and r's at most two stationary points leave three
+    monotone pieces, each crossing 0 at most once. All bisect in lockstep, a
+    crossing to its rejected side."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    k, c, s = ((1.0, y, 0.0) if y2 is None
+               else (2.0, (y + y2) / 2.0, (y - y2) ** 2 / 2.0))
+    lambert = inversion(model, y2 is not None) == "lambert-w"
+    if not (lambert or math.isfinite(a + b) and (
+            a > 0 or model.form is not VarianceForm.POWER)):
+        raise DomainError("bracketed inversion needs finite bounds, a > 0 "
+                          f"for the power form; got [{a}, {b}]")
+    with np.errstate(all="ignore"):
+        h = model(np.array([a, b])) if lambert else _positive_h(model, [a, b])
+        reach = np.sqrt(np.maximum(q * np.max(h) - s, 0.0) / k)
+    near = ~(np.isfinite(c) & ((c < a - reach) | (c > b + reach)))
+    if lambert:  # a far row is solved at c = a, then dropped
+        x = exact_pivot_crossings(np.where(near, c, a), *model.theta, q)
+        lo2, hi2 = np.maximum(x.l2, a), np.minimum(x.r2, b)
+        one, two = near & (x.r1 >= a), near & (lo2 <= hi2)
+        return np.array([np.where(one, a, np.nan),
+                         np.where(one, np.minimum(x.r1, b), np.nan),
+                         np.where(two, lo2, np.nan),
+                         np.where(two, hi2, np.nan)])
+    ends = np.full((4, c.size), np.nan)
+    c, s = c[near], np.broadcast_to(s, y.shape)[near]
+    if not np.isfinite(c).all():
+        raise NumericalError("pivot crossings are not finite for some y")
+    n, rows = c.size, np.arange(c.size)
+    def r(x, i, order=0):  # r or its order-th derivative at x, rows i
+        quad = (k * (c[i] - x) ** 2 + s[i] if order == 0
+                else 2.0 * k * (x - c[i]) if order == 1 else 2.0 * k)
+        return quad - q * (_h_slope(model, x, order) if order else model(x))
+    # where r'' (then r') keeps its sign, a bracket's start splits as well
+    m = _bisect(lambda x, i: r(x, i, 2), np.array([a]), np.array([b]),
+                np.zeros(1, int))[0][0]
+    i, lo, hi = np.tile(rows, 2), np.repeat([a, m], n), np.repeat([m, b], n)
+    split = _bisect(lambda x, i: r(x, i, 1), lo, hi, i)[0]
+    pts = np.column_stack([np.full(n, a), split[:n], split[n:], np.full(n, b)])
+    out = r(pts, rows[:, None]) > 0
+    i, j = np.nonzero(out[:, 1:] != out[:, :-1])
+    lo, hi = _bisect(r, pts[i, j], pts[i, j + 1], i)
+    x = np.full((n, 3), np.nan)
+    x[i, j] = np.where(out[i, j], lo, hi)
+    sets = np.sort(np.column_stack([np.where(out[:, 0], np.nan, a), x,
+                                    np.where(out[:, 3], np.nan, b)]))[:, :4]
+    join = sets[:, 1] >= sets[:, 2]  # one rejected float between: one set
+    sets[join, 1], sets[join, 2:] = sets[join, 3], np.nan
+    ends[:, near] = sets.T
+    return ends
 
 
 def _runs(mask: np.ndarray):
@@ -312,34 +367,17 @@ def _runs(mask: np.ndarray):
 
 def ci_mu_exact(y: float, model: VarianceModel, alpha: float,
                 bounds: tuple[float, float] | None = None) -> ConfidenceSet:
-    """Exact pivot-inversion confidence set for one mean.
-
-    The closed-form search structure applies to the exp-linear form with a
-    negative slope; other shapes fall back to dense grid inversion over the
-    bounds (flagged approximate). When bounds are given every component is
-    intersected with them.
-    """
+    """Exact pivot-inversion confidence set for one mean: bounded_hulls' set
+    as a batch of one, on bounds or, for the Lambert-W path only, unbounded."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
-    q = chi2_1_quantile(1.0 - alpha)
-    exact = model.form is VarianceForm.EXP_LINEAR and model.theta[1] < 0
-    if exact:
-        c = exact_pivot_crossings(np.array([y]), *model.theta, q)
-        comps = [(-math.inf, float(c.r1[0]))]
-        if c.two_sided[0]:
-            comps.append((float(c.l2[0]), float(c.r2[0])))
-    elif bounds is None:
-        raise DomainError(
-            "grid inversion for this variance form needs finite bounds")
-    else:
-        grid, acc = _grid_accepted([np.array([y])], model, q, *bounds)
-        comps = [(grid[i], grid[j]) for i, j in _runs(acc[0])]
-        if not comps:
-            raise NumericalError("confidence set empty on the bounded grid")
-    cs = ConfidenceSet.from_components(comps, 1.0 - alpha, not exact)
-    if bounds is not None:
-        cs = cs.bounded(*bounds)
-    return cs
+    a, b = (-math.inf, math.inf) if bounds is None else bounds
+    ends = _bounded_sets(y, model, chi2_1_quantile(1.0 - alpha), a, b)[:, 0]
+    if np.isnan(ends).all():
+        raise NumericalError(
+            f"confidence set empty after bounding to [{a}, {b}]")
+    return ConfidenceSet.from_components(ends[~np.isnan(ends)].reshape(-1, 2),
+                                         1.0 - alpha)
 
 
 def _floats_for_scalar(y, *columns):
@@ -603,36 +641,15 @@ def ratio_scale(interval):
     return tuple([math.exp(v) for v in c] for c in interval)
 
 
-def bounded_hulls(y, model: VarianceModel, alpha, a: float, b: float):
+def bounded_hulls(y, model: VarianceModel, alpha, a: float, b: float,
+                  y2=None):
     """Vectorized hulls of bounded exact sets, for batch constructions.
 
     Returns (lo, hi, parts): per element, the hull of the exact pivot set
     intersected with [a, b] and its number of components as ci_mu_exact
-    counts them (0: empty, where lo and hi mean nothing; 2: disconnected).
-    Lambert-W crossings for exp-linear with a negative slope; every other
-    form uses ci_mu_exact's 20001-point grid, so hulls are equal.
-    """
-    q = chi2_1_quantile(1.0 - alpha)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if model.form is not VarianceForm.EXP_LINEAR or model.theta[1] >= 0:
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise DomainError("grid inversion needs finite bounds")
-        return _grid_hulls([y], model, q, a, b)
-    # h decreases, so the pivot exceeds q on [a, b] for a finite y farther
-    # than r = sqrt(q h(a)) from it: that set is empty, and its crossings,
-    # which may not be finite, are not solved.
-    with np.errstate(all="ignore"):
-        r = np.sqrt(q * model(a))
-    near = ~(np.isfinite(y) & ((y < a - r) | (y > b + r)))
-    c = exact_pivot_crossings(y[near], *model.theta, q)
-    # Component 1: (-inf, r1) clipped -> [a, min(r1, b)], present iff r1 >= a.
-    has1 = c.r1 >= a
-    # Component 2: (l2, r2) clipped, only for two-sided rows.
-    lo2 = np.maximum(c.l2, a)
-    hi2 = np.minimum(c.r2, b)
-    has2 = c.two_sided & (lo2 <= hi2)
-    hulls = np.zeros((3, *y.shape))  # lo, hi and parts; 0 on far rows
-    hulls[:, near] = (np.where(has1, a, lo2),
-                      np.where(has2, hi2, np.minimum(c.r1, b)),
-                      has1 + has2.astype(int))
-    return hulls[0], hulls[1], hulls[2].astype(int)
+    counts them (0: empty, where lo and hi are NaN; 2: disconnected). Given
+    y2, the pair's set, at the chi-squared(2) quantile -2 log alpha."""
+    q = chi2_1_quantile(1.0 - alpha) if y2 is None else -2.0 * math.log(alpha)
+    ends = _bounded_sets(y, model, q, a, b, y2)
+    return (np.fmin(ends[0], ends[2]), np.fmax(ends[1], ends[3]),
+            2 - np.isnan(ends[0]) - np.isnan(ends[2]))

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import enum
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .intervals import _grid_hulls, _positive_h, bounded_hulls, chi2_1_sf
+from .intervals import _positive_h, bounded_hulls, chi2_1_sf
 # bench/tracing.py wraps pairvar.pvalues.ci_mu_exact; keep the name here.
 from .intervals import ci_mu_exact  # noqa: F401
 from .model import DEFAULT_BOUNDS, VarianceForm, VarianceModel
@@ -103,10 +102,8 @@ def pvalue_kernel(y1, y2, model: VarianceModel, method: TestMethod,
         # Under H0 the pair average is N(mu, h(mu)/2): the one-observation
         # pivot with the variance halved.
         lo, hi, parts = bounded_hulls(ybar, model.scaled(0.5), beta, a, b)
-    else:
-        # The two-observation pivot, chi-squared with 2 df: quantile -2 log beta.
-        lo, hi, parts = _grid_hulls([y1, y2], model, -2.0 * math.log(beta),
-                                    a, b)
+    else:  # the two-observation pivot, chi-squared with 2 df
+        lo, hi, parts = bounded_hulls(y1, model, beta, a, b, y2)
     empty = parts == 0
     mu = np.where(empty, a, lo if h_a >= h_b else hi)
     p = chi2_1_sf((y1 - y2) ** 2 / (2.0 * model(mu)))

@@ -583,6 +583,21 @@ class TestStderr:
         assert res.stdout.splitlines()[-1] == "True"
         assert res.stderr == err
 
+    @pytest.mark.parametrize("argv", [
+        ["ci", "--method", "exact", "--form", "power", "--y1", "1e300",
+         "--theta=3.9,-3"],
+        ["ci", "--method", "bonferroni", "--form", "exp-linear-const",
+         "--y1", "1e300", "--y2", "10", "--theta=4.84,-0.927,-6"],
+    ], ids=["exact-power", "bonferroni-const"])
+    def test_far_observation_on_the_bracketed_path(self, argv):
+        # its set is empty without squaring it: no numpy warning leaks out
+        res = subprocess.run([sys.executable, "-m", "pairvar.cli", *argv],
+                             capture_output=True, text=True)
+        assert res.returncode == 4
+        lines = res.stderr.splitlines()
+        assert lines and all(line.startswith("pairvar: ") for line in lines)
+        assert "confidence set empty after bounding" in res.stderr
+
 
 # The per-pair path the CLI took before its array calls, kept as the oracle:
 # ci_mu_exact for exact sets and Bonferroni hulls, the plug-in formulas on
@@ -1066,6 +1081,27 @@ class TestManifest:
         assert _declared_options(argv[0]) - {"out", "quiet"} <= set(config)
         assert manifest["seed"] == seed
         assert set(manifest["input_digests"]) == {files[k] for k in read}
+
+    @pytest.mark.parametrize("argv, inversion", [
+        (["ci", "--method", "exact"], {"lambert-w": 2}),
+        (["ci", "--method", "bonferroni"], {"lambert-w": 4}),
+        (["ci", "--method", "exact", "--form", "power",
+          "--theta=3.9,-3"], {"bracketed": 2}),
+        (["pvalue", "--method", "berger-boos"], {"lambert-w": 2}),
+        (["pvalue", "--method", "berger-boos", "--cbeta-pivot", "pair"],
+         {"bracketed": 2}),
+        (["ci", "--method", "region", "--grid-res", "0.02"], None),
+        (["pvalue", "--method", "conservative"], None),
+    ])
+    def test_manifest_names_the_inversion_and_its_rows(self, tmp_path, files,
+                                                       argv, inversion):
+        out = tmp_path / "out.csv"
+        theta = [] if "--theta=3.9,-3" in argv else ["--theta", "4.84,-0.927"]
+        assert main([*argv, *theta, "--input", files["experiment"],
+                     "--out", str(out), "--quiet"]) == 0
+        diagnostics = strict_json(Path(f"{out}.manifest.json").read_text())[
+            "diagnostics"]
+        assert diagnostics == ({"inversion": inversion} if inversion else {})
 
     def test_manifest_records_the_one_pair_and_the_results(self, tmp_path,
                                                            files):

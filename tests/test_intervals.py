@@ -10,6 +10,7 @@ from pairvar.errors import DomainError, NumericalError
 from pairvar.intervals import (
     DEFAULT_GRID_RES,
     ConfidenceSet,
+    _bounded_sets,
     _lambert_w,
     _nu1_decisions,
     _nu2_grid,
@@ -26,6 +27,7 @@ from pairvar.intervals import (
     ci_mu_exact,
     ci_mu_naive,
     exact_pivot_crossings,
+    inversion,
     normal_quantile,
     ratio_scale,
     bounded_hulls,
@@ -189,13 +191,17 @@ class TestExactSet:
         with pytest.raises(DomainError):
             ci_mu_exact(8.0, POOLED, 1.5)
 
-    def test_grid_fallback_for_positive_slope(self):
+    def test_bracketed_for_positive_slope(self):
+        # the ends are the pivot's crossings, each on its rejected side
         m = VarianceModel(VarianceForm.EXP_LINEAR, (-8.0, 0.4))
+        q = chi2_1_quantile(0.95)
         cs = ci_mu_exact(10.0, m, 0.05, bounds=BOUNDS)
-        assert cs.approximate
-        assert cs.contains(10.0)
+        assert cs.contains(10.0) and not cs.disconnected
+        for end in cs.hull:
+            g = (10.0 - end) ** 2 / float(m(end))
+            assert 0.0 < g - q <= 1e-13
         with pytest.raises(DomainError):
-            ci_mu_exact(10.0, m, 0.05)  # unbounded grid impossible
+            ci_mu_exact(10.0, m, 0.05)  # bracketing needs bounds
 
     def test_empty_after_bounding_raises(self):
         with pytest.raises(NumericalError):
@@ -1159,13 +1165,14 @@ class TestBoundedHulls:
         near = bounded_hulls(y[[0, 2]], POOLED, 0.05, *BOUNDS)
         assert lo[[0, 2]].tolist() == near[0].tolist()
         assert hi[[0, 2]].tolist() == near[1].tolist()
-        with pytest.raises(NumericalError):
-            ci_mu_exact(25.0, POOLED, 0.05, BOUNDS)
+        for far in (25.0, 1e300, -1e300):
+            with pytest.raises(NumericalError, match="empty after bounding"):
+                ci_mu_exact(far, POOLED, 0.05, BOUNDS)
 
     @pytest.mark.parametrize("name", ["positive-slope", "power",
                                       "exp-linear-const"])
     def test_other_forms_equal_scalar_hull(self, name):
-        # grid inversion, row-chunked: more rows than one chunk, some empty
+        # the bracketed kernel: the batch equals its batches of one
         model = WINDOW_MODELS[name]
         rng = np.random.default_rng(sum(map(ord, name)))
         y = np.concatenate([rng.uniform(6.5, 14.5, 150), [2.0, 25.0]])
@@ -1185,8 +1192,8 @@ class TestBoundedHulls:
     @pytest.mark.parametrize("name", sorted(WINDOW_MODELS))
     @pytest.mark.parametrize("bounds", [BOUNDS, (0.5, 20.0)])
     def test_counts_equal_scalar_components(self, name, bounds):
-        # exact and grid paths; at (0.5, 20) about half the sets of every
-        # form but the positive slope are disconnected
+        # Lambert-W and bracketed paths; at (0.5, 20) about half the sets
+        # of every form but the positive slope are disconnected
         model = WINDOW_MODELS[name]
         rng = np.random.default_rng(sum(map(ord, name)))
         y = np.concatenate([rng.uniform(0.5, 20.0, 120), [-5.0, 40.0]])
@@ -1202,6 +1209,170 @@ class TestBoundedHulls:
         assert (parts == 0).any() and (parts == 1).any()
         if bounds != BOUNDS and name != "positive-slope":
             assert (parts == 2).any()
+
+
+# The pivot inversion the bracketed kernel replaced, kept as its oracle:
+# per row, where the pivot is at or under q on 20001 points of [a, b].
+def _grid_accepted(ys, model, q, a, b):
+    grid = np.linspace(a, b, 20001)
+    stat = sum((np.asarray(y, dtype=float)[:, None] - grid) ** 2 for y in ys)
+    return grid, stat / model(grid) <= q
+
+
+def _brentq_ends(ys, model, q, a, b):
+    """Per row, the ends of the accepted set on [a, b]: brentq on each sign
+    change of pivot - q over 4001 points, plus a or b where accepted."""
+    mus = np.linspace(a, b, 4001)
+    rows = []
+    for row in zip(*ys):
+        def excess(mu):
+            return sum((y - mu) ** 2 for y in row) / model(mu) - q
+        e = excess(mus)
+        ends = [a] if e[0] <= 0 else []
+        for i in np.flatnonzero((e[:-1] <= 0) != (e[1:] <= 0)):
+            ends.append(brentq(excess, mus[i], mus[i + 1], xtol=1e-15))
+        rows.append(ends + ([b] if e[-1] <= 0 else []))
+    return rows
+
+
+def _ends(ys, model, q, a, b):
+    """_bounded_sets' ends per row, NaN dropped. A bracketed end is a bound
+    or on the rejected side: k (c - mu)^2 + s - q h(mu) > 0 there, with
+    c, s and k the kernel's."""
+    ends = _bounded_sets(ys[0], model, q, a, b, *ys[1:]).T
+    rows = [e[~np.isnan(e)] for e in ends]
+    k = len(ys)
+    for row, e in zip(zip(*ys), rows):
+        c, s = sum(row) / k, (row[0] - row[-1]) ** 2 / 2.0
+        if inversion(model, k > 1) == "bracketed":
+            r = k * (c - e) ** 2 + s - q * model(e)
+            assert np.all((r > 0) | (e == a) | (e == b)), (row, e)
+    return rows
+
+
+BRACKETED_MODELS = {
+    "slope-negative": POOLED,
+    "slope-zero": VarianceModel(VarianceForm.EXP_LINEAR, (-3.0, 0.0)),
+    "slope-positive": VarianceModel(VarianceForm.EXP_LINEAR, (-8.0, 0.4)),
+    "power": VarianceModel(VarianceForm.POWER, (3.9, -3.0)),
+    "power-increasing": VarianceModel(VarianceForm.POWER, (-6.0, 2.0)),
+    "exp-linear-const": VarianceModel(VarianceForm.EXP_LINEAR_CONST,
+                                      (4.84, -0.927, -6.0)),
+}
+
+
+def _bracketed_draws(name, pair, bounds, count):
+    """Seeded observations across and beyond the bounds; pairs include ties
+    and wide gaps."""
+    a, b = bounds
+    rng = np.random.default_rng(sum(map(ord, name)) + 7 * pair + int(b))
+    y = rng.uniform(a - 1.0, b + 1.0, count)
+    if not pair:
+        return (y,)
+    y2 = y + rng.choice([0.0, 0.3, 1.0, 3.0], count) * rng.normal(size=count)
+    return y, y2
+
+
+class TestBracketedKernel:
+    """The bracketed inversion against brentq, closed forms, the Lambert-W
+    crossings and the 20001-point grid it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(BRACKETED_MODELS))
+    @pytest.mark.parametrize("pair", [False, True], ids=["one", "pair"])
+    @pytest.mark.parametrize("bounds", [BOUNDS, (0.5, 20.0)])
+    def test_ends_match_brentq(self, name, pair, bounds):
+        model = BRACKETED_MODELS[name]
+        ys = _bracketed_draws(name, pair, bounds, 60)
+        q = chi2_2_quantile(0.95) if pair else chi2_1_quantile(0.95)
+        with np.errstate(all="raise"):
+            ends = _ends(ys, model, q, *bounds)
+        for row, fast, slow in zip(zip(*ys), ends, _brentq_ends(ys, model, q,
+                                                                *bounds)):
+            assert len(fast) == len(slow), row
+            assert np.all(np.abs(fast - slow) <= 1e-12), row
+
+    @pytest.mark.parametrize("pair", [False, True], ids=["one", "pair"])
+    def test_zero_slope_is_the_closed_form(self, pair):
+        # h = e^t1: k (c - mu)^2 + s <= q e^t1 about the mean c
+        model = BRACKETED_MODELS["slope-zero"]
+        a, b = 0.5, 20.0
+        ys = _bracketed_draws("slope-zero", pair, (a, b), 200)
+        q = chi2_2_quantile(0.95) if pair else chi2_1_quantile(0.95)
+        k, c = len(ys), sum(ys) / len(ys)
+        s = sum((y - c) ** 2 for y in ys)
+        with np.errstate(all="raise"):
+            ends = _bounded_sets(ys[0], model, q, a, b, *ys[1:]).T
+        half = np.sqrt(np.maximum(q * math.exp(-3.0) - s, 0.0) / k)
+        lo, hi = np.maximum(c - half, a), np.minimum(c + half, b)
+        full = (half > 0) & (lo <= hi)
+        assert np.isnan(ends[~full]).all() and (~full).any()
+        assert np.isnan(ends[:, 2:]).all()
+        assert np.all(np.abs(ends[full, 0] - lo[full]) <= 1e-12)
+        assert np.all(np.abs(ends[full, 1] - hi[full]) <= 1e-12)
+
+    @pytest.mark.parametrize("name", sorted(BRACKETED_MODELS))
+    def test_edge_rows_and_bounds(self, name):
+        # far rows are empty unsolved, a tie has s = 0, and bounds 1e-9
+        # wide or reaching near 0 for the power form raise no warning
+        model = BRACKETED_MODELS[name]
+        y = np.array([-1e300, -5.0, 7.3, 10.0, 10.0 + 5e-10, 13.9, 25.0,
+                      1e300])
+        cases = [(BOUNDS, 0.05), ((10.0, 10.0 + 1e-9), 0.05),
+                 ((1e-6, 20.0), 0.05), ((1e-6, 20.0), 1e-12)]
+        for (a, b), alpha in cases:
+            q1, q2 = chi2_1_quantile(1.0 - alpha), -2.0 * math.log(alpha)
+            with np.errstate(all="raise"):
+                one = _ends((y,), model, q1, a, b)
+                pair = _ends((y, y), model, q2, a, b)
+                lo, hi, parts = bounded_hulls(y, model, alpha, a, b, y)
+            assert [e.size for e in one][::7] == [0, 0]
+            assert [e.size // 2 for e in pair] == parts.tolist()
+            assert (parts[(a <= y) & (y <= b)] > 0).all()  # mu = y: pivot 0
+            for ends, ys, q in ((one, (y[1:-1],), q1),
+                                (pair, (y[1:-1],) * 2, q2)):
+                slow = _brentq_ends(ys, model, q, a, b)
+                for fast, ref in zip(ends[1:-1], slow):
+                    assert len(fast) == len(ref)
+                    assert np.all(np.abs(fast - ref) <= 1e-12)
+
+    @pytest.mark.parametrize("bounds", [BOUNDS, (0.5, 20.0)])
+    def test_equals_lambert_w_on_pooled_rows(self, bounds):
+        # the pair (y, y) at 2q has r twice the one-observation r at q, to
+        # the bit, so it runs the bracketed kernel on the Lambert-W pivot
+        rng = np.random.default_rng(11)
+        y = rng.uniform(bounds[0] - 2.0, bounds[1] + 2.0, 20000)
+        q = chi2_1_quantile(0.95)
+        with np.errstate(all="raise"):
+            fast = np.sort(_bounded_sets(y, POOLED, 2.0 * q, *bounds, y).T)
+            slow = np.sort(_bounded_sets(y, POOLED, q, *bounds).T)
+        assert inversion(POOLED, pair=True) == "bracketed"
+        assert np.array_equal(np.isnan(fast), np.isnan(slow))
+        assert np.nanmax(np.abs(fast - slow)) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(BRACKETED_MODELS))
+    @pytest.mark.parametrize("pair", [False, True], ids=["one", "pair"])
+    @pytest.mark.parametrize("bounds", [BOUNDS, (0.5, 20.0)])
+    def test_sets_hold_the_grid_sets(self, name, pair, bounds):
+        # every end on or outside the grid's, within one grid step, and as
+        # many components, but where one is narrower than a step
+        model = BRACKETED_MODELS[name]
+        ys = _bracketed_draws(name, pair, bounds, 300)
+        q = chi2_2_quantile(0.95) if pair else chi2_1_quantile(0.95)
+        step = (bounds[1] - bounds[0]) / 20000
+        ends = _bounded_sets(ys[0], model, q, *bounds, *ys[1:]).T
+        grid, accepted = _grid_accepted(ys, model, q, *bounds)
+        narrow = 0
+        for row, e, acc in zip(zip(*ys), ends, accepted):
+            comps = e[~np.isnan(e)].reshape(-1, 2)
+            runs = [(grid[i], grid[j]) for i, j in _runs(acc)]
+            narrow += int(np.sum(comps[:, 1] - comps[:, 0] < step))
+            kept = [c for c in comps if c[1] - c[0] >= step]
+            assert len(kept) <= len(runs) <= len(comps), row
+            for lo, hi in runs:
+                lo_e, hi_e = next(c for c in comps if c[0] <= lo and hi <= c[1])
+                assert lo - step <= lo_e and hi_e <= hi + step, row
+        # no component here is narrower than a grid step
+        assert narrow == 0
 
 
 class TestArrayArguments:

@@ -1,6 +1,7 @@
-"""Every name a pairvar module imports at top level is used in it, no
-module writes to stderr but through logging, and none imports scipy when
-it is itself imported."""
+"""Every name a pairvar module imports at top level is used in it, none
+imports another's underscore name off a short list, no module writes to
+stderr but through logging, and none imports scipy when it is itself
+imported."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,31 @@ def test_every_import_is_used(module):
 
 def test_allow_list_names_modules_that_exist():
     assert set(KEPT_FOR_TRACING) <= set(MODULES)
+
+
+# underscore names one pairvar module may import from another; any other
+# stays private to its module, and a name no module imports is stale
+SHARED_PRIVATE = {"_positive_h", "_region_scan", "_MIN_STEP", "_ROUNDING"}
+
+
+def _private_imports(path) -> set:
+    """Each underscore name, dunders aside, path imports from a pairvar
+    module."""
+    return {a.name for node in ast.walk(ast.parse(path.read_text("utf-8")))
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("pairvar"))
+            for a in node.names
+            if a.name.startswith("_") and not a.name.startswith("__")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_underscore_names_stay_private(path):
+    assert _private_imports(path) <= SHARED_PRIVATE
+
+
+def test_shared_private_list_is_not_stale():
+    assert set().union(*map(_private_imports, SRC.glob("*.py"))) == (
+        SHARED_PRIVATE)
 
 
 def _stderr_channels(path) -> list:
