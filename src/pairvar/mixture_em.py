@@ -31,8 +31,8 @@ DEFAULT_MAX_ITER = 2000
 _ASCENT_SLACK = 1e-8
 _MAX_SQP_STEPS = 500
 # Added to the diagonal of the pi solve's Hessian (support entries >= 1
-# near the optimum) so that its Cholesky factor exists when columns of L
-# coincide or vanish; the fixed point does not depend on it.
+# near the optimum) so that _factor's pivots stay positive when columns
+# of L coincide or vanish; the fixed point does not depend on it.
 _RIDGE = 1e-10
 # Entries of the pi solve's d = L / lp below this are set to 0 before the
 # Hessian sums their products: those products are subnormal, which sends
@@ -199,12 +199,7 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 def _hessian(L, lp, cols):
     """(1/n) sum_i d_i d_i^T with d_i = L_i,cols / lp_i, its entries below
-    _FLUSH set to 0, plus the ridge.
-
-    The products over L here and in _solve_pi use einsum, not BLAS: on two
-    cores OpenBLAS threads even these small products, runs them several
-    times slower and leaves its workers spinning on the other core.
-    """
+    _FLUSH set to 0, plus the ridge; summed by einsum, as in _factor."""
     d = L[:, cols]
     d /= lp[:, None]
     d[d < _FLUSH] = 0.0
@@ -214,19 +209,33 @@ def _hessian(L, lp, cols):
     return hess
 
 
+def _factor(hess, g):
+    """(C, C^-1 g), C the lower Cholesky factor of hess: Crout columns over
+    hess with g as one more row, which runs the forward solve. Products
+    are einsums, not BLAS, so no OpenBLAS worker spins and the fit's last
+    bits do not depend on the thread count."""
+    a = np.vstack((hess, g))
+    for j in range(g.size):
+        col = a[j:, j]
+        col -= np.einsum("ip,p->i", a[j:, :j], a[j, :j])
+        if not col[0] > 0.0:
+            raise NumericalError(f"pivot {col[0]} in {g.size}-point Hessian")
+        col /= math.sqrt(col[0])
+    return np.tril(a[:-1]), a[-1]
+
+
 def _solve_pi(L, lp, pi, tol):
     """Mixing weights maximizing the likelihood at fixed theta (mixSQP).
 
     Minimizes f(pi) = -(1/n) sum_i log (L pi)_i + sum_j pi_j over pi >= 0;
     with u_j = (1/n) sum_i L_ij / (L pi)_i the minimizer has u_j <= 1, and
     u_j = 1 where pi_j > 0. Each step minimizes the quadratic model on the
-    support plus the column of largest u (nonnegative least squares on the
-    Hessian's Cholesky factor), halves the step until f decreases and
+    support plus the column of largest u (scipy's nonnegative least squares
+    on _factor's Cholesky factor), halves the step until f decreases and
     renormalizes, which lowers f further. Stops once u is within tol of
     those conditions, or once a step neither lowers f beyond rounding nor
     halves u's distance from them. Returns pi, L pi, u and the step count.
     """
-    from scipy.linalg import cholesky, solve_triangular
     from scipy.optimize import nnls
     n = L.shape[0]
 
@@ -241,10 +250,11 @@ def _solve_pi(L, lp, pi, tol):
         work = pi > 0.0
         work[np.argmax(u)] = True
         cols = np.flatnonzero(work)
-        chol = cholesky(_hessian(L, lp, cols), lower=True,
-                        overwrite_a=True, check_finite=False)
-        y = nnls(chol.T, solve_triangular(chol, 2.0 * u[cols] - 1.0,
-                                          lower=True))[0]
+        chol, w = _factor(_hessian(L, lp, cols), 2.0 * u[cols] - 1.0)
+        try:
+            y = nnls(chol.T, w)[0]
+        except (RuntimeError, ValueError) as err:  # iteration cap, NaN
+            raise NumericalError(f"NNLS failed on {cols.size} points: {err}")
         steps += 1
         alpha = 1.0
         while True:

@@ -793,6 +793,18 @@ class TestExitCodes:
         assert main(["ci", "--theta", "4.84,-0.927", "--y1", "20.0",
                      "--y2", "20.5", "--method", "region"]) == 4
 
+    def test_pi_solve_failure_is_4(self, tmp_path, capsys, monkeypatch):
+        def capped(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr("scipy.optimize.nnls", capped)
+        inp = tmp_path / "pairs.csv"
+        simulated_csv(inp, 60)
+        assert main(["fit-mixture", "--input", str(inp)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("pairvar: numerical failure: NNLS failed on ")
+        assert "Maximum number of iterations reached." in err
+
     def test_exact_coverage_with_power_fit_is_4(self, tmp_path):
         cfg = tmp_path / "cov.cfg"
         cfg.write_text("theta=3.9,-3.0\nform=power\nmu_grid=9\nreps=200\n"

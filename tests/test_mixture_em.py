@@ -1,7 +1,13 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 from test_macl import old_solve_weighted_equations
@@ -443,8 +449,9 @@ class TestEngineOracle:
         assert est.log_lik >= ll_old + gain
 
     # An M-step whose gain in Q fell below rounding used to be rejected, so
-    # the fit stopped early, 6e-8 to 1.1e-7 (n = 1000) and 2.8e-8 to 1.0e-7
-    # (n = 300) from the same fit at tol 1e-10, by the BLAS thread count.
+    # the fit stopped early, up to 1.1e-7 from the same fit at tol 1e-10.
+    # The gap is now 9.8e-9 (n = 1000) and 5.7e-9 (n = 300), the same under
+    # every BLAS thread count.
     @pytest.mark.parametrize("n", [300, 1000])
     def test_fit_at_default_tol_is_near_the_tight_fit(self, n):
         ds = bench_control(n)
@@ -649,6 +656,43 @@ def unflushed_hessian(L, lp, cols):
     return hess
 
 
+def scipy_factor(hess, g):
+    """The pi solve's factor and forward solve as they were before
+    mixture_em._factor, through LAPACK: the oracle of the numpy kernel."""
+    chol = cholesky(hess, lower=True, check_finite=False)
+    return chol, solve_triangular(chol, g, lower=True)
+
+
+# Fits each TestFlushedHessian case and prints theta, pi and the likelihood
+# path as JSON, whose floats round-trip exactly.
+THREADS_CHILD = """
+import json
+from pairvar.mixture_em import fit_mixture
+from test_mixture_em import TestFlushedHessian
+fits = {case: fit_mixture(*make())[0]
+        for case, make in TestFlushedHessian.CASES.items()}
+print(json.dumps({case: [e.theta_hat, e.pi_hat, e.log_lik_path]
+                  for case, e in fits.items()}))
+"""
+
+
+@pytest.fixture(scope="module")
+def fits_by_blas_threads():
+    """THREADS_CHILD's output under 1 and under 2 OpenBLAS threads, each
+    set in the child's environment only."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    fits = {}
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run([sys.executable, "-c", THREADS_CHILD], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        fits[threads] = json.loads(proc.stdout)
+    return fits
+
+
 class TestFlushedHessian:
     CASES = {
         "control-1000": lambda: (bench_control(1000), VarianceForm.EXP_LINEAR),
@@ -678,3 +722,112 @@ class TestFlushedHessian:
         assert new.theta_hat == old.theta_hat
         assert new.pi_hat == old.pi_hat
         assert new.log_lik_path == old.log_lik_path
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fit_matches_the_scipy_factor(self, monkeypatch, case):
+        ds, form = self.CASES[case]()
+        new, _ = fit_mixture(ds, form)
+        monkeypatch.setattr(mixture_em, "_factor", scipy_factor)
+        old, _ = fit_mixture(ds, form)
+        assert np.max(np.abs(np.subtract(new.theta_hat,
+                                         old.theta_hat))) <= 1e-10
+        assert new.iterations == old.iterations
+        assert new.inner_iterations == old.inner_iterations
+        assert new.log_lik >= old.log_lik - 1e-9
+        assert new.converged and new.kkt_gap <= mixture_em.DEFAULT_TOL
+
+    # the threaded LAPACK factor moved theta's last bits with the count
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fit_is_bit_identical_under_1_and_2_blas_threads(
+            self, fits_by_blas_threads, case):
+        theta1, pi1, path1 = fits_by_blas_threads[1][case]
+        theta2, pi2, path2 = fits_by_blas_threads[2][case]
+        assert theta1 == theta2
+        assert pi1 == pi2
+        assert path1 == path2
+
+
+class TestFactorOracle:
+    """mixture_em._factor against the LAPACK factor it replaced. At the
+    condition numbers of the control fits (up to 4.1e12) the two factors
+    of one Hessian differ by up to 5e-6 of their largest entry, with the
+    same backward error, so the tests compare backward errors and fit
+    outcomes, not entries."""
+
+    @staticmethod
+    def assert_backward_stable(hess, g):
+        chol, w = mixture_em._factor(hess, g)
+        assert np.array_equal(chol, np.tril(chol))
+        assert np.all(np.diag(chol) > 0.0)
+        scale = np.max(np.abs(hess))
+        assert np.max(np.abs(chol @ chol.T - hess)) <= 1e-14 * scale
+        assert np.max(np.abs(chol @ w - g)) <= 1e-11
+
+    @pytest.fixture(scope="class")
+    def control_steps(self):
+        """Every (Hessian, 2u - 1) the pi solve factors along the fits of
+        the two bench control sets, by n."""
+        factor, steps = mixture_em._factor, {}
+        with pytest.MonkeyPatch.context() as mp:
+            for n in (1000, 300):
+                seen = steps[n] = []
+
+                def recorded(hess, g, seen=seen):
+                    seen.append((hess.copy(), g.copy()))
+                    return factor(hess, g)
+
+                mp.setattr(mixture_em, "_factor", recorded)
+                fit_mixture(bench_control(n))
+        return steps
+
+    @pytest.mark.parametrize("n, first, count", [(1000, 175, 48),
+                                                 (300, 145, 58)])
+    def test_every_step_of_the_control_fits(self, control_steps, n, first,
+                                            count):
+        steps = control_steps[n]
+        assert len(steps) == count
+        assert steps[0][1].size == first
+        for hess, g in steps:
+            self.assert_backward_stable(hess, g)
+
+    def test_ridge_only_hessian(self):
+        # columns of L that vanish leave the ridge alone on the diagonal
+        L = np.column_stack([np.ones(4), np.zeros(4), np.zeros(4)])
+        hess = mixture_em._hessian(L, np.ones(4), np.array([1, 2]))
+        assert np.array_equal(hess, mixture_em._RIDGE * np.eye(2))
+        self.assert_backward_stable(hess, np.array([-1.0, 0.5]))
+
+    def test_one_column(self):
+        self.assert_backward_stable(np.array([[0.7]]), np.array([0.3]))
+
+    @pytest.mark.parametrize("pivot", [-3.0, 0.0, math.nan])
+    def test_bad_pivot_names_the_working_set_size(self, pivot):
+        hess = np.diag([1.0, 2.0, pivot])
+        with pytest.raises(NumericalError,
+                           match=f"pivot {pivot!r} in 3-point Hessian"):
+            mixture_em._factor(hess, np.ones(3))
+
+    def test_indefinite_hessian_in_a_fit_is_a_numerical_error(self,
+                                                              monkeypatch):
+        def indefinite(L, lp, cols):
+            return np.eye(cols.size) - 2.0
+
+        monkeypatch.setattr(mixture_em, "_hessian", indefinite)
+        ds = simulate_dataset(50, (5.0, -1.0), seed=3)
+        grid = build_support(exp_linear(5.0, -1.0), 7.3, 13.9, 1.0)
+        with pytest.raises(NumericalError, match=r"-point Hessian$"):
+            em_fit(ds, grid, exp_linear(5.0, -1.0))
+
+    @pytest.mark.parametrize("error", [
+        RuntimeError("Maximum number of iterations reached."),
+        ValueError("array must not contain infs or NaNs")])
+    def test_nnls_failure_is_a_numerical_error(self, monkeypatch, error):
+        def failing(A, b):
+            raise error
+
+        monkeypatch.setattr("scipy.optimize.nnls", failing)
+        ds = simulate_dataset(50, (5.0, -1.0), seed=3)
+        grid = build_support(exp_linear(5.0, -1.0), 7.3, 13.9, 1.0)
+        with pytest.raises(NumericalError,
+                           match=r"NNLS failed on \d+ points: " + str(error)):
+            em_fit(ds, grid, exp_linear(5.0, -1.0))

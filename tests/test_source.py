@@ -1,7 +1,8 @@
 """Every name a pairvar module imports at top level is used in it, none
 imports another's underscore name off a short list, no module writes to
-stderr but through logging, and none imports scipy when it is itself
-imported."""
+stderr but through logging, none imports scipy when it is itself imported,
+and the scipy imports inside functions are a short list without
+scipy.linalg."""
 
 import ast
 from pathlib import Path
@@ -94,27 +95,55 @@ def test_stderr_only_through_logging(path):
     assert _stderr_channels(path) == []
 
 
-def _import_time_scipy(path) -> list:
-    """Each scipy import in path that runs when the module is imported,
-    that is, outside every function body."""
-    found, todo = [], list(ast.parse(path.read_text(encoding="utf-8")).body)
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        else:
-            names = []
-        found += [f"line {node.lineno}: {name}" for name in names
-                  if name.partition(".")[0] == "scipy"]
-        todo += ast.iter_child_nodes(node)
+def _scipy_imports(path) -> list:
+    """(function, name) for each scipy import in path: the innermost
+    function whose body holds it (None if the import runs when the module
+    is imported) and the dotted name it imports, so that `from
+    scipy.optimize import nnls` gives scipy.optimize.nnls."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [f"{child.module}.{a.name}" for a in child.names]
+            else:
+                names = []
+            found.extend((function, name) for name in names
+                         if name.partition(".")[0] == "scipy")
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
     return found
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_no_scipy_import_at_module_level(path):
     # scipy.special alone took over half of every command's start-up
-    assert _import_time_scipy(path) == []
+    assert [name for function, name in _scipy_imports(path)
+            if function is None] == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_scipy_linalg_import(path):
+    # the pi solve factors with numpy: LAPACK's threaded Cholesky left
+    # OpenBLAS workers spinning and moved a fit's last bits with the
+    # thread count
+    assert [name for _, name in _scipy_imports(path)
+            if name.partition(".")[2].startswith("linalg")] == []
+
+
+# The pi solve's NNLS is the one scipy routine a fit runs. minimize is kept
+# only as a name bench/tracing.py wraps; nothing calls it. A sys.modules
+# check could not show this: importing scipy.optimize loads scipy.linalg.
+SCIPY_IMPORTS = {("mixture_em", "_solve_pi", "scipy.optimize.nnls"),
+                 ("mixture_em", "minimize", "scipy.optimize")}
+
+
+def test_scipy_imports_are_the_listed_ones():
+    assert {(path.stem, function, name) for path in SRC.glob("*.py")
+            for function, name in _scipy_imports(path)} == SCIPY_IMPORTS
