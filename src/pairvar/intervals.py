@@ -7,10 +7,11 @@ intervals, depending on where the pivot's interior local maximum sits
 relative to the quantile. Its crossings are real Lambert W branches for
 the exp-linear form with a negative slope, computed in float64 from the
 log of their argument; on bounds, for every other form and for the pair
-pivot ((Y1 - mu)^2 + (Y2 - mu)^2) / h(mu), one kernel brackets and bisects
-them (_bounded_sets). bounded_hulls, the batch kernel for bounded hulls and
-their component counts, serves exact and Bonferroni intervals, coverage
-studies and both Berger-Boos pivots; ci_mu_exact is its batch of one.
+pivot ((Y1 - mu)^2 + (Y2 - mu)^2) / h(mu), they are bracketed and bisected.
+One kernel, exact_pivot_crossings, returns either set's components on
+[a, b]: the exact coverage study tests means against them, ci_mu_exact is
+its batch of one, and bounded_hulls, its hulls and component counts,
+serves Bonferroni intervals and both Berger-Boos pivots.
 For a pair (Y1, Y2) the two-term form (Y1 - mu1)^2/h(mu1) +
 (Y2 - mu2)^2/h(mu2) is chi-squared with two degrees of freedom. Scanning
 its region in (nu1, nu2) = (mu1 - mu2, mu1 + mu2) on the grid nu2 =
@@ -179,21 +180,6 @@ class ConfidenceSet:
         return any(lo <= x <= hi for lo, hi in self.components)
 
 
-@dataclass(frozen=True)
-class PivotCrossings:
-    """Quantile crossings of the one-observation pivot, in mean space.
-
-    For two-sided rows the set is (-inf, r1) U (l2, r2) with
-    r1 < mu_star < l2 < y < r2; for one-sided rows it is (-inf, r1) and
-    l2, r2 are NaN.
-    """
-
-    r1: np.ndarray
-    l2: np.ndarray
-    r2: np.ndarray
-    two_sided: np.ndarray
-
-
 def _lambert_w(L, k: int, sign: float) -> np.ndarray:
     """W_k(sign * e^L) from L: the root x of x + log|x| = L with x > 0 for
     sign = 1, else -1 <= x < 0 (k = 0) or x <= -1 (k = -1), L > -1 taken as
@@ -231,41 +217,6 @@ def _lambert_w(L, k: int, sign: float) -> np.ndarray:
     return w
 
 
-def exact_pivot_crossings(y, theta1: float, theta2: float, q) -> PivotCrossings:
-    """Solve (y-mu)^2 / h(mu) = q for the exp-linear form with theta2 < 0.
-
-    With x = -(theta2/2)(mu - y) the equation is x e^x = +-e^L, where
-    L = log(-theta2/2) + (log q + theta1 + theta2*y)/2, so the crossings
-    are real branches of the Lambert W function (Corless et al., Adv.
-    Comput. Math. 5, 1996): W_0(e^L) gives the upper one and, when the
-    local maximum at mu_star = y + 2/theta2 exceeds q, W_0(-e^L) and
-    W_{-1}(-e^L) give the middle and left ones, from L, so extreme
-    intensities neither overflow nor underflow. Vectorized over y in
-    blocks of 8192, whose temporaries stay in cache; q may be scalar or
-    per-element. Raises NumericalError on a non-finite crossing.
-    """
-    if theta2 >= 0:
-        raise DomainError("closed-form pivot inversion requires theta2 < 0")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    q = np.broadcast_to(np.asarray(q, dtype=float), y.shape)
-    t1, t2 = float(theta1), float(theta2)
-    r1, two = np.empty_like(y), np.empty(y.shape, dtype=bool)
-    l2, r2 = np.full_like(y, np.nan), np.full_like(y, np.nan)
-    for s in range(0, y.size, 8192):
-        rows, yb, qb = slice(s, s + 8192), y[s:s + 8192], q[s:s + 8192]
-        with np.errstate(all="ignore"):
-            two[rows] = tb = 4.0 / t2**2 * np.exp(-(2.0 + t1 + t2 * yb)) > qb
-            lz = math.log(-t2 / 2.0) + 0.5 * (np.log(qb) + t1 + t2 * yb)
-        r1[rows] = upper = yb - 2.0 / t2 * _lambert_w(lz, 0, 1.0)
-        if tb.any():
-            r2[rows][tb] = upper[tb]
-            l2[rows][tb] = yb[tb] - 2.0 / t2 * _lambert_w(lz[tb], 0, -1.0)
-            r1[rows][tb] = yb[tb] - 2.0 / t2 * _lambert_w(lz[tb], -1, -1.0)
-    if not (np.isfinite(r1).all() and np.isfinite(l2[two] + r2[two]).all()):
-        raise NumericalError("pivot crossings are not finite for some y")
-    return PivotCrossings(r1=r1, l2=l2, r2=r2, two_sided=two)
-
-
 def _h_slope(model: VarianceModel, mu, order: int):
     """h' (order 1) or h'' (order 2) at mu (> 0 for the power form)."""
     t1, t2 = model.theta[:2]
@@ -290,22 +241,30 @@ def _bisect(f, lo, hi, rows):
 
 
 def inversion(model: VarianceModel, pair: bool = False) -> str:
-    """The path bounded_hulls takes for model and pivot (see _bounded_sets)."""
+    """The path exact_pivot_crossings takes for model and pivot."""
     return ("lambert-w" if not pair and model.form is VarianceForm.EXP_LINEAR
             and model.theta[1] < 0 else "bracketed")
 
 
-def _bounded_sets(y, model: VarianceModel, q: float, a: float, b: float,
-                  y2=None) -> np.ndarray:
+def exact_pivot_crossings(y, model: VarianceModel, q, a: float, b: float,
+                          y2=None) -> np.ndarray:
     """Rows lo1, hi1, lo2, hi2: per element, the ends of the components of
-    {mu in [a, b] : pivot <= q}, NaN where absent. The pivot, (y - mu)^2 /
-    h(mu) or ((y - mu)^2 + (y2 - mu)^2) / h(mu), is <= q where r(mu) =
-    k (c - mu)^2 + s - q h(mu) <= 0. h is monotone on [a, b], so a finite c
-    farther than sqrt((q max(h(a), h(b)) - s) / k) has an empty set, not
-    solved. r'' = 2k - q h'' is monotone there too: r' is monotone on each
-    side of some m, and r's at most two stationary points leave three
-    monotone pieces, each crossing 0 at most once. All bisect in lockstep, a
-    crossing to its rejected side."""
+    {mu in [a, b] : pivot <= q}, NaN where absent, for a float q or one per
+    element. The pivot, (y - mu)^2 / h(mu) or ((y - mu)^2 + (y2 - mu)^2) /
+    h(mu), is <= q where r(mu) = k (c - mu)^2 + s - q h(mu) <= 0. h is
+    monotone on [a, b], so a finite c farther than sqrt((q max(h(a), h(b))
+    - s) / k) has an empty set, not solved. NumericalError on a non-finite
+    c or crossing. One observation under the exp-linear form with t2 < 0,
+    where a and b may be infinite: with x = -(t2/2)(mu - c), r = 0 is
+    x e^x = +-e^L, L = log(-t2/2) + (log q + t1 + t2 c)/2, whose real
+    Lambert W branches (Corless et al., Adv. Comput. Math. 5, 1996), from L
+    so that no intensity overflows, give the crossings: W_0(e^L) the upper
+    one and, where the local maximum at c + 2/t2 exceeds q, W_0(-e^L) and
+    W_{-1}(-e^L) the middle and left ones. Else, on finite bounds, r'' =
+    2k - q h'' is monotone: r' is monotone on each side of some m (per row
+    for per-row q), and r's at most two stationary points leave three
+    monotone pieces, each crossing 0 at most once. All bisect in lockstep,
+    a crossing to its rejected side."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     k, c, s = ((1.0, y, 0.0) if y2 is None
                else (2.0, (y + y2) / 2.0, (y - y2) ** 2 / 2.0))
@@ -314,31 +273,32 @@ def _bounded_sets(y, model: VarianceModel, q: float, a: float, b: float,
             a > 0 or model.form is not VarianceForm.POWER)):
         raise DomainError("bracketed inversion needs finite bounds, a > 0 "
                           f"for the power form; got [{a}, {b}]")
+    q = np.asarray(q, dtype=float)
     with np.errstate(all="ignore"):
         h = model(np.array([a, b])) if lambert else _positive_h(model, [a, b])
         reach = np.sqrt(np.maximum(q * np.max(h) - s, 0.0) / k)
     near = ~(np.isfinite(c) & ((c < a - reach) | (c > b + reach)))
-    if lambert:  # a far row is solved at c = a, then dropped
-        x = exact_pivot_crossings(np.where(near, c, a), *model.theta, q)
-        lo2, hi2 = np.maximum(x.l2, a), np.minimum(x.r2, b)
-        one, two = near & (x.r1 >= a), near & (lo2 <= hi2)
-        return np.array([np.where(one, a, np.nan),
-                         np.where(one, np.minimum(x.r1, b), np.nan),
-                         np.where(two, lo2, np.nan),
-                         np.where(two, hi2, np.nan)])
-    ends = np.full((4, c.size), np.nan)
     c, s = c[near], np.broadcast_to(s, y.shape)[near]
     if not np.isfinite(c).all():
         raise NumericalError("pivot crossings are not finite for some y")
+    per_row = q.ndim > 0
+    q = np.broadcast_to(q, y.shape)[near] if per_row else q
+    ends = np.full((4, y.size), np.nan)
+    if lambert:
+        ends[:, near] = _lambert_sets(c, *model.theta, q, a, b)
+        return ends
     n, rows = c.size, np.arange(c.size)
     def r(x, i, order=0):  # r or its order-th derivative at x, rows i
         quad = (k * (c[i] - x) ** 2 + s[i] if order == 0
                 else 2.0 * k * (x - c[i]) if order == 1 else 2.0 * k)
-        return quad - q * (_h_slope(model, x, order) if order else model(x))
+        return quad - (q[i] if per_row else q) * (
+            _h_slope(model, x, order) if order else model(x))
     # where r'' (then r') keeps its sign, a bracket's start splits as well
-    m = _bisect(lambda x, i: r(x, i, 2), np.array([a]), np.array([b]),
-                np.zeros(1, int))[0][0]
-    i, lo, hi = np.tile(rows, 2), np.repeat([a, m], n), np.repeat([m, b], n)
+    t = rows if per_row else np.zeros(1, int)
+    m = np.broadcast_to(_bisect(lambda x, i: r(x, i, 2), np.full(t.size, a),
+                                np.full(t.size, b), t)[0], n)
+    i = np.tile(rows, 2)
+    lo, hi = np.append(np.full(n, a), m), np.append(m, np.full(n, b))
     split = _bisect(lambda x, i: r(x, i, 1), lo, hi, i)[0]
     pts = np.column_stack([np.full(n, a), split[:n], split[n:], np.full(n, b)])
     out = r(pts, rows[:, None]) > 0
@@ -351,6 +311,34 @@ def _bounded_sets(y, model: VarianceModel, q: float, a: float, b: float,
     join = sets[:, 1] >= sets[:, 2]  # one rejected float between: one set
     sets[join, 1], sets[join, 2:] = sets[join, 3], np.nan
     ends[:, near] = sets.T
+    return ends
+
+
+def _lambert_sets(c, t1: float, t2: float, q, a: float, b: float):
+    """exact_pivot_crossings' rows on its Lambert-W path: (-inf, r1] U
+    [l2, r2] or (-inf, r1] on [a, b], in blocks of 8192 rows, whose
+    temporaries stay in cache."""
+    q = np.broadcast_to(q, c.shape)
+    ends = np.empty((4, c.size))
+    for i in range(0, c.size, 8192):
+        rows, cb, qb = slice(i, i + 8192), c[i:i + 8192], q[i:i + 8192]
+        with np.errstate(all="ignore"):
+            two = 4.0 / t2**2 * np.exp(-(2.0 + t1 + t2 * cb)) > qb
+            lz = math.log(-t2 / 2.0) + 0.5 * (np.log(qb) + t1 + t2 * cb)
+        r1 = cb - 2.0 / t2 * _lambert_w(lz, 0, 1.0)
+        l2, r2 = np.full_like(cb, np.nan), np.where(two, r1, np.nan)
+        if two.any():
+            l2[two] = cb[two] - 2.0 / t2 * _lambert_w(lz[two], 0, -1.0)
+            r1[two] = cb[two] - 2.0 / t2 * _lambert_w(lz[two], -1, -1.0)
+        if not (np.isfinite(r1).all()
+                and np.isfinite(l2[two] + r2[two]).all()):
+            raise NumericalError("pivot crossings are not finite for some y")
+        lo2, hi2 = np.maximum(l2, a), np.minimum(r2, b)
+        one, both = r1 >= a, lo2 <= hi2
+        ends[:, rows] = (np.where(one, a, np.nan),
+                         np.where(one, np.minimum(r1, b), np.nan),
+                         np.where(both, lo2, np.nan),
+                         np.where(both, hi2, np.nan))
     return ends
 
 
@@ -367,12 +355,13 @@ def _runs(mask: np.ndarray):
 
 def ci_mu_exact(y: float, model: VarianceModel, alpha: float,
                 bounds: tuple[float, float] | None = None) -> ConfidenceSet:
-    """Exact pivot-inversion confidence set for one mean: bounded_hulls' set
-    as a batch of one, on bounds or, for the Lambert-W path only, unbounded."""
+    """Exact pivot-inversion confidence set for one mean: exact_pivot_crossings
+    on a batch of one, on bounds or, on the Lambert-W path only, unbounded."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     a, b = (-math.inf, math.inf) if bounds is None else bounds
-    ends = _bounded_sets(y, model, chi2_1_quantile(1.0 - alpha), a, b)[:, 0]
+    ends = exact_pivot_crossings(y, model, chi2_1_quantile(1.0 - alpha),
+                                 a, b)[:, 0]
     if np.isnan(ends).all():
         raise NumericalError(
             f"confidence set empty after bounding to [{a}, {b}]")
@@ -650,6 +639,6 @@ def bounded_hulls(y, model: VarianceModel, alpha, a: float, b: float,
     counts them (0: empty, where lo and hi are NaN; 2: disconnected). Given
     y2, the pair's set, at the chi-squared(2) quantile -2 log alpha."""
     q = chi2_1_quantile(1.0 - alpha) if y2 is None else -2.0 * math.log(alpha)
-    ends = _bounded_sets(y, model, q, a, b, y2)
+    ends = exact_pivot_crossings(y, model, q, a, b, y2)
     return (np.fmin(ends[0], ends[2]), np.fmax(ends[1], ends[3]),
             2 - np.isnan(ends[0]) - np.isnan(ends[2]))

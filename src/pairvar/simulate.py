@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, NumericalError, StudyError
 from .intervals import (
+    _positive_h,
     bounded_hulls,
     chi2_1_quantile,
     chi2_2_quantile,
@@ -29,7 +30,7 @@ from .intervals import (
 )
 from .macl import macl_fit, mle_homoscedastic
 from .mixture_em import fit_mixture
-from .model import DEFAULT_BOUNDS, PairedDataset, VarianceForm, VarianceModel
+from .model import DEFAULT_BOUNDS, PairedDataset, VarianceModel
 from .pvalues import DEFAULT_BETA_POWER, TestMethod, batch_pvalues
 
 RNG_ID = "numpy-pcg64/seedseq-spawn"
@@ -97,7 +98,7 @@ class StudyReport:
 def _pairs_from_means(mus: np.ndarray, theta: VarianceModel,
                       rng: np.random.Generator,
                       bounds=DEFAULT_BOUNDS) -> PairedDataset:
-    sd = np.sqrt(theta(mus))
+    sd = np.sqrt(_positive_h(theta, mus))
     y1 = rng.normal(mus, sd)
     y2 = rng.normal(mus, sd)
     return PairedDataset("sim-%06d", y1, y2, bounds)
@@ -188,9 +189,10 @@ def coverage_study(
     zero difference. Data are generated under theta_true while intervals
     are built from theta_fit, mirroring the use of estimates from one
     experiment on another. The region method scans nuisance sums at
-    COVERAGE_GRID_RES. The exact method needs theta_fit exp-linear with a
-    negative slope and raises DomainError otherwise; the naive methods
-    raise it where h(theta_fit, y) is not finite and positive.
+    COVERAGE_GRID_RES. The exact method tests mu against
+    exact_pivot_crossings' set on bounds, under every form, so a mean outside
+    them is a DataError. DomainError where h(theta_true, mu), or h(theta_fit,
+    y) for the naive methods, is not finite and positive.
     """
     methods = list(methods)
     valid = {"single": {"exact", "naive"},
@@ -201,11 +203,10 @@ def coverage_study(
     if unknown:
         raise DataError(f"methods {sorted(unknown)} not available in "
                         f"{mode} mode")
-    t1f, t2f = theta_fit.theta[:2]
-    if "exact" in methods and (theta_fit.form is not VarianceForm.EXP_LINEAR
-                               or t2f >= 0):
-        raise DomainError("exact coverage needs a fitted exp-linear form "
-                          "with a negative slope")
+    outside = [mu for mu in mu_values if not bounds[0] <= mu <= bounds[1]]
+    if "exact" in methods and outside:
+        raise DataError(f"exact coverage needs every mean in the bounds "
+                        f"{tuple(bounds)}; got mu = {outside[0]}")
     t0 = time.perf_counter()
     root = np.random.SeedSequence(seed)
     streams = root.spawn(len(mu_values))
@@ -213,15 +214,14 @@ def coverage_study(
     rows = []
     for mu, ss in zip(mu_values, streams):
         rng = np.random.default_rng(ss)
-        sd = math.sqrt(float(theta_true(mu)))
+        sd = math.sqrt(float(_positive_h(theta_true, mu)))
         if mode == "single":
             y = rng.normal(mu, sd, reps)
             for m in methods:
                 if m == "exact":
-                    q = chi2_1_quantile(1.0 - alpha)
-                    c = exact_pivot_crossings(y, t1f, t2f, q)
-                    covered = (mu <= c.r1) | (c.two_sided
-                                              & (c.l2 <= mu) & (mu <= c.r2))
+                    e = exact_pivot_crossings(
+                        y, theta_fit, chi2_1_quantile(1.0 - alpha), *bounds)
+                    covered = ((e[::2] <= mu) & (mu <= e[1::2])).any(axis=0)
                 else:
                     lo, hi = ci_mu_naive(y, theta_fit, alpha)
                     covered = (lo <= mu) & (mu <= hi)
@@ -274,12 +274,11 @@ def power_study(
     streams = iter(root.spawn(len(mu_grid) * len(k_grid)))
     rows = []
     for mu in mu_grid:
-        h1 = float(theta(mu))
-        sd1 = math.sqrt(h1)
+        sd1 = math.sqrt(float(_positive_h(theta, mu)))
         for k in k_grid:
             rng = np.random.default_rng(next(streams))
             mu_k = mu + k * sd1
-            sd2 = math.sqrt(float(theta(mu_k)))
+            sd2 = math.sqrt(float(_positive_h(theta, mu_k)))
             y1 = rng.normal(mu, sd1, reps)
             y2 = rng.normal(mu_k, sd2, reps)
             for method in TestMethod:

@@ -805,12 +805,63 @@ class TestExitCodes:
         assert err.startswith("pairvar: numerical failure: NNLS failed on ")
         assert "Maximum number of iterations reached." in err
 
-    def test_exact_coverage_with_power_fit_is_4(self, tmp_path):
+    @pytest.mark.parametrize("form, theta", [
+        ("power", "3.9,-3"), ("exp-linear-const", "4.84,-0.927,-6"),
+        ("exp-linear", "-8,0.4")])
+    def test_exact_coverage_under_every_form_is_0(self, tmp_path, capsys,
+                                                  form, theta):
+        # theta_fit is theta: the bounded set covers at its level
         cfg = tmp_path / "cov.cfg"
-        cfg.write_text("theta=3.9,-3.0\nform=power\nmu_grid=9\nreps=200\n"
-                       "methods=exact\nmode=single\n")
+        cfg.write_text(f"theta={theta}\nform={form}\nmu_grid=9\n"
+                       "reps=20000\nmethods=exact\nmode=single\nseed=3\n")
         assert main(["simulate", "--study", "coverage", "--config", str(cfg),
-                     "--quiet"]) == 4
+                     "--quiet"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 1 and rows[0]["method"] == "exact"
+        se = math.sqrt(0.05 * 0.95 / 20000)
+        assert abs(float(rows[0]["coverage"]) - 0.95) <= 5 * se
+
+    def test_exact_coverage_of_a_mean_outside_the_bounds_is_3(self, tmp_path,
+                                                              capsys):
+        cfg = tmp_path / "cov.cfg"
+        cfg.write_text("mu_grid=40\nreps=200\nmethods=exact\nmode=single\n")
+        assert main(["simulate", "--study", "coverage", "--config", str(cfg),
+                     "--quiet"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "pairvar: data error: exact coverage needs every mean in the "
+            "bounds (7.3, 13.9); got mu = 40.0"]
+
+    @pytest.mark.parametrize("study, config, where", [
+        pytest.param("coverage", "mu_grid=-1\nmethods=naive\n", "-1.0",
+                     id="single-naive"),
+        pytest.param("coverage", "a=0.5\nmu_grid=-1\nmethods=naive\n"
+                     "mode=difference\n", "-1.0", id="difference"),
+        pytest.param("power", "a=0.5\nmu_grid=-1\nk_grid=0\n", "-1.0",
+                     id="power"),
+        pytest.param("power", "mu_grid=9\nk_grid=-40\n", "-", id="power-k"),
+        pytest.param("coverage", "mu_grid=0\nmethods=naive\n", "0.0",
+                     id="mean-zero"),
+        pytest.param("estimator", "scenario=uniform:-1,1\nn=50\n", "-",
+                     id="estimator"),
+    ])
+    def test_true_variance_outside_power_domain_is_4(self, tmp_path, capsys,
+                                                     study, config, where):
+        # the draws take sqrt of h(theta, mu), negative or infinite here
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("theta=3.9,-3\nform=power\nreps=50\n" + config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--study", study, "--config", str(cfg),
+                         "--quiet"]) == 4
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "pairvar: numerical failure: variance not finite and positive at "
+            f"mu = {where}")
 
     @pytest.mark.parametrize("command", ["ci", "pvalue", "pipeline",
                                          "simulate"])

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from pairvar.errors import DomainError, NumericalError
 from pairvar.intervals import (
     DEFAULT_GRID_RES,
     ConfidenceSet,
-    _bounded_sets,
     _lambert_w,
     _nu1_decisions,
     _nu2_grid,
@@ -46,6 +46,16 @@ TABLE_ROWS = [
     (10.83, 9.80, (2.03, 4.10)),
     (11.45, 13.36, (0.13, 0.17)),
 ]
+
+
+def _unbounded(y, t1, t2, q):
+    """exact_pivot_crossings on (-inf, inf) under the exp-linear (t1, t2):
+    the crossings r1, l2, r2 are rows 1, 2, 3, and two_sided is where row 2
+    is a number."""
+    model = VarianceModel(VarianceForm.EXP_LINEAR, (t1, t2))
+    ends = exact_pivot_crossings(y, model, q, -math.inf, math.inf)
+    return SimpleNamespace(r1=ends[1], l2=ends[2], r2=ends[3],
+                           two_sided=~np.isnan(ends[2]))
 
 
 class TestQuantiles:
@@ -211,7 +221,7 @@ class TestExactSet:
         rng = np.random.default_rng(42)
         y = rng.uniform(7.0, 14.0, 200)
         q = chi2_1_quantile(0.95)
-        c = exact_pivot_crossings(y, 4.84, -0.927, q)
+        c = _unbounded(y, 4.84, -0.927, q)
         for i in range(0, 200, 17):
             cs = ci_mu_exact(float(y[i]), POOLED, 0.05)
             if c.two_sided[i]:
@@ -246,7 +256,7 @@ def _bisect(lo, hi, y, t1, t2, increasing, q):
 def _bisected_crossings(y, t1, t2, q):
     """Reference inversion: bracket each monotone branch, then bisect.
 
-    Returns (r1, l2, r2, two_sided) as exact_pivot_crossings does.
+    Returns (r1, l2, r2, two_sided) as _unbounded does.
     """
     q = np.broadcast_to(q, y.shape)
     mu_star = y + 2.0 / t2
@@ -303,7 +313,7 @@ class TestPivotCrossingsOracle:
     @pytest.mark.parametrize("theta", ORACLE_THETAS)
     def test_match_bisection(self, theta):
         y, q = _oracle_draws(11)
-        c = exact_pivot_crossings(y, *theta, q)
+        c = _unbounded(y, *theta, q)
         r1, l2, r2, two = _bisected_crossings(y, *theta, q)
         assert np.array_equal(c.two_sided, two)
         assert two.any() and not two.all()
@@ -319,7 +329,7 @@ class TestPivotCrossingsOracle:
     def test_pivot_equals_q_at_every_endpoint(self, theta):
         t1, t2 = theta
         y, q = _oracle_draws(12)
-        c = exact_pivot_crossings(y, t1, t2, q)
+        c = _unbounded(y, t1, t2, q)
         two = c.two_sided
         for mu, yy, qq in ((c.r1, y, q), (c.l2[two], y[two], q[two]),
                            (c.r2[two], y[two], q[two])):
@@ -330,7 +340,7 @@ class TestPivotCrossingsOracle:
         # exp(t1 + t2*y) overflows at y = -1000 and underflows at y = 1e4;
         # references from 50-digit Lambert W arithmetic
         q = chi2_1_quantile(0.95)
-        c = exact_pivot_crossings(np.array([-1000.0, 1e4]), 4.84, -0.927, q)
+        c = _unbounded(np.array([-1000.0, 1e4]), 4.84, -0.927, q)
         assert list(c.two_sided) == [False, True]
         assert c.r1[0] == pytest.approx(-8.212691649520464, rel=1e-12)
         assert c.r1[1] == pytest.approx(-13.201151065065604, rel=1e-12)
@@ -342,7 +352,7 @@ class TestPivotCrossingsOracle:
     def test_non_finite_crossing_raises(self):
         for y in (np.nan, np.inf):
             with pytest.raises(NumericalError):
-                exact_pivot_crossings(np.array([10.0, y]), 4.84, -0.927, 3.84)
+                _unbounded(np.array([10.0, y]), 4.84, -0.927, 3.84)
 
 
 def _scipy_w(L, k, sign):
@@ -444,7 +454,7 @@ class TestLambertW:
         mu = np.random.default_rng(13).uniform(7.3, 13.9, y.size)
         differ = near = 0
         for t1, t2 in ORACLE_THETAS:
-            c = exact_pivot_crossings(y, t1, t2, q)
+            c = _unbounded(y, t1, t2, q)
             L = _log_args([(t1, t2)], y, q)
             two = c.two_sided
             old_r1 = y - 2.0 / t2 * _scipy_w(L, 0, 1.0)
@@ -483,7 +493,7 @@ class TestEdgeInputs:
         model = VarianceModel(VarianceForm.EXP_LINEAR, theta)
         q = chi2_1_quantile(1.0 - alpha)
         with np.errstate(all="raise"):
-            c = exact_pivot_crossings(self.Y, *theta, q)
+            c = _unbounded(self.Y, *theta, q)
             for a, b in [(7.3, 13.9), (10.0, 10.0 + 1e-9), (-1e5, 1e5)]:
                 lo, hi, parts = bounded_hulls(self.Y, model, alpha, a, b)
                 empty = parts == 0
@@ -500,8 +510,7 @@ class TestEdgeInputs:
         with np.errstate(all="raise"):
             for y in (np.nan, np.inf, -np.inf):
                 with pytest.raises(NumericalError):
-                    exact_pivot_crossings(np.array([10.0, y]), 4.84, -0.927,
-                                          3.84)
+                    _unbounded(np.array([10.0, y]), 4.84, -0.927, 3.84)
                 with pytest.raises(NumericalError):
                     bounded_hulls(np.array([10.0, y]), POOLED, 0.05, 7.3, 13.9)
 
@@ -1236,10 +1245,10 @@ def _brentq_ends(ys, model, q, a, b):
 
 
 def _ends(ys, model, q, a, b):
-    """_bounded_sets' ends per row, NaN dropped. A bracketed end is a bound
-    or on the rejected side: k (c - mu)^2 + s - q h(mu) > 0 there, with
-    c, s and k the kernel's."""
-    ends = _bounded_sets(ys[0], model, q, a, b, *ys[1:]).T
+    """exact_pivot_crossings' ends per row, NaN dropped. A bracketed end is
+    a bound or on the rejected side: k (c - mu)^2 + s - q h(mu) > 0 there,
+    with c, s and k the kernel's."""
+    ends = exact_pivot_crossings(ys[0], model, q, a, b, *ys[1:]).T
     rows = [e[~np.isnan(e)] for e in ends]
     k = len(ys)
     for row, e in zip(zip(*ys), rows):
@@ -1301,7 +1310,7 @@ class TestBracketedKernel:
         k, c = len(ys), sum(ys) / len(ys)
         s = sum((y - c) ** 2 for y in ys)
         with np.errstate(all="raise"):
-            ends = _bounded_sets(ys[0], model, q, a, b, *ys[1:]).T
+            ends = exact_pivot_crossings(ys[0], model, q, a, b, *ys[1:]).T
         half = np.sqrt(np.maximum(q * math.exp(-3.0) - s, 0.0) / k)
         lo, hi = np.maximum(c - half, a), np.minimum(c + half, b)
         full = (half > 0) & (lo <= hi)
@@ -1335,6 +1344,22 @@ class TestBracketedKernel:
                     assert len(fast) == len(ref)
                     assert np.all(np.abs(fast - ref) <= 1e-12)
 
+    @pytest.mark.parametrize("name", sorted(BRACKETED_MODELS))
+    @pytest.mark.parametrize("pair", [False, True], ids=["one", "pair"])
+    def test_per_row_quantiles_equal_scalar_calls(self, name, pair):
+        # one quantile per row, so one inflection per row: each row is the
+        # call at its own quantile, to the bit
+        model = BRACKETED_MODELS[name]
+        ys = _bracketed_draws(name, pair, (0.5, 20.0), 40)
+        q = -2.0 * np.log(np.geomspace(1e-9, 0.5, 40))
+        with np.errstate(all="raise"):
+            batch = exact_pivot_crossings(ys[0], model, q, 0.5, 20.0,
+                                          *ys[1:])
+            for i in range(q.size):
+                row = exact_pivot_crossings(ys[0][i], model, q[i], 0.5, 20.0,
+                                            *(y[i] for y in ys[1:]))
+                assert np.array_equal(batch[:, i], row[:, 0], equal_nan=True)
+
     @pytest.mark.parametrize("bounds", [BOUNDS, (0.5, 20.0)])
     def test_equals_lambert_w_on_pooled_rows(self, bounds):
         # the pair (y, y) at 2q has r twice the one-observation r at q, to
@@ -1343,8 +1368,9 @@ class TestBracketedKernel:
         y = rng.uniform(bounds[0] - 2.0, bounds[1] + 2.0, 20000)
         q = chi2_1_quantile(0.95)
         with np.errstate(all="raise"):
-            fast = np.sort(_bounded_sets(y, POOLED, 2.0 * q, *bounds, y).T)
-            slow = np.sort(_bounded_sets(y, POOLED, q, *bounds).T)
+            fast = np.sort(exact_pivot_crossings(y, POOLED, 2.0 * q, *bounds,
+                                                 y).T)
+            slow = np.sort(exact_pivot_crossings(y, POOLED, q, *bounds).T)
         assert inversion(POOLED, pair=True) == "bracketed"
         assert np.array_equal(np.isnan(fast), np.isnan(slow))
         assert np.nanmax(np.abs(fast - slow)) <= 1e-13
@@ -1359,7 +1385,7 @@ class TestBracketedKernel:
         ys = _bracketed_draws(name, pair, bounds, 300)
         q = chi2_2_quantile(0.95) if pair else chi2_1_quantile(0.95)
         step = (bounds[1] - bounds[0]) / 20000
-        ends = _bounded_sets(ys[0], model, q, *bounds, *ys[1:]).T
+        ends = exact_pivot_crossings(ys[0], model, q, *bounds, *ys[1:]).T
         grid, accepted = _grid_accepted(ys, model, q, *bounds)
         narrow = 0
         for row, e, acc in zip(zip(*ys), ends, accepted):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from pairvar.cli import main
 from pairvar.errors import ConvergenceError, DomainError, NumericalError, StudyError
-from pairvar.intervals import _region_form, _region_scan, chi2_2_quantile
+from pairvar.intervals import (_region_form, _region_scan, chi2_1_quantile,
+                               chi2_2_quantile, exact_pivot_crossings)
 from pairvar.model import PairedDataset, VarianceForm, VarianceModel
 from pairvar.simulate import (
     EstimatorMethod,
@@ -256,13 +258,50 @@ class TestCoverageStudy:
         assert rows["bonferroni"]["non_coverage"] <= rows["region"]["non_coverage"] + 2 * se
         assert abs(rows["naive"]["non_coverage"] - 0.05) < 5 * se + 0.02
 
-    @pytest.mark.parametrize("fit", [
+    @pytest.mark.parametrize("model", [
         VarianceModel(VarianceForm.POWER, (3.9, -3.0)),
         VarianceModel(VarianceForm.EXP_LINEAR_CONST, (4.84, -0.927, -6.0)),
-        VarianceModel(VarianceForm.EXP_LINEAR, (-8.0, 0.4))])
-    def test_exact_needs_exp_linear_negative_slope(self, fit):
-        with pytest.raises(DomainError):
-            coverage_study(EXP51, fit, [9.0], 0.05, 100, ["exact", "naive"])
+        VarianceModel(VarianceForm.EXP_LINEAR, (-8.0, 0.4))],
+        ids=["power", "exp-linear-const", "positive-slope"])
+    def test_exact_nominal_coverage_under_every_form(self, model):
+        # the bracketed set on the bounds holds mu exactly where the pivot
+        # at mu is at or under q
+        reps = 20000
+        rep = coverage_study(model, model, [9.0, 12.0], 0.05, reps,
+                             ["exact"], seed=3)
+        se = math.sqrt(0.05 * 0.95 / reps)
+        for row in rep.rows:
+            assert abs(row["coverage"] - 0.95) <= 5 * se
+
+    def test_bounded_exact_equals_the_unbounded_rule(self, monkeypatch):
+        # The study's exact decisions, on the draws of the studies
+        # benchmark (4 means x 10^5, seeds 1-3), against the unbounded
+        # Lambert-W rule they replaced, kept as the oracle: mu <= r1, or
+        # l2 <= mu <= r2 where the set is two-sided.
+        import pairvar.simulate as sim
+
+        masks, real = [], sim._coverage_row
+
+        def record(mu, method, alpha, covered):
+            masks.append(covered)
+            return real(mu, method, alpha, covered)
+
+        monkeypatch.setattr(sim, "_coverage_row", record)
+        mus, reps, q = [7.5, 9.0, 11.0, 13.0], 10**5, chi2_1_quantile(0.95)
+        for seed in (1, 2, 3):
+            masks.clear()
+            rep = coverage_study(EXP51, EXP51, mus, 0.05, reps, ["exact"],
+                                 seed=seed)
+            streams = np.random.SeedSequence(seed).spawn(len(mus))
+            for mu, ss, row, mask in zip(mus, streams, rep.rows, masks):
+                y = np.random.default_rng(ss).normal(
+                    mu, math.sqrt(float(EXP51(mu))), reps)
+                e = exact_pivot_crossings(y, EXP51, q, -math.inf, math.inf)
+                two = ~np.isnan(e[2])
+                old = (mu <= e[1]) | (two & (e[2] <= mu) & (mu <= e[3]))
+                assert np.array_equal(mask, old)
+                assert row["coverage"] == np.mean(old)
+            assert len(masks) == len(mus)
 
     def test_mode_and_method_validation(self):
         with pytest.raises(ValueError):
