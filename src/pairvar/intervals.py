@@ -16,10 +16,10 @@ For a pair (Y1, Y2) the two-term form (Y1 - mu1)^2/h(mu1) +
 (Y2 - mu2)^2/h(mu2) is chi-squared with two degrees of freedom. Scanning
 its region in (nu1, nu2) = (mu1 - mu2, mu1 + mu2) on the grid nu2 =
 2a + k * grid_res plus each row's two parallelogram edges, inside a
-square the Engel form of Cauchy-Schwarz bounds (_region_radii), and
+square the Engel form of Cauchy-Schwarz bounds (_region_radius), and
 projecting onto nu1 yields a conservative set for the difference, whose
-ends one vectorised decision (_nu1_decisions) bisects. Plug-in ("naive")
-intervals are provided for comparison.
+ends one vectorised decision (_nu1_decisions) bisects; region_covers_zero
+says if it holds 0. Plug-in ("naive") intervals are provided for comparison.
 """
 
 from __future__ import annotations
@@ -266,15 +266,15 @@ def exact_pivot_crossings(y, model: VarianceModel, q, a: float, b: float,
     monotone pieces, each crossing 0 at most once. All bisect in lockstep,
     a crossing to its rejected side."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    k, c, s = ((1.0, y, 0.0) if y2 is None
-               else (2.0, (y + y2) / 2.0, (y - y2) ** 2 / 2.0))
     lambert = inversion(model, y2 is not None) == "lambert-w"
     if not (lambert or math.isfinite(a + b) and (
             a > 0 or model.form is not VarianceForm.POWER)):
         raise DomainError("bracketed inversion needs finite bounds, a > 0 "
                           f"for the power form; got [{a}, {b}]")
     q = np.asarray(q, dtype=float)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # s = inf: a far pair, empty
+        k, c, s = ((1.0, y, 0.0) if y2 is None
+                   else (2.0, (y + y2) / 2.0, (y - y2) ** 2 / 2.0))
         h = model(np.array([a, b])) if lambert else _positive_h(model, [a, b])
         reach = np.sqrt(np.maximum(q * np.max(h) - s, 0.0) / k)
     near = ~(np.isfinite(c) & ((c < a - reach) | (c > b + reach)))
@@ -392,45 +392,30 @@ def _region_form(y1, y2, model, nu1, nu2):
     return d1 * d1 / model(mu1) + d2 * d2 / model(mu2)
 
 
-def _region_radii(y1, y2, model, q, a, b, grid_res) -> np.ndarray:
-    """Half-widths of squares around (y1 - y2, y1 + y2) holding every accepted point.
-
-    Vectorized over pairs. With d_i = y_i - mu_i and h_i = h(mu_i), the
-    Engel form of Cauchy-Schwarz gives d1^2/h1 + d2^2/h2 >= (d1 +- d2)^2 /
-    s, s = h1 + h2, where d1 - d2 = y1 - y2 - nu1 and d1 + d2 = y1 + y2 -
-    nu2: an accepted (nu1, nu2) lies within sqrt(q*s) of (y1 - y2, y1 + y2)
-    in each coordinate, and so does each |mu_i - y_i|. Every form is
-    monotone on [a, b], so |mu_i - y_i| <= r bounds s by the sum of h at
-    the ends of [y_i - r, y_i + r], clipped to [a, b], on the side where h
-    is larger. From r = sqrt(2q max(h(a), h(b))) this gives a shrinking
-    sequence of radii, each a valid bound, so stopping early is always
-    safe: a pair stops once a round shrinks its radius by less than
-    grid_res / 8 (at grid_res 0.01, 7 rounds at most where the limit takes
-    43 at theta = (5, -1), 41 where it takes 100 at (5, -0.5)), and at
-    grid_res = 0 once it stops shrinking.
-    The result is padded by a relative 1e-9 and by two grid steps; it is
-    infinite, so nothing is excluded, where h is not finite and monotone.
-    """
-    ys = np.stack(np.broadcast_arrays(np.atleast_1d(y1).astype(float),
-                                      np.atleast_1d(y2).astype(float)))
-    if model.form is VarianceForm.POWER and a <= 0:
-        return np.full(ys.shape[1], math.inf)
+def _region_radius(y1: float, y2: float, model, q, a, b, grid_res) -> float:
+    """Half-width of a square around (y1 - y2, y1 + y2) holding every accepted
+    point. With d_i = y_i - mu_i and h_i = h(mu_i), Engel's form of
+    Cauchy-Schwarz, d1^2/h1 + d2^2/h2 >= (d1 +- d2)^2 / (h1 + h2), puts an
+    accepted (nu1, nu2) within sqrt(q (h1 + h2)) of (y1 - y2, y1 + y2) in
+    each coordinate, and so each |mu_i - y_i|. h is monotone on [a, b], so
+    |mu_i - y_i| <= r bounds h1 + h2 by h at y_i +- r, clipped to [a, b],
+    on the side where h is larger. From r = sqrt(2q max(h(a), h(b))) this
+    gives a shrinking sequence of valid radii, followed until it stops
+    shrinking (at most 100 rounds); padded by a relative 1e-9 and two grid
+    steps, and infinite where h is not finite and monotone."""
     with np.errstate(all="ignore"):
         ends = model(np.array([a, b]))
-    if not np.all(np.isfinite(ends)):
-        return np.full(ys.shape[1], math.inf)
-    side = -1.0 if ends[0] >= ends[1] else 1.0
-    r = np.full(ys.shape[1], math.sqrt(2.0 * q * float(ends.max())))
-    live = np.arange(ys.shape[1])
+    if (model.form is VarianceForm.POWER and a <= 0
+            or not np.isfinite(ends).all()):
+        return math.inf
+    ys, side = np.array([y1, y2]), -1.0 if ends[0] >= ends[1] else 1.0
+    r = math.sqrt(2.0 * q * float(ends.max()))
     for _ in range(100):
-        r_live = r[live]
-        h = model(np.clip(ys[:, live] + side * r_live, a, b))
-        r_next = np.sqrt(q * h.sum(axis=0))
-        shrinks = r_next < r_live
-        r[live[shrinks]] = r_next[shrinks]
-        live = live[r_next < r_live - grid_res / 8.0]
-        if live.size == 0:
+        h = model(np.clip(ys + side * r, a, b))
+        r_next = math.sqrt(q * float(h.sum()))
+        if not r_next < r:
             break
+        r = r_next
     return r * (1.0 + 1e-9) + 2.0 * grid_res
 
 
@@ -439,43 +424,33 @@ def _nu2_grid(a, b, grid_res):
     return 2.0 * a + grid_res * np.arange(round(2.0 * (b - a) / grid_res) + 1)
 
 
-def _region_scan(y1, y2, model, q, nu1, a, b, grid_res):
-    """Per row of the broadcast (y1, y2, nu1), whether a point of the grid
-    nu2 = 2a + grid_res * k in the parallelogram [2a + |nu1|, 2b - |nu1|],
-    or one of its two edges, puts the form at or under q; and the pairs'
-    radii. The grid holds the edges only when 2(b - a) / grid_res is a
-    whole number. A row scores only grid points within its radius of
-    y1 + y2 (see _region_radii), and none if nu1 is farther than that from
-    y1 - y2. Rows go in blocks sorted by window start, of about 2^14 form
-    values each (see README); a block scores the union of its windows,
-    masked to each row's parallelogram where that is narrower. A scalar
-    y1, y2 or nu1 stays scalar.
-    """
+def _region_scan(y1: float, y2: float, model, q, nu1, a, b, grid_res,
+                 radius: float) -> np.ndarray:
+    """Per element of the array nu1, whether a point of the grid nu2 =
+    2a + grid_res * k in the parallelogram [2a + |nu1|, 2b - |nu1|], or one
+    of its two edges (on the grid only when 2(b - a) / grid_res is whole),
+    puts the pair's form at or under q. Scores only grid points within
+    radius of y1 + y2, for nu1 within radius of y1 - y2 (_region_radius),
+    in blocks of consecutive rows of about 2^14 form values (see README):
+    the union of their windows, masked to each one's."""
     nu2 = _nu2_grid(a, b, grid_res)
-    radius = _region_radii(y1, y2, model, q, a, b, grid_res)
     d, c, edge = y1 - y2, y1 + y2, np.abs(nu1)
-    first = np.searchsorted(nu2, 2.0 * a + edge)
-    last = np.searchsorted(nu2, 2.0 * b - edge, "right")
-    start = np.maximum(np.searchsorted(nu2, c - radius), first)
-    stop = np.minimum(np.searchsorted(nu2, c + radius, "right"), last)
-    live = (start < stop) & (nu1 >= d - radius) & (nu1 <= d + radius)
-    order = np.flatnonzero(live)[np.argsort(start[live], kind="stable")]
-    step = max(2**14 // np.max(stop[order] - start[order], initial=1), 1)
-    accepted = np.zeros(live.shape, dtype=bool)
-    for k in range(0, order.size, step):
-        rows = order[k:k + step]
-        take = lambda v: v[rows, None] if np.ndim(v) else v  # noqa: E731
-        cols = np.arange(start[rows[0]], stop[rows].max())
-        hit = _region_form(take(y1), take(y2), model, take(nu1),
-                           nu2[cols]) <= q
-        lo, hi = take(first), take(last)
-        if np.max(lo) > cols[0] or np.min(hi) <= cols[-1]:
-            hit &= (cols >= lo) & (cols < hi)
+    start = np.searchsorted(nu2, np.maximum(2.0 * a + edge, c - radius))
+    stop = np.searchsorted(nu2, np.minimum(2.0 * b - edge, c + radius),
+                           "right")
+    live = np.flatnonzero((start < stop) & (np.abs(nu1 - d) <= radius))
+    step = max(2**14 // np.max(stop[live] - start[live], initial=1), 1)
+    accepted = np.zeros(nu1.shape, dtype=bool)
+    for k in range(0, live.size, step):
+        rows = live[k:k + step]
+        cols = np.arange(start[rows].min(), stop[rows].max())
+        hit = _region_form(y1, y2, model, nu1[rows, None], nu2[cols]) <= q
+        hit &= (cols >= start[rows, None]) & (cols < stop[rows, None])
         accepted[rows] = hit.any(axis=1)
     accepted |= (edge <= b - a) & (
         (_region_form(y1, y2, model, nu1, 2.0 * a + edge) <= q)
         | (_region_form(y1, y2, model, nu1, 2.0 * b - edge) <= q))
-    return accepted, radius
+    return accepted
 
 
 def _nu1_decisions(y1, y2, model, nu1, q, a, b, grid_res, radius):
@@ -484,7 +459,7 @@ def _nu1_decisions(y1, y2, model, nu1, q, a, b, grid_res, radius):
     how many form values that took.
 
     Scores the scan's grid nu2 = 2a + k * grid_res within radius of y1 + y2
-    (see _region_radii: no other point is accepted), clipped to each row's
+    (see _region_radius: no other point is accepted), clipped to each row's
     parallelogram, and both of its edges. Where the least of these is over
     q, four levels re-grid the two cells around the argmin, clipped to the
     parallelogram, with 64 points each: the step falls from grid_res to
@@ -563,12 +538,11 @@ def ci_diff_region(
                           f"the difference grid over [{a}, {b}]")
     y1, y2 = float(y1), float(y2)
     q = chi2_2_quantile(1.0 - alpha)
-    span = b - a
-    n1 = int(round(2.0 * span / grid_res)) + 1
+    span, n1 = b - a, int(round(2.0 * (b - a) / grid_res)) + 1
     nu1_grid = np.linspace(-span, span, n1)
-    accepted, radius = _region_scan(y1, y2, model, q, nu1_grid, a, b,
-                                    grid_res)
-    runs = _runs(accepted)
+    radius = _region_radius(y1, y2, model, q, a, b, grid_res)
+    runs = _runs(_region_scan(y1, y2, model, q, nu1_grid, a, b, grid_res,
+                              radius))
     if not runs:
         # the form is 0 at (y1 - y2, y1 + y2), in the parallelogram when
         # a <= y1, y2 <= b: only a coarse grid misses it there
@@ -586,7 +560,7 @@ def ci_diff_region(
             break
         mid = 0.5 * (inside[live] + outside[live])
         hit, spent = _nu1_decisions(y1, y2, model, mid, q, a, b, grid_res,
-                                    radius[0])
+                                    radius)
         decisions, evaluations = decisions + mid.size, evaluations + spent
         inside[live] = np.where(hit, mid, inside[live])
         outside[live] = np.where(hit, outside[live], mid)
@@ -595,6 +569,35 @@ def ci_diff_region(
     return replace(ConfidenceSet.from_components(ends.tolist(), 1.0 - alpha),
                    diagnostics={"decisions": decisions,
                                 "evaluations": evaluations})
+
+
+def region_covers_zero(y1, y2, model: VarianceModel, alpha: float, a: float,
+                       b: float) -> np.ndarray:
+    """Per pair, whether the region's projection holds the difference 0:
+    whether its form at nu1 = 0, the pair pivot (2 x^2 + s) / h(mu), x = c -
+    mu, c = (y1 + y2)/2, s = (y1 - y2)^2 / 2, is at most q = chi2_2_quantile
+    (1 - alpha) on [a, b]. Its least value there is at a, b or a real root
+    in [a, b] of 2 t2 x^2 + 4x + t2 s (exp-linear) or (4 - 2 t2) x^2 - 4cx -
+    t2 s (power), the cancellation-free pair, which keeps a linear root.
+    Under exp-linear-const, whether exact_pivot_crossings' pair set is
+    non-empty. DomainError for the power form with a <= 0, or where h is
+    not finite and positive at a or b."""
+    q = chi2_2_quantile(1.0 - alpha)
+    if model.form is VarianceForm.EXP_LINEAR_CONST:
+        return ~np.isnan(exact_pivot_crossings(y1, model, q, a, b, y2)).all(0)
+    if model.form is VarianceForm.POWER and a <= 0:
+        raise DomainError(f"the power form needs a > 0, got a = {a}")
+    _positive_h(model, [a, b])
+    y1, y2, t2 = *np.atleast_1d(y1, y2), model.theta[1]
+    with np.errstate(all="ignore"):  # far rows: inf, and NaN roots
+        c, s = (y1 + y2) / 2.0, (y1 - y2) ** 2 / 2.0
+        k2, k1, k0 = ((2.0 * t2, 4.0, t2 * s)
+                      if model.form is VarianceForm.EXP_LINEAR
+                      else (4.0 - 2.0 * t2, -4.0 * c, -t2 * s))
+        w = -0.5 * (k1 + np.copysign(np.sqrt(k1 * k1 - 4.0 * k2 * k0), k1))
+        mu = np.vstack([np.clip(c - np.stack([w / k2, k0 / w]), a, b),
+                        np.full((2, c.size), [[a], [b]])])
+        return ((2.0 * (c - mu) ** 2 + s) / model(mu) <= q).any(axis=0)
 
 
 def ci_diff_bonferroni(y1, y2, model: VarianceModel, alpha: float,

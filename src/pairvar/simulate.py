@@ -22,11 +22,10 @@ from .intervals import (
     _positive_h,
     bounded_hulls,
     chi2_1_quantile,
-    chi2_2_quantile,
     ci_diff_naive,
     ci_mu_naive,
     exact_pivot_crossings,
-    _region_scan,
+    region_covers_zero,
 )
 from .macl import macl_fit, mle_homoscedastic
 from .mixture_em import fit_mixture
@@ -36,8 +35,6 @@ from .pvalues import DEFAULT_BETA_POWER, TestMethod, batch_pvalues
 RNG_ID = "numpy-pcg64/seedseq-spawn"
 # an estimator study aborts when more than this share of its fits fail
 MAX_FAILURE_FRACTION = 0.10
-# nuisance-sum grid step of the coverage study's region method
-COVERAGE_GRID_RES = 0.01
 
 
 class ScenarioKind(enum.Enum):
@@ -188,11 +185,11 @@ def coverage_study(
     difference mode draws a null pair (both means equal) and covers the
     zero difference. Data are generated under theta_true while intervals
     are built from theta_fit, mirroring the use of estimates from one
-    experiment on another. The region method scans nuisance sums at
-    COVERAGE_GRID_RES. The exact method tests mu against
-    exact_pivot_crossings' set on bounds, under every form, so a mean outside
-    them is a DataError. DomainError where h(theta_true, mu), or h(theta_fit,
-    y) for the naive methods, is not finite and positive.
+    experiment on another. The region method is region_covers_zero. The
+    exact, region and bonferroni methods build sets on bounds, under every
+    form, so a mean outside them is a DataError. DomainError where
+    h(theta_true, mu), or h(theta_fit, y) for the naive methods, is not
+    finite and positive.
     """
     methods = list(methods)
     valid = {"single": {"exact", "naive"},
@@ -204,9 +201,10 @@ def coverage_study(
         raise DataError(f"methods {sorted(unknown)} not available in "
                         f"{mode} mode")
     outside = [mu for mu in mu_values if not bounds[0] <= mu <= bounds[1]]
-    if "exact" in methods and outside:
-        raise DataError(f"exact coverage needs every mean in the bounds "
-                        f"{tuple(bounds)}; got mu = {outside[0]}")
+    bounded = [m for m in methods if m != "naive"]
+    if bounded and outside:
+        raise DataError(f"{bounded[0]} coverage needs every mean in the "
+                        f"bounds {tuple(bounds)}; got mu = {outside[0]}")
     t0 = time.perf_counter()
     root = np.random.SeedSequence(seed)
     streams = root.spawn(len(mu_values))
@@ -231,9 +229,8 @@ def coverage_study(
             y2 = rng.normal(mu, sd, reps)
             for m in methods:
                 if m == "region":
-                    covered, _ = _region_scan(
-                        y1, y2, theta_fit, chi2_2_quantile(1.0 - alpha), 0.0,
-                        *bounds, COVERAGE_GRID_RES)
+                    covered = region_covers_zero(y1, y2, theta_fit, alpha,
+                                                 *bounds)
                 elif m == "bonferroni":
                     lo1, hi1, n1 = bounded_hulls(y1, theta_fit, alpha / 2.0,
                                                  *bounds)

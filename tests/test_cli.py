@@ -833,6 +833,50 @@ class TestExitCodes:
             "pairvar: data error: exact coverage needs every mean in the "
             "bounds (7.3, 13.9); got mu = 40.0"]
 
+    @pytest.mark.parametrize("methods", ["region,bonferroni,naive",
+                                         "bonferroni,naive"])
+    def test_difference_coverage_of_a_mean_outside_the_bounds_is_3(
+            self, tmp_path, capsys, methods):
+        cfg = tmp_path / "cov.cfg"
+        cfg.write_text(f"mu_grid=40,5,10\nreps=200\nmethods={methods}\n"
+                       "mode=difference\n")
+        assert main(["simulate", "--study", "coverage", "--config", str(cfg),
+                     "--quiet"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"pairvar: data error: {methods.split(',')[0]} coverage needs "
+            "every mean in the bounds (7.3, 13.9); got mu = 40.0"]
+
+    def test_naive_difference_coverage_outside_the_bounds_is_0(self, tmp_path,
+                                                               capsys):
+        cfg = tmp_path / "cov.cfg"
+        cfg.write_text("mu_grid=40,10\nreps=200\nmethods=naive\n"
+                       "mode=difference\n")
+        assert main(["simulate", "--study", "coverage", "--config", str(cfg),
+                     "--quiet"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(float(r["mu"]), r["method"]) for r in rows] == [
+            (40.0, "naive"), (10.0, "naive")]
+
+    @pytest.mark.parametrize("form, theta", [
+        ("power", "3.9,-3"), ("exp-linear-const", "4.84,-0.927,-6")])
+    def test_region_difference_coverage_under_other_forms_is_0(
+            self, tmp_path, capsys, form, theta):
+        # theta_fit is theta: the projected region covers at its level
+        reps = 20000
+        cfg = tmp_path / "cov.cfg"
+        cfg.write_text(f"theta={theta}\nform={form}\nmu_grid=9,12\n"
+                       f"reps={reps}\nmethods=region\nmode=difference\n"
+                       "seed=3\n")
+        assert main(["simulate", "--study", "coverage", "--config", str(cfg),
+                     "--quiet"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["method"] for r in rows] == ["region", "region"]
+        se = math.sqrt(0.05 * 0.95 / reps)
+        for row in rows:
+            assert float(row["coverage"]) >= 0.95 - 5 * se
+
     @pytest.mark.parametrize("study, config, where", [
         pytest.param("coverage", "mu_grid=-1\nmethods=naive\n", "-1.0",
                      id="single-naive"),

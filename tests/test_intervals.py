@@ -15,7 +15,7 @@ from pairvar.intervals import (
     _nu1_decisions,
     _nu2_grid,
     _region_form,
-    _region_radii,
+    _region_radius,
     _region_scan,
     _runs,
     chi2_1_quantile,
@@ -637,7 +637,9 @@ class TestDifferenceRegion:
         grid = 2.0 * a + 0.01 * np.arange(1321)
         assert np.all(_region_form(y, y, POOLED, 0.0, grid) > q)
         assert _region_form(y, y, POOLED, 0.0, 2.0 * b)[0] <= q
-        accepted, _ = _region_scan(y, y, POOLED, q, 0.0, a, b, 0.01)
+        radius = _region_radius(y[0], y[0], POOLED, q, a, b, 0.01)
+        accepted = _region_scan(y[0], y[0], POOLED, q, np.array([0.0]), a, b,
+                                0.01, radius)
         assert accepted.tolist() == [True]
 
     def test_validation(self):
@@ -721,8 +723,8 @@ def _dense_region(y1, y2, model, alpha, bounds, grid_res=0.005,
 
 
 def _full_recursion_radii(y1, y2, model, q, a, b, grid_res):
-    """_region_radii as it was: h at both ends of each interval, and the
-    radius followed until it stops shrinking (at most 100 rounds)."""
+    """The radius recursion with h at both ends of each interval, vectorized
+    over pairs, followed until it stops shrinking (at most 100 rounds)."""
     ys = np.stack(np.broadcast_arrays(np.atleast_1d(y1).astype(float),
                                       np.atleast_1d(y2).astype(float)))
     r = np.full(ys.shape[1], math.sqrt(2.0 * q * float(model(
@@ -786,7 +788,7 @@ class TestRegionWindow:
     def test_unbounded_variance_scans_everything(self):
         # the power form is infinite at mu = 0, so no window applies
         model = VarianceModel(VarianceForm.POWER, (0.0, -1.0))
-        assert _region_radii(1.0, 1.3, model, 6.0, 0.0, 3.0, 0.01)[0] == math.inf
+        assert _region_radius(1.0, 1.3, model, 6.0, 0.0, 3.0, 0.01) == math.inf
         with np.errstate(divide="ignore"):
             fast = ci_diff_region(1.0, 1.3, model, 0.05, (0.0, 3.0), 0.01)
             slow = _dense_region(1.0, 1.3, model, 0.05, (0.0, 3.0), 0.01)
@@ -801,7 +803,7 @@ class TestRegionWindow:
         nu2 = np.arange(2.0 * a, 2.0 * b, 0.02)[None, :]
         inside = (np.abs(nu1) <= np.minimum(nu2 - 2.0 * a, 2.0 * b - nu2))
         for y1, y2 in _window_pairs(sum(map(ord, name)) + 1, 6):
-            radius = _region_radii(y1, y2, model, q, a, b, 0.0)[0]
+            radius = _region_radius(y1, y2, model, q, a, b, 0.0)
             assert math.isfinite(radius)
             quad = _region_form(y1, y2, model, nu1, nu2)
             hit = inside & (quad <= q)
@@ -825,21 +827,18 @@ class TestRegionWindow:
         assert np.all(quad >= floor * (1.0 - 1e-12))
 
     @pytest.mark.parametrize("name", sorted(WINDOW_MODELS))
-    def test_early_stop_never_undercuts_the_full_recursion(self, name):
-        # every iterate of the recursion bounds the accepted points, so the
-        # early-stopped radius is never below the recursion's limit
+    def test_radius_is_the_full_recursion_limit(self, name):
+        # h on the side where it is larger equals the larger of h at both
+        # ends of each interval, so both follow one sequence to one limit
         model = WINDOW_MODELS[name]
         a, b = BOUNDS
         q = chi2_2_quantile(0.95)
         y1, y2 = np.array(_window_pairs(sum(map(ord, name)) + 2, 300)).T
-        limit = _region_radii(y1, y2, model, q, a, b, 0.0)
-        for grid_res in (0.005, 0.01, 0.02):
-            r = _region_radii(y1, y2, model, q, a, b, grid_res)
+        for grid_res in (0.0, 0.005, 0.01, 0.02):
+            radii = [_region_radius(u, v, model, q, a, b, grid_res)
+                     for u, v in zip(y1.tolist(), y2.tolist())]
             full = _full_recursion_radii(y1, y2, model, q, a, b, grid_res)
-            assert np.all(r >= limit + 2.0 * grid_res)
-            assert np.all(r >= full)
-        assert np.array_equal(limit, _full_recursion_radii(y1, y2, model, q,
-                                                           a, b, 0.0))
+            assert radii == full.tolist(), grid_res
 
     def test_pair_outside_the_bounds_still_raises(self):
         for y1, y2 in [(20.0, 20.5), (2.0, 1.5)]:
@@ -930,9 +929,10 @@ def _oracle_region(y1, y2, model, alpha, bounds=BOUNDS,
     q = chi2_2_quantile(1.0 - alpha)
     n1 = int(round(2.0 * (b - a) / grid_res)) + 1
     nu1_grid = np.linspace(-(b - a), b - a, n1)
-    accepted, radius = _region_scan(y1, y2, model, q, nu1_grid, a, b,
-                                    grid_res)
-    window = (y1 + y2 - float(radius[0]), y1 + y2 + float(radius[0]))
+    radius = _region_radius(y1, y2, model, q, a, b, grid_res)
+    accepted = _region_scan(y1, y2, model, q, nu1_grid, a, b, grid_res,
+                            radius)
+    window = (y1 + y2 - radius, y1 + y2 + radius)
     comps, counts = [], Counter()
     for i, j in _runs(accepted):
         ends = [nu1_grid[i], nu1_grid[j]]
@@ -951,7 +951,7 @@ def _boundary_points(y1, y2, model, rng, count):
     1e-9 of the refined boundaries."""
     a, b = BOUNDS
     q = chi2_2_quantile(0.95)
-    radius = float(_region_radii(y1, y2, model, q, a, b, DEFAULT_GRID_RES)[0])
+    radius = _region_radius(y1, y2, model, q, a, b, DEFAULT_GRID_RES)
     ends = [e for c in ci_diff_region(y1, y2, model, 0.05, BOUNDS).components
             for e in c if abs(e) < b - a]
     spread = rng.uniform(y1 - y2 - radius, y1 - y2 + radius, count // 2)
@@ -998,8 +998,11 @@ class TestBoundaryPolish:
             checked += len(points)
             polished += sum(e > 1 for _, e in slow)
             accepted += int(fast.sum())
+        # the sample exercises both the zoom and the oracle's polish; their
+        # counts differ by the rows one grid accepts and the other does
+        # not (the scan's 2a + k grid_res against the oracle's linspace)
         assert checked >= 2000
-        assert polished >= 100 and zoomed >= polished
+        assert polished >= 100 and zoomed >= 100
         assert 0 < accepted < checked
 
     def test_counts_match_oracle(self, monkeypatch):
@@ -1015,8 +1018,8 @@ class TestBoundaryPolish:
         slow, counts = _oracle_region(10.21, 10.78, POOLED, 0.05)
         assert fast.components == slow
         q, (a, b) = chi2_2_quantile(0.95), BOUNDS
-        radius = float(_region_radii(10.21, 10.78, POOLED, q, a, b,
-                                     DEFAULT_GRID_RES)[0])
+        radius = _region_radius(10.21, 10.78, POOLED, q, a, b,
+                                DEFAULT_GRID_RES)
         width = _window_sums(10.21, 10.78, radius) + 2
         zooms = [(spent - rows * width) / 256 for rows, spent in calls]
         assert all(z == int(z) and 0 <= z <= rows

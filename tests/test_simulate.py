@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from pairvar.cli import main
-from pairvar.errors import ConvergenceError, DomainError, NumericalError, StudyError
-from pairvar.intervals import (_region_form, _region_scan, chi2_1_quantile,
-                               chi2_2_quantile, exact_pivot_crossings)
+from pairvar.errors import (ConvergenceError, DataError, DomainError,
+                            NumericalError, StudyError)
+from pairvar.intervals import (_region_form, chi2_1_quantile, chi2_2_quantile,
+                               exact_pivot_crossings, region_covers_zero)
 from pairvar.model import PairedDataset, VarianceForm, VarianceModel
 from pairvar.simulate import (
     EstimatorMethod,
@@ -303,6 +304,24 @@ class TestCoverageStudy:
                 assert row["coverage"] == np.mean(old)
             assert len(masks) == len(mus)
 
+    @pytest.mark.parametrize("methods, named", [
+        (["region"], "region"), (["bonferroni"], "bonferroni"),
+        (["naive", "bonferroni", "region"], "bonferroni")])
+    def test_bounded_difference_methods_refuse_a_mean_outside(self, methods,
+                                                              named):
+        # region and Bonferroni sets live on the bounds, as exact's does
+        with pytest.raises(DataError, match=f"{named} coverage needs "
+                           r"every mean in the bounds \(7.3, 13.9\); got "
+                           "mu = 40.0"):
+            coverage_study(EXP51, EXP51, [10.0, 40.0, 5.0], 0.05, 100,
+                           methods, mode="difference")
+
+    def test_naive_difference_runs_outside_the_bounds(self):
+        rep = coverage_study(EXP51, EXP51, [40.0, 10.0], 0.05, 2000,
+                             ["naive"], mode="difference", seed=2)
+        assert [r["mu"] for r in rep.rows] == [40.0, 10.0]
+        assert all(r["coverage"] > 0.9 for r in rep.rows)
+
     def test_mode_and_method_validation(self):
         with pytest.raises(ValueError):
             coverage_study(EXP51, EXP51, [10.0], 0.05, 10, ["region"],
@@ -310,12 +329,6 @@ class TestCoverageStudy:
         with pytest.raises(ValueError):
             coverage_study(EXP51, EXP51, [10.0], 0.05, 10, ["exact"],
                            mode="bogus")
-
-
-def _region_covers_zero(y1, y2, model, alpha, bounds, grid_res=0.01):
-    """The difference-mode coverage study's region decision."""
-    q = chi2_2_quantile(1.0 - alpha)
-    return _region_scan(y1, y2, model, q, 0.0, *bounds, grid_res)[0]
 
 
 def _full_grid_covers_zero(y1, y2, model, alpha, bounds, grid_res=0.01):
@@ -331,30 +344,63 @@ def _full_grid_covers_zero(y1, y2, model, alpha, bounds, grid_res=0.01):
     return covered
 
 
+def _exact_set_covers_zero(y1, y2, model, alpha, bounds):
+    """Reference: the pair pivot's exact set on bounds is non-empty."""
+    ends = exact_pivot_crossings(y1, model, chi2_2_quantile(1.0 - alpha),
+                                 *bounds, y2)
+    return ~np.isnan(ends).all(axis=0)
+
+
 REGION_AT_ZERO_MODELS = {
     "negative-slope": (EXP51, (7.3, 13.9)),
     "large-variance": (EXP505, (7.3, 13.9)),
+    "flat": (VarianceModel(VarianceForm.EXP_LINEAR, (0.5, 0.0)),
+             (7.3, 13.9)),
     "positive-slope": (VarianceModel(VarianceForm.EXP_LINEAR, (-8.0, 0.4)),
                        (7.3, 13.9)),
     "power": (VarianceModel(VarianceForm.POWER, (3.9, -3.0)), (7.3, 13.9)),
+    "power-increasing": (VarianceModel(VarianceForm.POWER, (-2.0, 1.5)),
+                         (7.3, 13.9)),
+    "power-t2-2": (VarianceModel(VarianceForm.POWER, (-3.0, 2.0)),
+                   (7.3, 13.9)),
     "exp-linear-const": (VarianceModel(VarianceForm.EXP_LINEAR_CONST,
                                        (4.84, -0.927, -6.0)), (7.3, 13.9)),
-    "power-a-zero": (VarianceModel(VarianceForm.POWER, (0.0, -1.0)),
-                     (0.0, 3.0)),
 }
 
 
+def _pivot_least_at_a_pairs(model, alpha, a, b, count, seed):
+    """Pairs, from exp-linear draws, whose pivot has both stationary points
+    in [a, b] and is at or under q at a but over it at b and at both."""
+    t2 = model.theta[1]
+    q = chi2_2_quantile(1.0 - alpha)
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(10.9, 11.1, count)
+    d = rng.choice([-1.0, 1.0], count) * rng.uniform(3.7, 4.0, count)
+    y1, y2 = c + d / 2.0, c - d / 2.0
+    c, s = (y1 + y2) / 2.0, (y1 - y2) ** 2 / 2.0
+
+    def pivot(mu):
+        return (2.0 * (c - mu) ** 2 + s) / model(mu)
+
+    # 2 t2 x^2 + 4 x + t2 s = 0, x = c - mu
+    root = np.sqrt(16.0 - 8.0 * t2 * t2 * s)
+    mus = c - np.stack([(-4.0 - root), (-4.0 + root)]) / (4.0 * t2)
+    picked = (((a <= mus) & (mus <= b)).all(axis=0) & (pivot(a) <= q)
+              & (pivot(b) > q) & (pivot(mus) > q).all(axis=0))
+    return y1[picked], y2[picked]
+
+
 class TestRegionCoversZero:
-    """The windowed test at zero against the full-grid scan it replaces."""
+    """The closed-form test at zero against the exact pair-pivot set and the
+    full-grid scan it replaces."""
 
     @pytest.mark.parametrize("name", sorted(REGION_AT_ZERO_MODELS))
-    def test_equals_full_grid_scan(self, name):
+    def test_equals_exact_set_and_holds_the_grid_scan(self, name):
         model, (a, b) = REGION_AT_ZERO_MODELS[name]
         rng = np.random.default_rng(sum(map(ord, name)))
         # null pairs as the coverage study draws them, pairs shifted by up
         # to 4 sd, pairs drawn anywhere in and just outside the bounds, and
-        # tied pairs outside the bounds, whose nearest grid points lie near
-        # the edge of their window
+        # tied pairs outside the bounds
         mu = rng.uniform(a + 0.1, b, 3000)
         sd = np.sqrt(model(mu))
         out = rng.uniform(0.0, 1.0, 1000)
@@ -365,37 +411,88 @@ class TestRegionCoversZero:
                              rng.normal(mu + rng.uniform(-4, 4, mu.size) * sd,
                                         sd),
                              rng.uniform(a - 0.5, b + 0.5, 1000), ties])
-        # the power form with a = 0 divides by zero at the grid's first point
-        level = "ignore" if a <= 0 else "warn"
         for alpha, grid_res in ((0.05, 0.01), (0.2, 0.02), (0.01, 0.005)):
-            with np.errstate(divide=level, invalid=level):
-                fast = _region_covers_zero(y1, y2, model, alpha, (a, b),
-                                           grid_res)
-                slow = _full_grid_covers_zero(y1, y2, model, alpha, (a, b),
-                                              grid_res)
-            assert np.array_equal(fast, slow), (alpha, grid_res)
-            # with h infinite at mu = 0 every pair covers zero
-            assert fast.any() and (name == "power-a-zero" or not fast.all())
-        # one pair per call scores exactly its own window
-        with np.errstate(divide=level, invalid=level):
-            alone = [_region_covers_zero(ties[i:i + 1], ties[i:i + 1], model,
-                                         0.05, (a, b))[0]
-                     for i in range(0, ties.size, 4)]
-            slow = _full_grid_covers_zero(ties[::4], ties[::4], model, 0.05,
-                                          (a, b))
-        assert np.array_equal(alone, slow)
-
+            with np.errstate(all="raise"):
+                fast = region_covers_zero(y1, y2, model, alpha, a, b)
+                exact = _exact_set_covers_zero(y1, y2, model, alpha, (a, b))
+            grid = _full_grid_covers_zero(y1, y2, model, alpha, (a, b),
+                                          grid_res)
+            assert np.array_equal(fast, exact), alpha
+            assert not (grid & ~fast).any(), (alpha, grid_res)
+            assert fast.any() and not fast.all()
+        # one pair per call decides as in the batch
+        alone = [region_covers_zero(y1[i], y2[i], model, 0.05, a, b)[0]
+                 for i in range(0, y1.size, 97)]
+        assert alone == region_covers_zero(y1[::97], y2[::97], model, 0.05,
+                                           a, b).tolist()
 
     @pytest.mark.parametrize("model", [EXP51, EXP505])
-    def test_equals_full_grid_scan_on_the_study_means(self, model):
-        # null pairs at the coverage study's means, as it draws them
+    def test_holds_the_grid_scan_on_the_study_means(self, model):
+        # null pairs at the coverage study's means, as it draws them; the
+        # 0.01 grid misses a few pairs that cover zero, never the reverse
+        flipped = []
         for mu in (7.5, 9.0, 11.0, 13.0):
             rng = np.random.default_rng(int(10 * mu))
             sd = np.sqrt(float(model(mu)))
             y1, y2 = rng.normal(mu, sd, (2, 10_000))
-            fast = _region_covers_zero(y1, y2, model, 0.05, (7.3, 13.9))
-            slow = _full_grid_covers_zero(y1, y2, model, 0.05, (7.3, 13.9))
-            assert np.array_equal(fast, slow), mu
+            fast = region_covers_zero(y1, y2, model, 0.05, 7.3, 13.9)
+            grid = _full_grid_covers_zero(y1, y2, model, 0.05, (7.3, 13.9))
+            exact = _exact_set_covers_zero(y1, y2, model, 0.05, (7.3, 13.9))
+            assert np.array_equal(fast, exact), mu
+            assert not (grid & ~fast).any(), mu
+            flipped.append(int((fast != grid).sum()))
+        # measured: [0, 1, 0, 0] at (5, -1), [0, 0, 0, 0] at (5, -0.5)
+        print(f"theta {model.theta}: decisions that differ from the 0.01 "
+              f"grid at mu = 7.5, 9, 11, 13: {flipped}")
+
+    @pytest.mark.parametrize("a", [0.0, -1.0])
+    def test_power_bounds_reaching_zero_raise(self, a):
+        model = VarianceModel(VarianceForm.POWER, (0.0, -1.0))
+        with pytest.raises(DomainError, match="a > 0"):
+            region_covers_zero(np.array([1.0]), np.array([1.3]), model, 0.05,
+                               a, 3.0)
+        # the exact-set kernel refuses the same bounds
+        with pytest.raises(DomainError, match="a > 0"):
+            _exact_set_covers_zero(np.array([1.0]), np.array([1.3]), model,
+                                   0.05, (a, 3.0))
+
+    @pytest.mark.parametrize("model, bounds", [
+        (VarianceModel(VarianceForm.EXP_LINEAR, (5.0, -200.0)), (-5.0, 13.9)),
+        (VarianceModel(VarianceForm.POWER, (3.9, 300.0)), (7.3, 13.9)),
+        (VarianceModel(VarianceForm.EXP_LINEAR_CONST, (1.0, -1.0, 800.0)),
+         (7.3, 13.9)),
+    ], ids=["exp-linear", "power", "exp-linear-const"])
+    def test_variance_not_finite_at_the_bounds_raises(self, model, bounds):
+        with pytest.raises(DomainError, match="finite and positive"):
+            region_covers_zero(np.array([10.0]), np.array([10.5]), model,
+                               0.05, *bounds)
+
+    @pytest.mark.parametrize("name", sorted(REGION_AT_ZERO_MODELS))
+    def test_edge_rows_are_quiet_and_decided(self, name):
+        model, (a, b) = REGION_AT_ZERO_MODELS[name]
+        tie = np.linspace(a - 1.0, b + 1.0, 67)
+        y1 = np.concatenate([[1e300, -1e300, 1e300, -1e300, 1e300, 10.0],
+                             tie])
+        y2 = np.concatenate([[1e300, -1e300, -1e300, 10.0, 10.0, -1e300],
+                             tie])
+        with np.errstate(all="raise"):
+            fast = region_covers_zero(y1, y2, model, 0.05, a, b)
+            exact = _exact_set_covers_zero(y1, y2, model, 0.05, (a, b))
+        # far rows cover nothing; a tie in [a, b] covers zero, its pivot
+        # being 0 there, and one outside does where the pivot reaches q
+        assert not fast[:6].any()
+        assert fast[6:][(a <= tie) & (tie <= b)].all()
+        assert np.array_equal(fast, exact)
+
+    def test_least_value_at_a_with_both_roots_inside(self):
+        # the pivot's least value on [a, b] is at a although both of its
+        # stationary points lie inside: leaving out a would lose these rows
+        y1, y2 = _pivot_least_at_a_pairs(EXP505, 0.01, 7.3, 13.9, 4000, 1)
+        assert y1.size >= 10
+        with np.errstate(all="raise"):
+            fast = region_covers_zero(y1, y2, EXP505, 0.01, 7.3, 13.9)
+        assert fast.all()
+        assert _exact_set_covers_zero(y1, y2, EXP505, 0.01, (7.3, 13.9)).all()
 
 
 class TestPowerStudy:
