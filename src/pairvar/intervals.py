@@ -145,6 +145,15 @@ def _positive_h(model: VarianceModel, mu) -> np.ndarray:
     return h
 
 
+def _h_at_bounds(model: VarianceModel, a: float, b: float) -> np.ndarray:
+    """h at a and b, the bounds of a bracketed inversion; DomainError unless
+    they are finite, with a > 0 for the power form, and _positive_h holds."""
+    if not math.isfinite(a + b) or model.form is VarianceForm.POWER and a <= 0:
+        raise DomainError("bracketed inversion needs finite bounds, a > 0 "
+                          f"for the power form; got [{a}, {b}]")
+    return _positive_h(model, [a, b])
+
+
 @dataclass(frozen=True)
 class ConfidenceSet:
     """One or two disjoint intervals, their hull, and the confidence level.
@@ -267,15 +276,11 @@ def exact_pivot_crossings(y, model: VarianceModel, q, a: float, b: float,
     a crossing to its rejected side."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     lambert = inversion(model, y2 is not None) == "lambert-w"
-    if not (lambert or math.isfinite(a + b) and (
-            a > 0 or model.form is not VarianceForm.POWER)):
-        raise DomainError("bracketed inversion needs finite bounds, a > 0 "
-                          f"for the power form; got [{a}, {b}]")
     q = np.asarray(q, dtype=float)
     with np.errstate(all="ignore"):  # s = inf: a far pair, empty
         k, c, s = ((1.0, y, 0.0) if y2 is None
                    else (2.0, (y + y2) / 2.0, (y - y2) ** 2 / 2.0))
-        h = model(np.array([a, b])) if lambert else _positive_h(model, [a, b])
+        h = model(np.array([a, b])) if lambert else _h_at_bounds(model, a, b)
         reach = np.sqrt(np.maximum(q * np.max(h) - s, 0.0) / k)
     near = ~(np.isfinite(c) & ((c < a - reach) | (c > b + reach)))
     c, s = c[near], np.broadcast_to(s, y.shape)[near]
@@ -343,14 +348,10 @@ def _lambert_sets(c, t1: float, t2: float, q, a: float, b: float):
 
 
 def _runs(mask: np.ndarray):
-    """(start, stop) index pairs of maximal True runs."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate([[idx[0]], idx[breaks + 1]])
-    stops = np.concatenate([idx[breaks], [idx[-1]]])
-    return list(zip(starts, stops))
+    """(start, stop) index pairs of maximal True runs: where the mask, padded
+    with False, changes value, pairwise."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], mask, [False]])))
+    return list(zip(edges[::2], edges[1::2] - 1))
 
 
 def ci_mu_exact(y: float, model: VarianceModel, alpha: float,
@@ -580,14 +581,11 @@ def region_covers_zero(y1, y2, model: VarianceModel, alpha: float, a: float,
     in [a, b] of 2 t2 x^2 + 4x + t2 s (exp-linear) or (4 - 2 t2) x^2 - 4cx -
     t2 s (power), the cancellation-free pair, which keeps a linear root.
     Under exp-linear-const, whether exact_pivot_crossings' pair set is
-    non-empty. DomainError for the power form with a <= 0, or where h is
-    not finite and positive at a or b."""
+    non-empty. DomainError for bounds the kernel refuses (_h_at_bounds)."""
     q = chi2_2_quantile(1.0 - alpha)
     if model.form is VarianceForm.EXP_LINEAR_CONST:
         return ~np.isnan(exact_pivot_crossings(y1, model, q, a, b, y2)).all(0)
-    if model.form is VarianceForm.POWER and a <= 0:
-        raise DomainError(f"the power form needs a > 0, got a = {a}")
-    _positive_h(model, [a, b])
+    _h_at_bounds(model, a, b)
     y1, y2, t2 = *np.atleast_1d(y1, y2), model.theta[1]
     with np.errstate(all="ignore"):  # far rows: inf, and NaN roots
         c, s = (y1 + y2) / 2.0, (y1 - y2) ** 2 / 2.0

@@ -967,6 +967,18 @@ def _window_sums(y1, y2, radius, grid_res=DEFAULT_GRID_RES):
     return int(np.count_nonzero(np.abs(sums - (y1 + y2)) <= radius))
 
 
+def _scan_grid_accepts(y1, y2, model, nu1, q, a, b, radius):
+    """Whether the points _nu1_decisions scores before any zoom, the two
+    edges of the parallelogram at nu1 and the scan's sums 2a + k * grid_res
+    in it within radius of y1 + y2, put the form at or under q."""
+    lo, hi = 2.0 * a + abs(nu1), 2.0 * b - abs(nu1)
+    sums = _nu2_grid(a, b, DEFAULT_GRID_RES)
+    sums = sums[(np.abs(sums - (y1 + y2)) <= radius) & (sums >= lo)
+                & (sums <= hi)]
+    nu2 = np.concatenate([[lo, hi], sums])
+    return bool(np.min(_region_form(y1, y2, model, nu1, nu2)) <= q)
+
+
 NULL_AND_SHIFTED_MODELS = {
     "exp-linear": POOLED,
     "power": WINDOW_MODELS["power"],
@@ -983,7 +995,7 @@ class TestBoundaryPolish:
     def test_decisions_equal_oracle(self, name):
         model = WINDOW_MODELS[name]
         rng = np.random.default_rng(sum(map(ord, name)) + 11)
-        checked = polished = accepted = zoomed = 0
+        checked = polished = accepted = zoomed = grid_settled = 0
         for y1, y2 in _window_pairs(sum(map(ord, name)) + 2, 1)[:4]:
             q, a, b, radius, points = _boundary_points(y1, y2, model, rng, 520)
             fast, spent = _nu1_decisions(y1, y2, model, np.array(points), q,
@@ -992,17 +1004,27 @@ class TestBoundaryPolish:
                                   DEFAULT_GRID_RES, y1 + y2 - radius,
                                   y1 + y2 + radius) for nu1 in points]
             assert fast.tolist() == [s for s, _ in slow], (y1, y2)
-            base = len(points) * (_window_sums(y1, y2, radius) + 2)
-            assert (spent - base) % 256 == 0
-            zoomed += (spent - base) // 256
+            width = _window_sums(y1, y2, radius) + 2
+            assert (spent - len(points) * width) % 256 == 0
+            # one row at a time, so each row's zoom is known: it fires
+            # exactly where the scan's own points reject
+            rows = [_nu1_decisions(y1, y2, model, np.array([nu1]), q, a, b,
+                                   DEFAULT_GRID_RES, radius) for nu1 in points]
+            assert [bool(hit[0]) for hit, _ in rows] == fast.tolist()
+            zooms = [(s - width) // 256 for _, s in rows]
+            assert sum(zooms) * 256 == spent - len(points) * width
+            grid = [_scan_grid_accepts(y1, y2, model, nu1, q, a, b, radius)
+                    for nu1 in points]
+            assert zooms == [int(not g) for g in grid], (y1, y2)
+            zoomed += sum(zooms)
             checked += len(points)
             polished += sum(e > 1 for _, e in slow)
+            # the oracle polishes on its own linspace; where the scan's
+            # grid 2a + k grid_res already accepts, no zoom is needed
+            grid_settled += sum(e > 1 and g for (_, e), g in zip(slow, grid))
             accepted += int(fast.sum())
-        # the sample exercises both the zoom and the oracle's polish; their
-        # counts differ by the rows one grid accepts and the other does
-        # not (the scan's 2a + k grid_res against the oracle's linspace)
         assert checked >= 2000
-        assert polished >= 100 and zoomed >= 100
+        assert polished >= 100 and zoomed >= polished - grid_settled
         assert 0 < accepted < checked
 
     def test_counts_match_oracle(self, monkeypatch):

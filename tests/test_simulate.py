@@ -445,16 +445,21 @@ class TestRegionCoversZero:
         print(f"theta {model.theta}: decisions that differ from the 0.01 "
               f"grid at mu = 7.5, 9, 11, 13: {flipped}")
 
-    @pytest.mark.parametrize("a", [0.0, -1.0])
-    def test_power_bounds_reaching_zero_raise(self, a):
-        model = VarianceModel(VarianceForm.POWER, (0.0, -1.0))
-        with pytest.raises(DomainError, match="a > 0"):
-            region_covers_zero(np.array([1.0]), np.array([1.3]), model, 0.05,
-                               a, 3.0)
-        # the exact-set kernel refuses the same bounds
-        with pytest.raises(DomainError, match="a > 0"):
-            _exact_set_covers_zero(np.array([1.0]), np.array([1.3]), model,
-                                   0.05, (a, 3.0))
+    @pytest.mark.parametrize("model, a, b", [
+        (VarianceModel(VarianceForm.POWER, (0.0, -1.0)), 0.0, 3.0),
+        (VarianceModel(VarianceForm.POWER, (0.0, -1.0)), -1.0, 3.0),
+        (EXP51, 7.3, math.inf),
+        (REGION_AT_ZERO_MODELS["exp-linear-const"][0], -math.inf, 13.9),
+    ], ids=["power-a-zero", "power-a-negative", "exp-linear-b-inf",
+            "exp-linear-const-a-inf"])
+    def test_refused_bounds_raise_as_the_kernel(self, model, a, b):
+        y1, y2 = np.array([1.0]), np.array([1.3])
+        with pytest.raises(DomainError, match="a > 0") as fast:
+            region_covers_zero(y1, y2, model, 0.05, a, b)
+        # the exact-set kernel refuses the same bounds, with the same words
+        with pytest.raises(DomainError) as exact:
+            _exact_set_covers_zero(y1, y2, model, 0.05, (a, b))
+        assert str(fast.value) == str(exact.value)
 
     @pytest.mark.parametrize("model, bounds", [
         (VarianceModel(VarianceForm.EXP_LINEAR, (5.0, -200.0)), (-5.0, 13.9)),
