@@ -13,13 +13,14 @@ One kernel, exact_pivot_crossings, returns either set's components on
 its batch of one, and bounded_hulls, its hulls and component counts,
 serves Bonferroni intervals and both Berger-Boos pivots.
 For a pair (Y1, Y2) the two-term form (Y1 - mu1)^2/h(mu1) +
-(Y2 - mu2)^2/h(mu2) is chi-squared with two degrees of freedom. Scanning
-its region in (nu1, nu2) = (mu1 - mu2, mu1 + mu2) on the grid nu2 =
-2a + k * grid_res plus each row's two parallelogram edges, inside a
-square the Engel form of Cauchy-Schwarz bounds (_region_radius), and
-projecting onto nu1 yields a conservative set for the difference, whose
-ends one vectorised decision (_nu1_decisions) bisects; region_covers_zero
-says if it holds 0. Plug-in ("naive") intervals are provided for comparison.
+(Y2 - mu2)^2/h(mu2) is chi-squared with two degrees of freedom. Its least
+value over nu2 = mu1 + mu2 at each nu1 = mu1 - mu2 (_region_min), on the
+grid 2a + k * grid_res in a square Engel's Cauchy-Schwarz bounds
+(_region_radius) and both parallelogram edges, projects the region onto
+nu1: a conservative set for the difference, whose ends one vectorised
+decision (_nu1_decisions) bisects, zooming on it; region_covers_zero says
+if it holds 0. Every bounded construction takes h at its bounds through
+one rule, _h_at_bounds. Plug-in ("naive") intervals are also provided.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _STANDARD_NORMAL = NormalDist()
 # Cephes ndtr.c, where scipy's erfc comes from; highest power first, the
 # denominators monic. erfc(x) = 1 - x T(x^2) / U(x^2) on [0, 1),
 # exp(-x^2) P(x) / Q(x) on [1, 8) and exp(-x^2) R(x) / S(x) from 8 on, and
-# 0 once x^2 > _ERFC_MAXLOG, as in Cephes.
+# 0 once x^2 > _MAXLOG = log(DBL_MAX), as in Cephes.
 _ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
           2.23200534594684319226E3, 7.00332514112805075473E3,
           5.55923013010394962768E4)
@@ -62,7 +63,7 @@ _ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
 _ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0,
            1.20489539808096656605E1, 1.70814450747565897222E1,
            9.60896809063285878198E0, 3.36907645100081516050E0)
-_ERFC_MAXLOG = 7.09782712893383996843E2
+_MAXLOG = 7.09782712893383996843E2
 
 
 def _inverse_erfc(t: float) -> float:
@@ -113,11 +114,11 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     """erfc at each x >= 0 of a 1-d float array, as Cephes computes it but
     with numpy's exp; NaN stays NaN."""
     x2 = x * x
-    out = np.where(x >= 1.0, 0.0, np.nan)  # 0 where x^2 > _ERFC_MAXLOG
+    out = np.where(x >= 1.0, 0.0, np.nan)  # 0 where x^2 > _MAXLOG
     near = np.flatnonzero(x < 1.0)
     s, z = x[near], x2[near]
     out[near] = 1.0 - s * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
-    rest = np.flatnonzero((x >= 1.0) & (x2 <= _ERFC_MAXLOG))
+    rest = np.flatnonzero((x >= 1.0) & (x2 <= _MAXLOG))
     s, z = x[rest], x2[rest]
     num, den = _polevl(s, _ERFC_P), _polevl(s, _ERFC_Q)
     far = np.flatnonzero(s >= 8.0)
@@ -146,11 +147,11 @@ def _positive_h(model: VarianceModel, mu) -> np.ndarray:
 
 
 def _h_at_bounds(model: VarianceModel, a: float, b: float) -> np.ndarray:
-    """h at a and b, the bounds of a bracketed inversion; DomainError unless
-    they are finite, with a > 0 for the power form, and _positive_h holds."""
+    """h at a and b, for every bounded construction; DomainError unless they
+    are finite, with a > 0 for the power form, and _positive_h holds."""
     if not math.isfinite(a + b) or model.form is VarianceForm.POWER and a <= 0:
-        raise DomainError("bracketed inversion needs finite bounds, a > 0 "
-                          f"for the power form; got [{a}, {b}]")
+        raise DomainError("bounds must be finite, with a > 0 for the power "
+                          f"form; got [{a}, {b}]")
     return _positive_h(model, [a, b])
 
 
@@ -403,12 +404,8 @@ def _region_radius(y1: float, y2: float, model, q, a, b, grid_res) -> float:
     on the side where h is larger. From r = sqrt(2q max(h(a), h(b))) this
     gives a shrinking sequence of valid radii, followed until it stops
     shrinking (at most 100 rounds); padded by a relative 1e-9 and two grid
-    steps, and infinite where h is not finite and monotone."""
-    with np.errstate(all="ignore"):
-        ends = model(np.array([a, b]))
-    if (model.form is VarianceForm.POWER and a <= 0
-            or not np.isfinite(ends).all()):
-        return math.inf
+    steps. The caller has checked the bounds (_h_at_bounds)."""
+    ends = model(np.array([a, b]))
     ys, side = np.array([y1, y2]), -1.0 if ends[0] >= ends[1] else 1.0
     r = math.sqrt(2.0 * q * float(ends.max()))
     for _ in range(100):
@@ -420,38 +417,31 @@ def _region_radius(y1: float, y2: float, model, q, a, b, grid_res) -> float:
     return r * (1.0 + 1e-9) + 2.0 * grid_res
 
 
+def _region_min(y1: float, y2: float, model, nu1, a, b, grid_res,
+                radius: float):
+    """Per element of the array nu1, the least form over the two edges of
+    the parallelogram [2a + |nu1|, 2b - |nu1|] and the sums 2a + k * grid_res
+    within radius of y1 + y2 (_region_radius: no other point is accepted),
+    clipped into it; the nu2 where it falls; and how many form values that
+    took. Rows go in blocks of about 2^14 form values (see README)."""
+    sums = _nu2_grid(a, b, grid_res)
+    sums = sums[np.searchsorted(sums, y1 + y2 - radius):
+                np.searchsorted(sums, y1 + y2 + radius, "right")]
+    least, at = np.empty((2, nu1.size))
+    step = max(2**14 // (sums.size + 2), 1)
+    for i in range(0, nu1.size, step):
+        rows = nu1[i:i + step, None]
+        lo, hi = 2.0 * a + np.abs(rows), 2.0 * b - np.abs(rows)
+        nu2 = np.hstack([lo, hi, np.clip(sums, lo, hi)])
+        form = _region_form(y1, y2, model, rows, nu2)
+        j, k = np.arange(rows.size), np.argmin(form, axis=1)
+        least[i:i + step], at[i:i + step] = form[j, k], nu2[j, k]
+    return least, at, nu1.size * (sums.size + 2)
+
+
 def _nu2_grid(a, b, grid_res):
     """The scan's nuisance sums 2a + k * grid_res, from 2a to 2b."""
     return 2.0 * a + grid_res * np.arange(round(2.0 * (b - a) / grid_res) + 1)
-
-
-def _region_scan(y1: float, y2: float, model, q, nu1, a, b, grid_res,
-                 radius: float) -> np.ndarray:
-    """Per element of the array nu1, whether a point of the grid nu2 =
-    2a + grid_res * k in the parallelogram [2a + |nu1|, 2b - |nu1|], or one
-    of its two edges (on the grid only when 2(b - a) / grid_res is whole),
-    puts the pair's form at or under q. Scores only grid points within
-    radius of y1 + y2, for nu1 within radius of y1 - y2 (_region_radius),
-    in blocks of consecutive rows of about 2^14 form values (see README):
-    the union of their windows, masked to each one's."""
-    nu2 = _nu2_grid(a, b, grid_res)
-    d, c, edge = y1 - y2, y1 + y2, np.abs(nu1)
-    start = np.searchsorted(nu2, np.maximum(2.0 * a + edge, c - radius))
-    stop = np.searchsorted(nu2, np.minimum(2.0 * b - edge, c + radius),
-                           "right")
-    live = np.flatnonzero((start < stop) & (np.abs(nu1 - d) <= radius))
-    step = max(2**14 // np.max(stop[live] - start[live], initial=1), 1)
-    accepted = np.zeros(nu1.shape, dtype=bool)
-    for k in range(0, live.size, step):
-        rows = live[k:k + step]
-        cols = np.arange(start[rows].min(), stop[rows].max())
-        hit = _region_form(y1, y2, model, nu1[rows, None], nu2[cols]) <= q
-        hit &= (cols >= start[rows, None]) & (cols < stop[rows, None])
-        accepted[rows] = hit.any(axis=1)
-    accepted |= (edge <= b - a) & (
-        (_region_form(y1, y2, model, nu1, 2.0 * a + edge) <= q)
-        | (_region_form(y1, y2, model, nu1, 2.0 * b - edge) <= q))
-    return accepted
 
 
 def _nu1_decisions(y1, y2, model, nu1, q, a, b, grid_res, radius):
@@ -459,27 +449,17 @@ def _nu1_decisions(y1, y2, model, nu1, q, a, b, grid_res, radius):
     parallelogram [2a + |nu1|, 2b - |nu1|] puts the form at or under q; and
     how many form values that took.
 
-    Scores the scan's grid nu2 = 2a + k * grid_res within radius of y1 + y2
-    (see _region_radius: no other point is accepted), clipped to each row's
-    parallelogram, and both of its edges. Where the least of these is over
-    q, four levels re-grid the two cells around the argmin, clipped to the
+    Starts from the scan's least value (_region_min). Where it is over q,
+    four levels re-grid the two cells around its nu2, clipped to the
     parallelogram, with 64 points each: the step falls from grid_res to
     (2/63)^4 grid_res, about 1e-6 grid_res. Every point scored is in the
     parallelogram, so a value at or under q is a real witness.
     """
-    nu1 = np.asarray(nu1, dtype=float)[:, None]
+    best, x, spent = _region_min(y1, y2, model, nu1, a, b, grid_res, radius)
+    nu1 = nu1[:, None]
     lo, hi = 2.0 * a + np.abs(nu1), 2.0 * b - np.abs(nu1)
-    sums = _nu2_grid(a, b, grid_res)
-    c = y1 + y2
-    sums = sums[np.searchsorted(sums, c - radius):
-                np.searchsorted(sums, c + radius, "right")]
-    nu2 = np.hstack([lo, hi, np.clip(sums, lo, hi)])
-    form = _region_form(y1, y2, model, nu1, nu2)
-    rows = np.arange(nu1.shape[0])
-    k = np.argmin(form, axis=1)
-    best, x = form[rows, k], nu2[rows, k, None]
     zoom = np.flatnonzero(~(best <= q))
-    x, step, z = x[zoom], grid_res, np.arange(zoom.size)
+    x, step, z = x[zoom, None], grid_res, np.arange(zoom.size)
     # A grid of step s around an interior minimum misses it by about
     # f'' s^2 / 8, f'' the form's curvature in nu2: at the last step (5e-9
     # at the default grid_res) that is f'' * 3e-18. Moving nu1 by the 1e-10
@@ -496,8 +476,7 @@ def _nu1_decisions(y1, y2, model, nu1, q, a, b, grid_res, radius):
         j = np.argmin(f, axis=1)
         x = pts[z, j, None]
         best[zoom] = np.fmin(best[zoom], f[z, j])
-    return ((best <= q) & (lo[:, 0] <= hi[:, 0]),
-            form.size + 4 * 64 * zoom.size)
+    return (best <= q) & (lo[:, 0] <= hi[:, 0]), spent + 4 * 64 * zoom.size
 
 
 @np.errstate(over="ignore")  # an extreme y squares to inf: form over q
@@ -520,20 +499,21 @@ def ci_diff_region(
     the accepted grid extremes (inside it by at most one step).
     Conservative for nu1 by the projection property.
 
-    The scan and the bisection evaluate the form only inside a square
-    around (y1 - y2, y1 + y2) that holds every accepted point, with the
-    result of scanning the whole parallelogram. All ends bisect together,
-    one _nu1_decisions call a step, each stopping on its own. The set's
-    diagnostics count the bisection's row decisions and the form values
-    they took.
+    The scan and the bisection score one least value a row (_region_min)
+    inside a square around (y1 - y2, y1 + y2) that holds every accepted
+    point; rows outside it are rejected. All ends bisect together, one
+    _nu1_decisions call a step, each stopping on its own. diagnostics count
+    the bisection's row decisions and the form values they took.
+    DomainError for bounds _h_at_bounds refuses, or a >= b.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     if grid_res <= 0:
         raise DomainError(f"grid_res must be positive, got {grid_res}")
     a, b = bounds
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"region scan needs finite bounds a < b, got {bounds}")
+    _h_at_bounds(model, a, b)
+    if not a < b:
+        raise DomainError(f"region scan needs bounds a < b, got {bounds}")
     if not 2.0 * (b - a) / grid_res <= MAX_GRID_POINTS:
         raise DomainError(f"grid_res {grid_res} puts more than 10^6 points on "
                           f"the difference grid over [{a}, {b}]")
@@ -542,8 +522,11 @@ def ci_diff_region(
     span, n1 = b - a, int(round(2.0 * (b - a) / grid_res)) + 1
     nu1_grid = np.linspace(-span, span, n1)
     radius = _region_radius(y1, y2, model, q, a, b, grid_res)
-    runs = _runs(_region_scan(y1, y2, model, q, nu1_grid, a, b, grid_res,
-                              radius))
+    near = np.abs(nu1_grid - (y1 - y2)) <= radius
+    accepted = np.zeros(n1, dtype=bool)
+    accepted[near] = _region_min(y1, y2, model, nu1_grid[near], a, b,
+                                 grid_res, radius)[0] <= q
+    runs = _runs(accepted)
     if not runs:
         # the form is 0 at (y1 - y2, y1 + y2), in the parallelogram when
         # a <= y1, y2 <= b: only a coarse grid misses it there
@@ -625,10 +608,11 @@ def ci_diff_naive(y1, y2, model: VarianceModel, alpha: float):
 def ratio_scale(interval):
     """Map a log-scale interval, or columns (lo, hi) of them, to the ratio
     (natural) scale. math.exp, not np.exp: they differ in the last bit on
-    ~5% of values."""
+    ~5% of values. An end past _MAXLOG, where math.exp overflows, is inf."""
+    exp = lambda v: math.inf if v > _MAXLOG else math.exp(v)  # noqa: E731
     if np.ndim(interval[0]) == 0:
-        return (math.exp(interval[0]), math.exp(interval[1]))
-    return tuple([math.exp(v) for v in c] for c in interval)
+        return (exp(interval[0]), exp(interval[1]))
+    return tuple([exp(v) for v in c] for c in interval)
 
 
 def bounded_hulls(y, model: VarianceModel, alpha, a: float, b: float,

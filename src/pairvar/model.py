@@ -258,8 +258,13 @@ def estimating_equation_bias(
     if mus.size == 0:
         raise ValueError("mus must be nonempty")
     t1, t2 = float(theta[0]), float(theta[1])
-    e = np.exp(t1 + t2 * mus)
-    inflate = np.exp(0.25 * t2 * t2 * e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(t1 + t2 * mus)
+        inflate = np.exp(0.25 * t2 * t2 * e)
+    bad = ~np.isfinite(inflate)
+    if bad.any():
+        raise DomainError("h(theta, mu) or exp(t2^2 h / 4) is not finite at "
+                          f"mu = {mus[bad][0]}")
     first = 1.0 - float(np.mean(inflate))
     second = float(np.mean(mus) - np.mean((mus - 0.5 * t2 * e) * inflate))
     return first, second

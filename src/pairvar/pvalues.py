@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .intervals import _positive_h, bounded_hulls, chi2_1_sf
+from .intervals import _h_at_bounds, _positive_h, bounded_hulls, chi2_1_sf
 # bench/tracing.py wraps pairvar.pvalues.ci_mu_exact; keep the name here.
 from .intervals import ci_mu_exact  # noqa: F401
-from .model import DEFAULT_BOUNDS, VarianceForm, VarianceModel
+from .model import DEFAULT_BOUNDS, VarianceModel
 
 logger = logging.getLogger(__name__)
 
@@ -77,8 +77,8 @@ def pvalue_kernel(y1, y2, model: VarianceModel, method: TestMethod,
     (NaN where degenerate), whether the Berger-Boos set missed [a, b], and
     the plug-in statistic (naive only, else None). Degenerate pairs are
     logged once per call, with their count. DomainError unless h is finite
-    and positive where the method evaluates it: at the pair means for the
-    naive test, at a and b (with a > 0 for the power form) else.
+    and positive at the pair means for the naive test, else at a and b by
+    the bounds rule of every bounded construction (_h_at_bounds).
     """
     y1, y2 = (np.atleast_1d(np.asarray(y, dtype=float)) for y in (y1, y2))
     ybar = (y1 + y2) / 2.0
@@ -93,9 +93,7 @@ def pvalue_kernel(y1, y2, model: VarianceModel, method: TestMethod,
             raise DomainError(f"beta must be in (0,1), got {beta}")
         if cbeta_pivot not in ("mean", "pair"):
             raise ValueError(f"unknown cbeta_pivot {cbeta_pivot!r}")
-    if model.form is VarianceForm.POWER and a <= 0:
-        raise DomainError(f"the power form needs bounds with a > 0, got a = {a}")
-    h_a, h_b = _positive_h(model, np.array([a, b], dtype=float))
+    h_a, h_b = _h_at_bounds(model, a, b)
     if method is TestMethod.CONSERVATIVE:
         lo, hi, parts = a, b, np.ones(ybar.shape, dtype=int)
     elif cbeta_pivot == "mean":

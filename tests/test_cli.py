@@ -175,6 +175,15 @@ class TestCiCommand:
         assert err.startswith("pairvar: numerical failure: grid_res 1e-09 ")
         assert "10^6 points" in err
 
+    def test_ratio_end_past_the_float_range_is_null(self, capsys):
+        # exp(709.96) overflows a double: that end is inf, null in JSON
+        assert main(["ci", "--method", "naive", "--theta", "0,0", "--y1",
+                     "708", "--y2", "0", "--scale", "ratio"]) == 0
+        out, err = capsys.readouterr()
+        rec = strict_json(out)
+        assert math.isfinite(rec["lo"]) and rec["lo"] > 0
+        assert rec["hi"] is None and err == ""
+
     def test_batch_appends_columns(self, tmp_path, capsys):
         inp = tmp_path / "pairs.csv"
         write_pairs_csv(inp, [("a", 10.21, 10.78), ("b", 11.45, 13.36)])
@@ -434,6 +443,20 @@ class TestBiasOracle:
                      "--mc-reps", "20000", "--seed", "1"]) == 0
         rec = json.loads(capsys.readouterr().out)
         assert abs(rec["mc_first"] - rec["first"]) < 4 * rec["mc_se_first"]
+
+    @pytest.mark.parametrize("mc", [[], ["--mc-reps", "10"]],
+                             ids=["analytic", "mc"])
+    @pytest.mark.parametrize("mus, first", [("-800", "-800.0"),
+                                            ("-3,9", "-3.0")])
+    def test_overflow_is_a_domain_error(self, capsys, mus, first, mc):
+        # h = exp(805) overflows at mu = -800, exp(h / 4) at mu = -3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bias-oracle", "--theta", "5,-1", f"--mus={mus}",
+                         *mc]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("pairvar: ") and f"mu = {first}" in err
 
 
 class TestPipeline:

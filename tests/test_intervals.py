@@ -15,8 +15,8 @@ from pairvar.intervals import (
     _nu1_decisions,
     _nu2_grid,
     _region_form,
+    _region_min,
     _region_radius,
-    _region_scan,
     _runs,
     chi2_1_quantile,
     chi2_1_sf,
@@ -641,6 +641,9 @@ class TestDifferenceRegion:
         accepted = _region_scan(y[0], y[0], POOLED, q, np.array([0.0]), a, b,
                                 0.01, radius)
         assert accepted.tolist() == [True]
+        least, at, _ = _region_min(y[0], y[0], POOLED, np.array([0.0]), a, b,
+                                   0.01, radius)
+        assert least[0] <= q and at[0] == 2.0 * b
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -785,14 +788,33 @@ class TestRegionWindow:
             slow = _dense_region(y1, y2, model, 0.05, BOUNDS)
             assert fast.components == slow.components, (y1, y2)
 
-    def test_unbounded_variance_scans_everything(self):
-        # the power form is infinite at mu = 0, so no window applies
+    @pytest.mark.parametrize("a", [0.0, -1.0])
+    def test_unbounded_variance_raises(self, a):
+        # the power form is infinite at mu = 0: the bounds rule refuses a <= 0
         model = VarianceModel(VarianceForm.POWER, (0.0, -1.0))
-        assert _region_radius(1.0, 1.3, model, 6.0, 0.0, 3.0, 0.01) == math.inf
-        with np.errstate(divide="ignore"):
-            fast = ci_diff_region(1.0, 1.3, model, 0.05, (0.0, 3.0), 0.01)
-            slow = _dense_region(1.0, 1.3, model, 0.05, (0.0, 3.0), 0.01)
-        assert fast.components == slow.components
+        with pytest.raises(DomainError, match="a > 0"):
+            ci_diff_region(1.0, 1.3, model, 0.05, (a, 3.0), 0.01)
+
+    @pytest.mark.parametrize("grid_res", [0.005, 0.007, 0.01])
+    @pytest.mark.parametrize("name", sorted(WINDOW_MODELS))
+    def test_scan_mask_equals_oracle(self, name, grid_res, monkeypatch):
+        # the accepted nu1 grid rows ci_diff_region hands to _runs, against
+        # the masked-window scan they replace
+        model = WINDOW_MODELS[name]
+        a, b = BOUNDS
+        q = chi2_2_quantile(0.95)
+        n1 = int(round(2.0 * (b - a) / grid_res)) + 1
+        nu1_grid = np.linspace(-(b - a), b - a, n1)
+        masks = []
+        monkeypatch.setattr("pairvar.intervals._runs",
+                            lambda mask: masks.append(mask) or _runs(mask))
+        for y1, y2 in _window_pairs(sum(map(ord, name)) + 4, 3):
+            ci_diff_region(y1, y2, model, 0.05, BOUNDS, grid_res, False)
+            radius = _region_radius(y1, y2, model, q, a, b, grid_res)
+            slow = _region_scan(y1, y2, model, q, nu1_grid, a, b, grid_res,
+                                radius)
+            assert masks[-1].any() and np.array_equal(masks[-1], slow), (
+                y1, y2)
 
     @pytest.mark.parametrize("name", sorted(WINDOW_MODELS))
     def test_window_holds_every_accepted_grid_point(self, name):
@@ -846,6 +868,34 @@ class TestRegionWindow:
                 ci_diff_region(y1, y2, POOLED, 0.05, BOUNDS, 0.01)
             with pytest.raises(NumericalError):
                 _dense_region(y1, y2, POOLED, 0.05, BOUNDS, 0.01)
+
+
+def _region_scan(y1, y2, model, q, nu1, a, b, grid_res, radius):
+    """The nu1 grid scan as it was before _region_min: per element of the
+    array nu1, whether a point of the grid nu2 = 2a + grid_res * k in the
+    parallelogram [2a + |nu1|, 2b - |nu1|], or one of its two edges, puts
+    the pair's form at or under q. Scores only grid points within radius of
+    y1 + y2, for nu1 within radius of y1 - y2, in blocks of consecutive rows
+    of about 2^14 form values, masked to each row's window; the edges at
+    every nu1."""
+    nu2 = _nu2_grid(a, b, grid_res)
+    d, c, edge = y1 - y2, y1 + y2, np.abs(nu1)
+    start = np.searchsorted(nu2, np.maximum(2.0 * a + edge, c - radius))
+    stop = np.searchsorted(nu2, np.minimum(2.0 * b - edge, c + radius),
+                           "right")
+    live = np.flatnonzero((start < stop) & (np.abs(nu1 - d) <= radius))
+    step = max(2**14 // np.max(stop[live] - start[live], initial=1), 1)
+    accepted = np.zeros(nu1.shape, dtype=bool)
+    for k in range(0, live.size, step):
+        rows = live[k:k + step]
+        cols = np.arange(start[rows].min(), stop[rows].max())
+        hit = _region_form(y1, y2, model, nu1[rows, None], nu2[cols]) <= q
+        hit &= (cols >= start[rows, None]) & (cols < stop[rows, None])
+        accepted[rows] = hit.any(axis=1)
+    accepted |= (edge <= b - a) & (
+        (_region_form(y1, y2, model, nu1, 2.0 * a + edge) <= q)
+        | (_region_form(y1, y2, model, nu1, 2.0 * b - edge) <= q))
+    return accepted
 
 
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0

@@ -8,8 +8,10 @@ from pairvar.cli import main
 from pairvar.errors import (ConvergenceError, DataError, DomainError,
                             NumericalError, StudyError)
 from pairvar.intervals import (_region_form, chi2_1_quantile, chi2_2_quantile,
-                               exact_pivot_crossings, region_covers_zero)
+                               ci_diff_region, exact_pivot_crossings,
+                               region_covers_zero)
 from pairvar.model import PairedDataset, VarianceForm, VarianceModel
+from pairvar.pvalues import pvalue_berger_boos, pvalue_conservative
 from pairvar.simulate import (
     EstimatorMethod,
     Scenario,
@@ -351,6 +353,14 @@ def _exact_set_covers_zero(y1, y2, model, alpha, bounds):
     return ~np.isnan(ends).all(axis=0)
 
 
+# each takes h at its bounds through the exact-set kernel's bounds rule
+_BOUNDED_CONSTRUCTIONS = (
+    lambda model, a, b: ci_diff_region(1.0, 1.3, model, 0.05, (a, b)),
+    lambda model, a, b: pvalue_conservative(1.0, 1.3, model, (a, b)),
+    lambda model, a, b: pvalue_berger_boos(1.0, 1.3, model, (a, b)),
+)
+
+
 REGION_AT_ZERO_MODELS = {
     "negative-slope": (EXP51, (7.3, 13.9)),
     "large-variance": (EXP505, (7.3, 13.9)),
@@ -456,10 +466,15 @@ class TestRegionCoversZero:
         y1, y2 = np.array([1.0]), np.array([1.3])
         with pytest.raises(DomainError, match="a > 0") as fast:
             region_covers_zero(y1, y2, model, 0.05, a, b)
-        # the exact-set kernel refuses the same bounds, with the same words
+        # the exact-set kernel refuses the same bounds, with the same words,
+        # and so do the region projection and the bounded p-values
         with pytest.raises(DomainError) as exact:
             _exact_set_covers_zero(y1, y2, model, 0.05, (a, b))
         assert str(fast.value) == str(exact.value)
+        for refuse in _BOUNDED_CONSTRUCTIONS:
+            with pytest.raises(DomainError) as other:
+                refuse(model, a, b)
+            assert str(other.value) == str(exact.value), refuse
 
     @pytest.mark.parametrize("model, bounds", [
         (VarianceModel(VarianceForm.EXP_LINEAR, (5.0, -200.0)), (-5.0, 13.9)),
@@ -468,9 +483,13 @@ class TestRegionCoversZero:
          (7.3, 13.9)),
     ], ids=["exp-linear", "power", "exp-linear-const"])
     def test_variance_not_finite_at_the_bounds_raises(self, model, bounds):
-        with pytest.raises(DomainError, match="finite and positive"):
+        with pytest.raises(DomainError, match="finite and positive") as fast:
             region_covers_zero(np.array([10.0]), np.array([10.5]), model,
                                0.05, *bounds)
+        for refuse in _BOUNDED_CONSTRUCTIONS:
+            with pytest.raises(DomainError) as other:
+                refuse(model, *bounds)
+            assert str(other.value) == str(fast.value), refuse
 
     @pytest.mark.parametrize("name", sorted(REGION_AT_ZERO_MODELS))
     def test_edge_rows_are_quiet_and_decided(self, name):
